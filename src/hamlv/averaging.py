@@ -24,7 +24,7 @@ from scipy.signal import find_peaks
 
 from .integrate import Trajectory
 from .star import StarSystem, _orbit_quadrature, _profile_of_terms
-from .util import EXP_LIMIT
+from .util import EXP_LIMIT, write_csv
 
 
 class CoefficientPath:
@@ -290,14 +290,8 @@ class AveragedTrajectory:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        from .util import fmt17
-        with open(path, "w", encoding="utf-8") as fh:
-            n = self.Cbar.shape[1]
-            fh.write("tau,E," + ",".join(f"C{i + 1}" for i in range(n)) + "\n")
-            for k in range(self.tau.size):
-                row = [fmt17(self.tau[k]), fmt17(self.E[k])]
-                row += [fmt17(c) for c in self.Cbar[k]]
-                fh.write(",".join(row) + "\n")
+        header = ["tau", "E"] + [f"C{i + 1}" for i in range(self.Cbar.shape[1])]
+        write_csv(path, header, self.tau, self.E, self.Cbar)
 
 
 def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,

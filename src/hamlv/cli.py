@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .util import fmt17, sha256_file
+from .util import sha256_file, write_csv
 
 
 def _emit_error(message):
@@ -172,14 +172,19 @@ def _cmd_check(args):
                    ["certificate.json"], exit_code=code)
 
 
-def _cmd_simulate(args):
-    from .integrate import integrate_lv
+def _load_system_and_state(args):
     from .model import InteractionSystem
     system = InteractionSystem.load(args.input)
     state = _load_json(args.state, "state")
     for key in ("x", "v"):
         if key not in state:
             raise ValueError(f"state file missing field {key!r}")
+    return system, state
+
+
+def _cmd_simulate(args):
+    from .integrate import integrate_lv
+    system, state = _load_system_and_state(args)
     traj = integrate_lv(system, state["x"], state["v"], args.t_end,
                         rtol=args.rtol, atol=args.atol,
                         n_samples=args.samples)
@@ -205,13 +210,8 @@ def _cmd_simulate(args):
 def _cmd_canonical(args):
     from .canonical import canonicalize, to_canonical
     from .integrate import integrate_symplectic, integrate_transformed
-    from .model import InteractionSystem
     from .star import StarSystem
-    system = InteractionSystem.load(args.input)
-    state = _load_json(args.state, "state")
-    for key in ("x", "v"):
-        if key not in state:
-            raise ValueError(f"state file missing field {key!r}")
+    system, state = _load_system_and_state(args)
     csys = canonicalize(system, tol=args.tol)
     cstate = to_canonical(csys, state["x"], state["v"])
     out = Path(args.out)
@@ -253,10 +253,7 @@ def _cmd_star(args):
     outputs = ["report.json"]
     terms = star.terms()
     qs = np.linspace(profile.window[0], profile.window[1], 801)
-    with open(out / "profile.csv", "w", encoding="utf-8") as fh:
-        fh.write("q,phi\n")
-        for q, ph in zip(qs, terms.phi(qs)):
-            fh.write(f"{fmt17(q)},{fmt17(ph)}\n")
+    write_csv(out / "profile.csv", ["q", "phi"], qs, terms.phi(qs))
     outputs.append("profile.csv")
     if args.format == "svg":
         write_svg_polyline(out / "profile.svg", qs, [terms.phi(qs)], ["phi"])
@@ -357,12 +354,8 @@ def _cmd_resonance(args):
     if args.tau_end is not None:
         traj = integrate_resonance(model, [args.Q0, args.Q0],
                                    [0.0, np.pi / 2], args.tau_end)
-        with open(out / "slow_trajectory.csv", "w", encoding="utf-8") as fh:
-            fh.write("tau,Q1,Q2,phi1,phi2\n")
-            for k in range(traj.tau.size):
-                row = [traj.tau[k], traj.Q[k, 0], traj.Q[k, 1],
-                       traj.phi[k, 0], traj.phi[k, 1]]
-                fh.write(",".join(fmt17(v) for v in row) + "\n")
+        write_csv(out / "slow_trajectory.csv", ["tau", "Q1", "Q2", "phi1", "phi2"],
+                  traj.tau, traj.Q, traj.phi)
         outputs.append("slow_trajectory.csv")
     echo = {"input": str(args.input), "tau_end": args.tau_end, "Q0": args.Q0}
     code = 2 if verdict.verdict == "unstable" else 0
@@ -458,7 +451,7 @@ def _build_parser():
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--atol", type=float, default=1e-10)
     p.add_argument("--samples", type=int, default=1001)
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -475,7 +468,7 @@ def _build_parser():
     p = sub.add_parser("star", help="potential profile, persistence, orbit class")
     p.add_argument("--input", required=True, help="star JSON")
     p.add_argument("--E", type=float, default=None, help="energy to classify")
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
     common(p)
     p.set_defaults(func=_cmd_star)
 
@@ -483,7 +476,7 @@ def _build_parser():
     p.add_argument("--input", required=True, help="environment JSON")
     p.add_argument("--E0", type=float, required=True)
     p.add_argument("--tau-end", type=float, default=1.0, dest="tau_end")
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
     common(p)
     p.set_defaults(func=_cmd_average)
 
@@ -514,7 +507,7 @@ def _build_parser():
     pv.add_argument("--mix", default="0,0.1,0.2,0.3,0.4")
     pv.add_argument("--trials", type=int, default=150)
     pv.add_argument("--workers", type=int, default=1)
-    pv.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    pv.add_argument("--format", choices=["csv", "svg"], default="csv")
     common(pv)
     pv.set_defaults(func=_cmd_ensemble)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .persistence import cone_condition
 from .star import PotentialTerms
-from .util import run_indexed_trials, wilson_interval
+from .util import run_indexed_trials, wilson_interval, write_csv
 
 
 @dataclass(frozen=True)
@@ -241,17 +241,14 @@ def orbit_probability_curve(N, mix_grid, trials, params=None, seed=0,
 
 def curve_to_csv(report, path):
     """Write an orbit-probability report as mix,P_periodic,...,P_soliton_hi."""
-    from .util import fmt17
-    mixes = report.config.params["mix_grid"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mix,P_periodic,P_periodic_lo,P_periodic_hi,"
-                 "P_soliton,P_soliton_lo,P_soliton_hi\n")
-        for mix in mixes:
-            per = report.cells[f"periodic@{mix:g}"]
-            sol = report.cells[f"soliton@{mix:g}"]
-            row = [mix, per.frequency, per.ci_low, per.ci_high,
-                   sol.frequency, sol.ci_low, sol.ci_high]
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+    rows = []
+    for mix in report.config.params["mix_grid"]:
+        per = report.cells[f"periodic@{mix:g}"]
+        sol = report.cells[f"soliton@{mix:g}"]
+        rows.append([mix, per.frequency, per.ci_low, per.ci_high,
+                     sol.frequency, sol.ci_low, sol.ci_high])
+    write_csv(path, ["mix", "P_periodic", "P_periodic_lo", "P_periodic_hi",
+                     "P_soliton", "P_soliton_lo", "P_soliton_hi"], rows)
 
 
 def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):

@@ -1,10 +1,11 @@
 """Time integration: positivity-preserving adaptive runs and symplectic steps.
 
-The full population system is integrated in log abundances (u = ln x,
-w = ln v), which keeps the positive cone invariant structurally and turns
-blow-up into a finite log-coordinate threshold.  The reduced star Hamiltonian
-uses a fixed-step Stormer-Verlet splitting whose kick and drift substeps are
-the exact flows of Phi and Psi separately.
+The full population system and its canonical form are integrated in log
+coordinates, where both are y' = c + L exp(z) with z the log abundances; this
+keeps the positive cone invariant structurally and turns blow-up into a finite
+log-coordinate threshold.  The reduced star Hamiltonian uses a fixed-step
+Stormer-Verlet splitting whose kick and drift substeps are the exact flows of
+Phi and Psi separately.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .canonical import hamiltonian, transformed_rhs
-from .util import EXP_LIMIT, fmt17
+from .canonical import CanonicalState, hamiltonian
+from .util import EXP_LIMIT, write_csv
 
 
 @dataclass
@@ -36,43 +37,79 @@ class Trajectory:
 
     def to_csv(self, path):
         header = ["t"] + list(self.labels)
+        columns = [self.t, self.states]
         if self.energy is not None:
             header.append("H")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, ti in enumerate(self.t):
-                row = [fmt17(ti)] + [fmt17(v) for v in self.states[i]]
-                if self.energy is not None:
-                    row.append(fmt17(self.energy[i]))
-                fh.write(",".join(row) + "\n")
+            columns.append(self.energy)
+        write_csv(path, header, *columns)
 
 
-def _solve_log_system(rhs, y0, t_end, rtol, atol, t_eval, method):
-    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(y)))
+class _ExpSumFlow:
+    """Right-hand side y' = c + L exp(z) of a flow in log coordinates.
+
+    z = y when K is None.  Otherwise the first k = K.shape[1] coordinates of
+    y enter only through K and z = y[k:] + K @ y[:k].  Exponents are clipped
+    to +-EXP_LIMIT, and the time of the first evaluation with some |z| > 30
+    is kept in ``t_diverged``.
+    """
+
+    def __init__(self, c, L, K=None):
+        self.c, self.L, self.t_diverged = c, L, None
+        k = 0 if K is None else K.shape[1]
+        # the log abundances z of a state y
+        self.exponent = (lambda y: y) if K is None else (lambda y: y[k:] + K @ y[:k])
+
+    def __call__(self, t, y):
+        z = self.exponent(y)
+        if np.maximum.reduce(z) > 30.0 or np.minimum.reduce(z) < -30.0:
+            if self.t_diverged is None:
+                self.t_diverged = t
+            z = np.minimum(np.maximum(z, -EXP_LIMIT), EXP_LIMIT)
+        return self.c + self.L @ np.exp(z)
+
+
+def _lv_flow(system):
+    """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
+    return _ExpSumFlow(np.concatenate((-system.r, system.rbar)),
+                       np.block([[-system.Gamma, system.A],
+                                 [-system.B, -system.D]]))
+
+
+def _transformed_flow(csys):
+    """Canonical flow in y = (q, p, ln C) with z = (p, ln C + A q / sigma).
+
+    z holds (ln v, ln x), so c = (-sigma mu, rbar, gamma_bar) and
+    L = [[diag sigma, 0], [-D, -B], [0, -Gamma]].
+    """
+    base, sigma = csys.base, csys.factors.sigma
+    n, m = base.N, base.M
+    L = np.block([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
+                  [np.zeros((n, m)), -base.Gamma]])
+    K = np.vstack((np.zeros((m, m)), base.A / sigma))
+    c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
+    return _ExpSumFlow(c, L, K)
+
+
+def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
+    """Integrate an _ExpSumFlow; an exponent reaching +-EXP_LIMIT escapes."""
+    if t_eval is None:
+        t_eval = np.linspace(0.0, t_end, n_samples)
+    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.exponent(y))))
     escape.terminal = True
     escape.direction = -1
-    diverged = {"t": None}
-
-    def guarded(t, y):
-        if diverged["t"] is None and float(np.max(np.abs(y))) > 30.0:
-            diverged["t"] = t
-        return rhs(t, y)
-
-    sol = solve_ivp(guarded, (0.0, t_end), y0, method=method, rtol=rtol,
+    sol = solve_ivp(flow, (0.0, t_end), y0, method=method, rtol=rtol,
                     atol=atol, t_eval=t_eval, events=escape)
     escaped = sol.status == 1
     t_escape = float(sol.t_events[0][0]) if escaped and sol.t_events[0].size else None
     if sol.status == -1:
-        # superexponential blow-up collapses the step size long before a log
-        # coordinate reaches the clamp; a clearly diverged state is an escape
-        if diverged["t"] is not None:
-            escaped = True
-            t_escape = float(diverged["t"])
-        else:
+        # superexponential blow-up collapses the step size long before an
+        # exponent reaches the clamp; a clearly diverged state is an escape
+        if flow.t_diverged is None:
             raise RuntimeError(f"integration failed: {sol.message}")
+        escaped, t_escape = True, float(flow.t_diverged)
     meta = {"method": method, "rtol": rtol, "atol": atol,
-            "nfev": int(sol.nfev), "n_accepted": int(sol.t.size)}
-    return sol, escaped, t_escape, meta
+            "nfev": int(sol.nfev), "n_samples": int(sol.t.size)}
+    return sol, {"meta": meta, "escaped": escaped, "escape_time": t_escape}
 
 
 def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
@@ -89,49 +126,26 @@ def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     n, m = system.N, system.M
-    r, rbar, A, B = system.r, system.rbar, system.A, system.B
-    Gamma, D = system.Gamma, system.D
-
-    def rhs(t, y):
-        x = np.exp(np.clip(y[:n], -EXP_LIMIT, EXP_LIMIT))
-        v = np.exp(np.clip(y[n:], -EXP_LIMIT, EXP_LIMIT))
-        du = -r + A @ v - Gamma @ x
-        dw = rbar - B @ x - D @ v
-        return np.concatenate((du, dw))
-
     y0 = np.concatenate((np.log(x0), np.log(v0)))
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples)
-    sol, escaped, t_escape, meta = _solve_log_system(rhs, y0, t_end, rtol,
-                                                     atol, t_eval, method)
-    states = np.exp(sol.y.T)
+    sol, run = _solve_log_system(_lv_flow(system), y0, t_end, rtol, atol,
+                                 n_samples, t_eval, method)
     labels = [f"x{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(m)]
-    return Trajectory(t=sol.t.copy(), states=states, labels=labels, meta=meta,
-                      escaped=escaped, escape_time=t_escape)
+    return Trajectory(t=sol.t.copy(), states=np.exp(sol.y.T), labels=labels,
+                      **run)
 
 
 def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
                           n_samples=1001, t_eval=None, method="DOP853"):
     """Integrate the transformed (q, p, C) system, C in log space.
 
-    Records H at the samples; H is a conserved quantity only when the
-    reduction is exact (limitation-free, gamma_bar = 0) and a plain
-    diagnostic otherwise.
+    An exponent ln x or ln v beyond +-700 is reported as an escape.  Records
+    H at the samples; H is a conserved quantity only when the reduction is
+    exact (limitation-free, gamma_bar = 0) and a plain diagnostic otherwise.
     """
-    from .canonical import CanonicalState
-    m = csys.base.M
-
-    def rhs(t, y):
-        state = CanonicalState(q=y[:m], p=y[m:2 * m],
-                               C=np.exp(np.clip(y[2 * m:], -EXP_LIMIT, EXP_LIMIT)))
-        dq, dp, dC = transformed_rhs(csys, state)
-        return np.concatenate((dq, dp, dC / state.C))
-
+    n, m = csys.base.N, csys.base.M
     y0 = np.concatenate((state0.q, state0.p, np.log(state0.C)))
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples)
-    sol, escaped, t_escape, meta = _solve_log_system(rhs, y0, t_end, rtol,
-                                                     atol, t_eval, method)
+    sol, run = _solve_log_system(_transformed_flow(csys), y0, t_end, rtol,
+                                 atol, n_samples, t_eval, method)
     qs = sol.y[:m].T
     ps = sol.y[m:2 * m].T
     Cs = np.exp(sol.y[2 * m:].T)
@@ -139,10 +153,37 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
     energy = np.array([hamiltonian(csys, CanonicalState(q=qs[i], p=ps[i], C=Cs[i]))
                        for i in range(sol.t.size)])
     labels = ([f"q{j + 1}" for j in range(m)] + [f"p{j + 1}" for j in range(m)]
-              + [f"C{i + 1}" for i in range(csys.base.N)])
+              + [f"C{i + 1}" for i in range(n)])
     return Trajectory(t=sol.t.copy(), states=states, labels=labels,
-                      energy=energy, meta=meta, escaped=escaped,
-                      escape_time=t_escape)
+                      energy=energy, **run)
+
+
+def _star_forces(star):
+    """Scalar Phi'(q) and Phi(q) of a star, with a fast path for one term."""
+    rbar = star.rbar
+    bc = (star.b * star.C).tolist()
+    a = star.a.tolist()
+    # dp/dt = -Phi'(q) = rbar - sum_j b_j C_j exp(a_j q)
+    if len(a) == 1:
+        a0, bc0 = a[0], bc[0]
+        dphi = lambda q: bc0 * math.exp(a0 * q) - rbar
+        phi = lambda q: (bc0 / a0) * math.exp(a0 * q) - rbar * q
+    else:
+        rc = [bcj / aj for bcj, aj in zip(bc, a)]
+        dphi = lambda q: sum(bcj * math.exp(aj * q) for bcj, aj in zip(bc, a)) - rbar
+        phi = lambda q: sum(rcj * math.exp(aj * q) for rcj, aj in zip(rc, a)) - rbar * q
+    return dphi, phi
+
+
+def _verlet(dphi, mu, h, q, p, n_steps):
+    """n_steps Stormer-Verlet (kick-drift-kick) steps of size h from (q, p)."""
+    h_half = 0.5 * h
+    exp_ = math.exp
+    for _ in range(n_steps):
+        p -= h_half * dphi(q)
+        q += h * (exp_(p) - mu)
+        p -= h_half * dphi(q)
+    return q, p
 
 
 def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
@@ -159,51 +200,28 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
         raise ValueError("t_end must allow at least one step")
     stride = max(1, n_steps // max(1, n_samples - 1))
     mu = star.mu
-    rbar = star.rbar
-    bc = (star.b * star.C).tolist()
-    a = star.a.tolist()
-    n_terms = len(a)
-
-    # dp/dt = -Phi'(q) = rbar - sum_j b_j C_j exp(a_j q)
-    if n_terms == 1:
-        a0, bc0 = a[0], bc[0]
-        dphi = lambda q: bc0 * math.exp(a0 * q) - rbar
-        phi = lambda q: (bc0 / a0) * math.exp(a0 * q) - rbar * q
-    else:
-        rc = [bcj / aj for bcj, aj in zip(bc, a)]
-        dphi = lambda q: sum(bcj * math.exp(aj * q) for bcj, aj in zip(bc, a)) - rbar
-        phi = lambda q: sum(rcj * math.exp(aj * q) for rcj, aj in zip(rc, a)) - rbar * q
-
+    dphi, phi = _star_forces(star)
     q, p = float(q0), float(p0)
     H0 = phi(q) + math.exp(p) - mu * p
-    ts = [0.0]
-    qs = [q]
-    ps = [p]
-    Hs = [H0]
+    samples = [(0.0, q, p, H0)]
     guard = 0.1 * abs(H0) if H0 != 0.0 else 0.1
-    h_half = 0.5 * h
-    exp_ = math.exp
-    H_prev = H0
-    for step in range(1, n_steps + 1):
-        p -= h_half * dphi(q)
-        q += h * (exp_(p) - mu)
-        p -= h_half * dphi(q)
-        if step % stride == 0 or step == n_steps:
-            H = phi(q) + exp_(p) - mu * p
-            if abs(H - H_prev) > guard * max(1, stride):
-                raise RuntimeError(
-                    f"energy moved {abs(H - H_prev):.3g} over {stride} step(s) "
-                    f"at t = {step * h:.6g}: step h = {h:g} too large")
-            H_prev = H
-            ts.append(step * h)
-            qs.append(q)
-            ps.append(p)
-            Hs.append(H)
-    states = np.column_stack((qs, ps))
+    H_prev, step = H0, 0
+    while step < n_steps:
+        block = min(stride, n_steps - step)
+        q, p = _verlet(dphi, mu, h, q, p, block)
+        step += block
+        H = phi(q) + math.exp(p) - mu * p
+        if abs(H - H_prev) > guard * stride:
+            raise RuntimeError(
+                f"energy moved {abs(H - H_prev):.3g} over {stride} step(s) "
+                f"at t = {step * h:.6g}: step h = {h:g} too large")
+        H_prev = H
+        samples.append((step * h, q, p, H))
+    samples = np.array(samples)
     meta = {"method": "stormer-verlet", "h": h, "n_steps": n_steps,
             "stride": stride}
-    return Trajectory(t=np.asarray(ts), states=states, labels=["q", "p"],
-                      energy=np.asarray(Hs), meta=meta)
+    return Trajectory(t=samples[:, 0], states=samples[:, 1:3],
+                      labels=["q", "p"], energy=samples[:, 3], meta=meta)
 
 
 def poincare_return_time(star, E, h=1e-3, q_ref=None, max_periods=1e6):
@@ -224,23 +242,11 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None, max_periods=1e6):
     q_star = well.q
     p_up, _ = _psi_roots(star.mu, E - well.phi)
 
-    mu = star.mu
-    rbar = star.rbar
-    bc = (star.b * star.C).tolist()
-    a = star.a.tolist()
-    dphi = lambda q: sum(bcj * math.exp(aj * q) for bcj, aj in zip(bc, a)) - rbar
-    exp_ = math.exp
-    h_half = 0.5 * h
-    ln_mu = math.log(mu)
-
-    q, p = q_star, p_up
-    t = 0.0
-    prev_rel = 0.0
-    max_steps = int(max_periods)
-    for _ in range(max_steps):
-        p -= h_half * dphi(q)
-        q += h * (exp_(p) - mu)
-        p -= h_half * dphi(q)
+    mu, ln_mu = star.mu, math.log(star.mu)
+    dphi, _ = _star_forces(star)
+    q, p, t, prev_rel = q_star, p_up, 0.0, 0.0
+    for _ in range(int(max_periods)):
+        q, p = _verlet(dphi, mu, h, q, p, 1)
         t += h
         rel = q - q_star
         if prev_rel < 0.0 <= rel and p > ln_mu:

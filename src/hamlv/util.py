@@ -1,4 +1,4 @@
-"""Shared numeric helpers: guarded exponentials, seeded streams, intervals."""
+"""Shared helpers: guarded exponentials, seeded streams, intervals, CSV."""
 
 from __future__ import annotations
 
@@ -63,9 +63,18 @@ def run_indexed_trials(n_trials, seed, trial_fn, parallel=1):
     return results
 
 
-def fmt17(x):
-    """Full-precision decimal rendering (17 significant digits)."""
-    return format(float(x), ".17g")
+def write_csv(path, header, *columns):
+    """Write a header line, then one line per row at 17 significant digits.
+
+    Each column is a 1-D or 2-D array with one entry or row per line; rows
+    are joined one line at a time, so no copy of the whole table is made.
+    """
+    blocks = [np.asarray(c, dtype=float).reshape(len(c), -1) for c in columns]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for parts in zip(*blocks):
+            fh.write(row_format % tuple(np.concatenate(parts).tolist()))
 
 
 def sha256_file(path):

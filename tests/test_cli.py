@@ -126,6 +126,21 @@ class TestSimulateAndCanonical:
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+class TestFormatOption:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--input", "s.json", "--state", "x.json"],
+        ["star", "--input", "s.json"],
+        ["average", "--input", "e.json", "--E0", "3"],
+        ["ensemble", "curve"]])
+    def test_json_format_rejected(self, tmp_path, capsys, command):
+        # the json choice used to write the csv files; argparse now refuses
+        # it, and the CLI maps parse errors to exit code 1
+        assert main(command + ["--format", "json", "--out",
+                               str(tmp_path / "o")]) == 1
+        assert "invalid choice: 'json'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestStar:
     def test_periodic_orbit_report(self, tmp_path, star_file):
         out = tmp_path / "star"

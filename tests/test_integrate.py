@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
-                             motion_integral, to_canonical)
-from hamlv.integrate import (integrate_lv, integrate_symplectic,
+                             motion_integral, to_canonical, transformed_rhs)
+from hamlv.integrate import (Trajectory, _lv_flow, _transformed_flow,
+                             integrate_lv, integrate_symplectic,
                              integrate_transformed, poincare_return_time)
 from hamlv.model import InteractionSystem
 from hamlv.star import StarSystem, _psi_roots, period
@@ -17,6 +19,37 @@ PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
 def unit_orbit_start(E):
     p0, _ = _psi_roots(1.0, E - 1.0)  # Phi(0) = 1
     return 0.0, p0
+
+
+def damped_factorizable(seed, n=4, m=3):
+    """Random system with sigma_l b_lk = rho_k a_kl and nonzero Gamma, D."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.3, 1.2, (n, m))
+    rho = rng.uniform(0.5, 1.5, n)
+    sigma = np.concatenate(([1.0], rng.uniform(0.5, 1.5, m - 1)))
+    B = (rho[:, None] * A / sigma[None, :]).T
+    Gamma = rng.uniform(0.0, 0.2, (n, n))
+    D = rng.uniform(0.0, 0.2, (m, m))
+    mu = rng.uniform(0.8, 1.2, m)
+    system = InteractionSystem(r=A @ mu, rbar=B @ rng.uniform(0.5, 1.5, n),
+                               A=A, B=B, Gamma=Gamma, D=D)
+    return system, mu, rng
+
+
+def block_rhs(system):
+    """The log-space population system written out block by block."""
+    n = system.N
+
+    def rhs(t, y):
+        x, v = np.exp(y[:n]), np.exp(y[n:])
+        return np.concatenate((-system.r + system.A @ v - system.Gamma @ x,
+                               system.rbar - system.B @ x - system.D @ v))
+    return rhs
+
+
+def assert_sum_close(got, want, terms, rtol=1e-14):
+    """Relative agreement of sums, measured against the summed magnitudes."""
+    assert np.all(np.abs(got - want) <= rtol * terms)
 
 
 class TestIntegrateLV:
@@ -58,6 +91,97 @@ class TestIntegrateLV:
         # full double precision round-trips through the text
         val = float(lines[1].split(",")[1])
         assert val == traj.states[0, 0]
+
+    def test_meta_counts_samples(self):
+        traj = integrate_lv(PAIR, [2.0], [1.0], 1.0, n_samples=7)
+        assert traj.meta["n_samples"] == traj.t.size == 7
+        assert "n_accepted" not in traj.meta
+
+    def test_matches_block_formula_integration(self):
+        system, _, rng = damped_factorizable(5)
+        x0 = rng.uniform(0.5, 1.5, system.N)
+        v0 = rng.uniform(0.5, 1.5, system.M)
+        t_eval = np.linspace(0.0, 20.0, 81)
+        traj = integrate_lv(system, x0, v0, 20.0, rtol=1e-10, atol=1e-12,
+                            t_eval=t_eval)
+        ref = solve_ivp(block_rhs(system), (0.0, 20.0),
+                        np.log(np.concatenate((x0, v0))), method="DOP853",
+                        rtol=1e-10, atol=1e-12, t_eval=t_eval)
+        np.testing.assert_allclose(traj.states, np.exp(ref.y.T), rtol=1e-10)
+
+
+class TestExpSumFlow:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lv_flow_is_block_formula(self, seed):
+        system, _, rng = damped_factorizable(seed)
+        flow = _lv_flow(system)
+        for _ in range(10):
+            y = rng.normal(0.0, 2.0, system.N + system.M)
+            x, v = np.exp(y[:system.N]), np.exp(y[system.N:])
+            terms = np.concatenate((
+                system.r + system.A @ v + system.Gamma @ x,
+                system.rbar + system.B @ x + system.D @ v))
+            assert_sum_close(flow(0.0, y), block_rhs(system)(0.0, y), terms)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_transformed_flow_is_transformed_rhs(self, seed):
+        system, mu, rng = damped_factorizable(seed)
+        csys = canonicalize(system, mu=mu)
+        base, sigma = csys.base, csys.factors.sigma
+        flow = _transformed_flow(csys)
+        m = system.M
+        for _ in range(10):
+            state = CanonicalState(q=rng.normal(0.0, 1.0, m),
+                                   p=rng.normal(0.0, 1.0, m),
+                                   C=rng.uniform(0.2, 3.0, system.N))
+            dq, dp, dC = transformed_rhs(csys, state)
+            y = np.concatenate((state.q, state.p, np.log(state.C)))
+            x = state.C * np.exp(base.A @ (state.q / sigma))
+            v = np.exp(state.p)
+            terms = np.concatenate((sigma * (v + csys.mu),
+                                    base.rbar + base.B @ x + base.D @ v,
+                                    np.abs(csys.gamma_bar) + base.Gamma @ x))
+            assert_sum_close(flow(0.0, y),
+                             np.concatenate((dq, dp, dC / state.C)), terms)
+
+    def test_exponents_clipped_and_divergence_timed(self):
+        flow = _lv_flow(PAIR)
+        flow(0.5, np.array([29.0, -29.0]))
+        assert flow.t_diverged is None
+        dy = flow(1.5, np.array([800.0, -31.0]))
+        assert flow.t_diverged == 1.5
+        assert np.all(np.isfinite(dy))
+        np.testing.assert_allclose(dy, flow(2.0, np.array([700.0, -31.0])))
+        assert flow.t_diverged == 1.5
+
+    def test_transformed_exponent_overflow_is_escape(self):
+        # x = C exp(100 q) with q' = v - mu = 1: ln x reaches 700 at t = 7
+        # while q, p and ln C all stay far below the clamp
+        system = InteractionSystem(r=[100.0], rbar=[0.0], A=[[100.0]],
+                                   B=[[1e-304]])
+        csys = canonicalize(system)
+        traj = integrate_transformed(csys, to_canonical(csys, [1.0], [2.0]),
+                                     50.0)
+        assert traj.escaped
+        assert traj.escape_time == pytest.approx(7.0, rel=1e-3)
+        assert np.max(np.abs(traj.states)) < 10.0
+
+
+class TestTrajectoryCsv:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   -2.5e-310, 2.2250738585072014e-308, 1.0 / 3.0, -1e300]
+        states = np.array(special + list(np.random.default_rng(3).normal(
+            0.0, 1e3, 10))).reshape(10, 2)
+        traj = Trajectory(t=np.linspace(0.0, 0.9, 10), states=states,
+                          labels=["q", "p"], energy=states[::-1, 0].copy())
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        lines = ["t,q,p,H"] + [
+            ",".join(format(float(v), ".17g")
+                     for v in (traj.t[i], *traj.states[i], traj.energy[i]))
+            for i in range(10)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestSymplectic:
