@@ -23,8 +23,9 @@ from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks
 
 from .integrate import Trajectory
-from .star import StarSystem, _orbit_quadrature, _profile_of_terms
-from .util import EXP_LIMIT, write_csv
+from .star import (StarSystem, _classify, _orbit_quadrature, _OrbitNodes,
+                   _profile_of_terms)
+from .util import EXP_LIMIT, libm_exp, write_csv
 
 
 class CoefficientPath:
@@ -139,15 +140,13 @@ class OrbitLostError(RuntimeError):
 _DEGENERATE_GAP = 1e-10
 
 
-def orbit_averages(star, E, observables, q_ref=None):
-    """Period T and time averages of observables f(q, p) over the orbit at E.
+def _orbit_nodes(star, E, profile, q_ref):
+    """Quadrature nodes of the orbit at E in the well nearest q_ref.
 
     Near the bottom of the well (E - E_min below a tiny threshold) the orbit
-    degenerates to the equilibrium and averages reduce to point evaluations.
+    degenerates to the equilibrium: one node, with the period from the
+    curvature, whose averages are point values.
     """
-    from .star import classify_orbit
-
-    profile = _profile_of_terms(star.terms())
     minima = profile.minima()
     if not minima:
         raise ValueError("no potential well: averages undefined")
@@ -155,19 +154,27 @@ def orbit_averages(star, E, observables, q_ref=None):
             else min(minima, key=lambda e: abs(e.q - q_ref)))
     e_min = well.phi + star.psi_min()
     if E - e_min <= _DEGENERATE_GAP * (1.0 + abs(E)):
-        p_eq = math.log(star.mu)
         omega2 = star.mu * float(star.terms().d2phi(well.q))
         T = 2.0 * math.pi / math.sqrt(omega2) if omega2 > 0 else math.inf
-        return T, [float(f(well.q, p_eq)) for f in observables]
-    orbit = classify_orbit(star, E, q_ref=well.q, with_period=False)
+        return _OrbitNodes(period=T, q=np.array([well.q]),
+                           p=np.array([math.log(star.mu)]))
+    orbit = _classify(star, E, profile, q_ref=well.q, with_period=False)
     if orbit.kind != "periodic":
         raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
-    T, nodes = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus)
-    sums = [0.0] * len(observables)
-    for q, p, dt in nodes:
-        for k, f in enumerate(observables):
-            sums[k] += dt * f(q, p)
-    return T, [s / T for s in sums]
+    return _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus)
+
+
+def orbit_averages(star, E, observables, q_ref=None):
+    """Period T and time averages of observables f(q, p) over the orbit at E.
+
+    Near the bottom of the well (E - E_min below a tiny threshold) the orbit
+    degenerates to the equilibrium and averages reduce to point evaluations.
+    """
+    nodes = _orbit_nodes(star, E, _profile_of_terms(star.terms()), q_ref)
+    points = list(zip(nodes.q.tolist(), nodes.p.tolist()))
+    values = np.array([[f(q, p) for q, p in points] for f in observables],
+                      dtype=float).reshape(len(observables), len(points))
+    return nodes.period, nodes.averages(values)
 
 
 def period_average(star, E, f, q_ref=None):
@@ -197,9 +204,8 @@ def mu_balance(a, b, r, gamma, rbar=0.0):
     return float((rbar + np.sum(b * r / gamma)) / denom)
 
 
-def _well_and_barrier(star, q_hint):
+def _well_and_barrier(star, profile, q_hint):
     """Tracked well (nearest the hint) and its lowest adjacent barrier energy."""
-    profile = _profile_of_terms(star.terms())
     minima = profile.minima()
     if not minima:
         raise OrbitLostError("potential lost every well")
@@ -222,20 +228,21 @@ def _well_and_barrier(star, q_hint):
 def _averaged_terms(env, tau, E, Cbar, q_hint):
     """All averaged quantities at (tau, E, Cbar); clamps E inside the well."""
     star = env.star_at(tau, Cbar)
-    well, e_min, e_barrier, barriers = _well_and_barrier(star, q_hint)
+    profile = _profile_of_terms(star.terms())
+    well, e_min, e_barrier, barriers = _well_and_barrier(star, profile, q_hint)
     margin = 1e-6 * (1.0 + abs(E))
     e_eff = min(E, e_barrier - margin) if math.isfinite(e_barrier) else E
     e_eff = max(e_eff, e_min)
 
     a = np.atleast_1d(np.asarray(star.a))
     n = a.size
-    mu = env.mu
-    obs = [lambda q, p, ai=ai: math.exp(ai * q) for ai in a]
-    obs.append(lambda q, p: q)
-    obs.append(lambda q, p: math.exp(p) * (math.exp(p) - mu))
-    for ai in a:
-        obs.append(lambda q, p, ai=ai: q * math.exp(ai * q))
-    T, avgs = orbit_averages(star, e_eff, obs, q_ref=well.q)
+    nodes = _orbit_nodes(star, e_eff, profile, q_ref=well.q)
+    q = nodes.q
+    exp_aq = libm_exp(np.multiply.outer(a, q))
+    exp_p = libm_exp(nodes.p)
+    avgs = nodes.averages(np.vstack((exp_aq, q, exp_p * (exp_p - env.mu),
+                                     q * exp_aq)))
+    T = nodes.period
     theta = np.array(avgs[:n])
     q_avg = avgs[n]
     work = avgs[n + 1]
@@ -255,7 +262,8 @@ def _averaged_terms(env, tau, E, Cbar, q_hint):
     S3 = float(np.sum(rho * theta * W))
     return {"star": star, "well": well, "T": T, "theta": theta, "q_avg": q_avg,
             "S1": S1, "S2": S2, "S3": S3, "W": W, "e_min": e_min,
-            "e_barrier": e_barrier, "barriers": barriers}
+            "e_barrier": e_barrier, "barriers": barriers,
+            "dropped": nodes.dropped}
 
 
 def averaged_rhs(env, state, q_hint=None):
@@ -302,26 +310,33 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     "environment-destabilized" when the explicit slow drive S2 overcomes an
     actual damping term (S1 < 0 and S2 > |S1|), plain "burst" otherwise.  A
     run with no crossing ends with a single "stabilized" event at tau_end.
+    meta["quadrature_nodes_dropped"] counts the quadrature positions left
+    out, over every averaged evaluation, because roundoff put them outside
+    the well.
     """
-    n = init.Cbar.size
     hint = {"q": q_well}
+    dropped = 0
 
     def unpack(y):
         return float(y[0]), np.exp(np.clip(y[1:], -EXP_LIMIT, EXP_LIMIT))
 
     def rhs(tau, y):
+        nonlocal dropped
         E, Cbar = unpack(y)
         terms = _averaged_terms(env, tau, E, Cbar, hint["q"])
         hint["q"] = terms["well"].q
+        dropped += terms["dropped"]
         dE = terms["S1"] + terms["S2"] + terms["S3"]
         return np.concatenate(([dE], terms["W"] / Cbar))
 
     def barrier_margin(tau, y):
         E, Cbar = unpack(y)
-        terms = _averaged_terms(env, tau, E, Cbar, hint["q"])
-        if not math.isfinite(terms["e_barrier"]):
+        star = env.star_at(tau, Cbar)
+        _, _, e_barrier, _ = _well_and_barrier(
+            star, _profile_of_terms(star.terms()), hint["q"])
+        if not math.isfinite(e_barrier):
             return 1.0 + abs(E)
-        return terms["e_barrier"] - E
+        return e_barrier - E
 
     barrier_margin.terminal = True
     barrier_margin.direction = -1
@@ -341,6 +356,7 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
         y_c = sol.y_events[0][0]
         E_c, C_c = unpack(y_c)
         terms = _averaged_terms(env, tau_c, E_c, C_c, hint["q"])
+        dropped += terms["dropped"]
         driven = terms["S1"] < 0 and terms["S2"] > abs(terms["S1"])
         events.append(RegimeEvent(tau=tau_c,
                                   kind="environment-destabilized" if driven
@@ -353,6 +369,7 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
         events.append(RegimeEvent(tau=float(tau_end), kind="stabilized"))
         sol_t = sol.t
     meta = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev),
+            "quadrature_nodes_dropped": dropped,
             "s2_derivative": "analytic" if env.rbar.analytic_derivative
             else "central-difference"}
     return AveragedTrajectory(tau=np.asarray(sol_t), E=np.asarray(E_samples),

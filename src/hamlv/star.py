@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .util import EXP_LIMIT, guarded_exp
+from .util import EXP_LIMIT, guarded_exp, libm_exp
 
 
 @dataclass(frozen=True)
@@ -337,10 +337,15 @@ def classify_orbit(star, E, q_ref=None, tol_deg=None, q_window=None,
     open side gives an unbounded escape.  q_ref defaults to the deepest
     minimum of the profile.
     """
+    profile = _profile_of_terms(star.terms(), q_window=q_window)
+    return _classify(star, E, profile, q_ref, tol_deg, with_period)
+
+
+def _classify(star, E, profile, q_ref=None, tol_deg=None, with_period=True):
+    """classify_orbit on a potential profile the caller already has."""
     terms = star.terms()
     psi_min = star.psi_min()
     level = E - psi_min
-    profile = _profile_of_terms(terms, q_window=q_window)
     if tol_deg is None:
         tol_deg = 1e-9 * (1.0 + abs(level))
 
@@ -383,81 +388,198 @@ def classify_orbit(star, E, q_ref=None, tol_deg=None, q_window=None,
                      q_minus=q_minus, q_plus=q_plus, q_plateau=plateau)
     T = None
     if with_period:
-        T, _ = _orbit_quadrature(star, E, q_minus, q_plus)
+        T = _orbit_quadrature(star, E, q_minus, q_plus).period
     return Orbit(kind="periodic", energy=E, level=level,
                  q_minus=q_minus, q_plus=q_plus, period=T)
 
 
-def _psi_roots(mu, w, p_lo_hint=None, p_hi_hint=None):
-    """Both solutions of exp(p) - mu p = w around the minimum at ln mu."""
+_XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
+
+
+def _brentq(f, xa, xb):
+    """Roots of f in the brackets [xa, xb], as scipy's brentq finds them.
+
+    A step-for-step port of scipy's brentq.c (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973) over arrays: the same delta,
+    the same choice between interpolation, extrapolation and bisection, and
+    the same errors, so each root is bit-identical to
+    brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16) when f is.  f(x, i)
+    evaluates the functions of entries i at x.  The root is NaN where
+    brentq raises ValueError (a NaN value, no sign change); RuntimeError is
+    raised where it would fail to converge.  Converged entries leave the
+    working arrays each iteration.
+    """
+    root = np.full(xa.shape, np.nan)
+    idx = np.arange(xa.size)
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre, idx), f(xcur, idx)
+    valid = ~(np.isnan(fpre) | np.isnan(fcur))
+    at_a = valid & (fpre == 0)
+    at_b = valid & ~at_a & (fcur == 0)
+    root[at_a] = xpre[at_a]
+    root[at_b] = xcur[at_b]
+    live = (valid & ~at_a & ~at_b
+            & (np.signbit(fpre) != np.signbit(fcur)))
+    xpre, xcur, fpre, fcur, idx = (v[live] for v in (xpre, xcur, fpre, fcur, idx))
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    for _ in range(_MAXITER):
+        nan = np.isnan(fcur)  # brentq raises on a NaN value
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = ~nan & ((fcur == 0) | (np.abs(sbis) < delta))
+        root[idx[done]] = xcur[done]
+        if (done | nan).any():
+            keep = ~(done | nan)
+            (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis,
+             idx) = (v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre,
+                                       scur, delta, sbis, idx))
+        if not idx.size:
+            return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        # MIN(a, b) of brentq.c is a < b ? a : b, which matters for NaN
+        cap_a, cap_b = np.abs(spre), 3 * np.abs(sbis) - delta
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.where(cap_a < cap_b, cap_a, cap_b)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, idx)
+    if not np.isnan(fcur).all():
+        raise RuntimeError(f"brentq failed to converge after {_MAXITER} iterations")
+    return root
+
+
+def _psi_roots(mu, w):
+    """Both solutions (p_up, p_dn) of exp(p) - mu p = w around the minimum at ln mu.
+
+    For an array w the roots are arrays, NaN where w lies below min Psi or
+    roundoff leaves no sign change in the bracket.  A scalar w gives floats
+    and raises ValueError there.  Each bracket starts one unit from ln mu
+    and doubles until it holds the root; both branches are solved in one
+    _brentq pass, with exp from the C library.
+    """
     pmin = math.log(mu)
     wmin = mu * (1.0 - pmin)
+    ws = np.atleast_1d(np.asarray(w, dtype=float))
+    roots = np.full((2, ws.size), np.nan)
+    roots[:, ws == wmin] = pmin
+    todo = np.flatnonzero(ws > wmin)
+    if todo.size:
+        level = np.tile(ws[todo], 2)
+
+        def f(p, i):
+            return libm_exp(p) - mu * p - level[i]
+
+        edge = pmin + np.repeat([1.0, -1.0], todo.size)
+        grow = np.arange(edge.size)
+        while grow.size:
+            grow = grow[f(edge[grow], grow) < 0]
+            edge[grow] = pmin + 2.0 * (edge[grow] - pmin)
+        start = np.full(edge.size, pmin)
+        up = np.arange(edge.size) < todo.size
+        roots[:, todo] = _brentq(f, np.where(up, start, edge),
+                                 np.where(up, edge, start)).reshape(2, -1)
+    if np.ndim(w):
+        return roots[0], roots[1]
     if w < wmin:
         raise ValueError("kinetic level below min Psi")
-    if w == wmin:
-        return pmin, pmin
+    if np.isnan(roots).any():
+        raise ValueError(f"no root of exp(p) - mu p = {w!r} for mu = {mu!r}")
+    return float(roots[0, 0]), float(roots[1, 0])
 
-    def f(p):
-        return math.exp(p) - mu * p - w
 
-    hi = p_hi_hint if p_hi_hint is not None else pmin + 1.0
-    while f(hi) < 0:
-        hi = pmin + 2.0 * (hi - pmin)
-    p_up = brentq(f, pmin, hi, xtol=1e-15, rtol=8.9e-16)
-    lo = p_lo_hint if p_lo_hint is not None else pmin - 1.0
-    while f(lo) < 0:
-        lo = pmin - 2.0 * (pmin - lo)
-    p_dn = brentq(f, lo, pmin, xtol=1e-15, rtol=8.9e-16)
-    return p_up, p_dn
+def _running_sum(x):
+    """Sums along the last axis in the order of a Python `s += v` loop from 0.0.
+
+    np.sum adds pairwise and so rounds differently.
+    """
+    x = np.asarray(x, dtype=float)
+    start = np.zeros(x.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((start, x), axis=-1), axis=-1)[..., -1]
+
+
+@dataclass(frozen=True)
+class _OrbitNodes:
+    """Time-weighted quadrature nodes of one closed orbit.
+
+    q, p and dt hold one entry per node, the upper and lower momentum
+    branches interleaved at each position q.  dt None marks the degenerate
+    orbit at the bottom of a well: the single point (q[0], p[0]).  dropped
+    counts positions left out because roundoff put them outside the well.
+    """
+
+    period: float
+    q: np.ndarray
+    p: np.ndarray
+    dt: np.ndarray = None
+    dropped: int = 0
+
+    def averages(self, values):
+        """Time averages sum(dt f) / T of node values, one row per observable."""
+        values = np.asarray(values, dtype=float)
+        if self.dt is None:
+            return values[:, 0].tolist()
+        return [s / self.period for s in _running_sum(values * self.dt).tolist()]
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(80)
 
 
 def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
-    """Time-weighted quadrature nodes along one closed orbit.
+    """Time-weighted quadrature nodes along one closed orbit, as _OrbitNodes.
 
     The turning-point singularity is removed with the substitution
     q = q_end -/+ u^2 on the outer halves; interior pieces integrate directly.
-    Returns (period, nodes) where nodes is a list of (q, p, dt_weight).
+    Each half is split geometrically toward its turning point, with 80
+    Gauss-Legendre nodes per piece.  All nodes are evaluated at once, and
+    every value is bit-identical to evaluating the nodes one at a time with
+    Phi, _psi_roots and math.exp and summing in node order.
     """
     terms = star.terms()
     mu = star.mu
     qm = 0.5 * (q_minus + q_plus)
+    cuts = [np.concatenate(([0.0], umax * 2.0 ** np.arange(1 - n_segments, 0.0),
+                            [umax]))
+            for umax in (math.sqrt(abs(qm - q_minus)), math.sqrt(abs(qm - q_plus)))]
+    lo = np.concatenate([c[:-1] for c in cuts])[:, None]
+    hi = np.concatenate([c[1:] for c in cuts])[:, None]
+    q_end = np.repeat([q_minus, q_plus], n_segments)[:, None]
+    sgn = np.repeat([1.0, -1.0], n_segments)[:, None]
+    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    u = mid + rad * _GL_NODES
+    q = (q_end + sgn * u * u).ravel()
+    jac = (_GL_WEIGHTS * rad * 2.0 * u).ravel()
 
-    pieces = []  # (transform, jacobian, lo, hi) in integration variable
-    half = [(q_minus, qm, +1), (q_plus, qm, -1)]
-    for q_end, q_mid, sgn in half:
-        umax = math.sqrt(abs(q_mid - q_end))
-        # split the u-interval geometrically toward the turning point
-        cuts = np.concatenate(([0.0], umax * 2.0 ** np.arange(1 - n_segments, 0.0),
-                               [umax]))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            pieces.append((q_end, sgn, lo, hi))
-
-    nodes = []
-    period = 0.0
-    for q_end, sgn, lo, hi in pieces:
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for xi, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-            u = mid + rad * xi
-            q = q_end + sgn * u * u
-            w = E - float(terms.phi(q))
-            try:
-                p_up, p_dn = _psi_roots(mu, w)
-            except ValueError:
-                continue  # roundoff placed the node a hair outside the well
-            vel_up = math.exp(p_up) - mu
-            vel_dn = mu - math.exp(p_dn)
-            if vel_up <= 0.0 or vel_dn <= 0.0:
-                continue
-            jac = wgt * rad * 2.0 * u
-            dt_up = jac / vel_up
-            dt_dn = jac / vel_dn
-            nodes.append((q, p_up, dt_up))
-            nodes.append((q, p_dn, dt_dn))
-            period += dt_up + dt_dn
-    return period, nodes
+    # one dot product per row: a matrix-vector product sums in another order
+    ex = np.exp(np.clip(np.multiply.outer(q, terms.a), -EXP_LIMIT, EXP_LIMIT))
+    phi = np.array([row @ terms.c for row in ex]) - terms.slope * q
+    p_up, p_dn = _psi_roots(mu, E - phi)
+    vel_up = libm_exp(p_up) - mu
+    vel_dn = mu - libm_exp(p_dn)
+    # roundoff can place a node a hair outside the well (NaN roots fail too)
+    keep = (vel_up > 0.0) & (vel_dn > 0.0)
+    dt = np.column_stack((jac[keep] / vel_up[keep], jac[keep] / vel_dn[keep]))
+    return _OrbitNodes(period=float(_running_sum(dt[:, 0] + dt[:, 1])),
+                      q=np.repeat(q[keep], 2),
+                      p=np.column_stack((p_up[keep], p_dn[keep])).ravel(),
+                      dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep)))
 
 
 def period(star, E, q_ref=None, q_window=None, rtol=1e-6):
@@ -472,11 +594,11 @@ def period(star, E, q_ref=None, q_window=None, rtol=1e-6):
                            with_period=False)
     if orbit.kind != "periodic":
         raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
-    t_prev, _ = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
-                                  n_segments=6)
+    t_prev = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
+                               n_segments=6).period
     for n_seg in (8, 12, 18, 28):
-        t_cur, _ = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
-                                     n_segments=n_seg)
+        t_cur = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
+                                  n_segments=n_seg).period
         if abs(t_cur - t_prev) <= rtol * abs(t_cur):
             return t_cur
         t_prev = t_cur

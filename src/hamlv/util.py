@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +28,18 @@ def guarded_exp(x):
         )
     out = np.exp(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def libm_exp(x):
+    """Elementwise math.exp over an array, bit-identical to scalar calls.
+
+    numpy's vectorised exp can differ from the C library's by one ulp, which
+    would break the bit identity of the array quadrature with its scalar
+    reference.  Raises OverflowError where math.exp does.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def wilson_interval(k, n, z=Z95):

@@ -1,0 +1,296 @@
+"""The array orbit quadrature against the scalar loop it replaced.
+
+The scalar code below is the reference: one scipy brentq pair per node,
+Phi evaluated one position at a time, and plain `+=` sums.  The array path
+must reproduce every value bit for bit (==), not within a tolerance.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from hamlv import averaging
+from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
+                             _averaged_terms, evolve_averaged, orbit_averages)
+from hamlv.star import (StarSystem, _GL_NODES, _GL_WEIGHTS, _orbit_quadrature,
+                        _psi_roots, analyze_potential, classify_orbit, period)
+
+UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
+TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
+DOUBLE_WELL = StarSystem(a=[2.0, -2.0, 1.0, -1.0],
+                         b=[8.0, -8.0, -20.0, 20.0], rbar=0.0, mu=1.0)
+
+
+# ------------------------------------------------------- scalar reference
+
+def scalar_psi_roots(mu, w):
+    pmin = math.log(mu)
+    wmin = mu * (1.0 - pmin)
+    if w < wmin:
+        raise ValueError("kinetic level below min Psi")
+    if w == wmin:
+        return pmin, pmin
+
+    def f(p):
+        return math.exp(p) - mu * p - w
+
+    hi = pmin + 1.0
+    while f(hi) < 0:
+        hi = pmin + 2.0 * (hi - pmin)
+    p_up = brentq(f, pmin, hi, xtol=1e-15, rtol=8.9e-16)
+    lo = pmin - 1.0
+    while f(lo) < 0:
+        lo = pmin - 2.0 * (pmin - lo)
+    p_dn = brentq(f, lo, pmin, xtol=1e-15, rtol=8.9e-16)
+    return p_up, p_dn
+
+
+def scalar_quadrature(star, E, q_minus, q_plus, n_segments=8):
+    """(period, [(q, p, dt), ...], dropped) from the node-by-node loop."""
+    terms = star.terms()
+    mu = star.mu
+    qm = 0.5 * (q_minus + q_plus)
+    pieces = []
+    for q_end, sgn in ((q_minus, +1), (q_plus, -1)):
+        umax = math.sqrt(abs(qm - q_end))
+        cuts = np.concatenate(([0.0], umax * 2.0 ** np.arange(1 - n_segments, 0.0),
+                               [umax]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            pieces.append((q_end, sgn, lo, hi))
+    nodes = []
+    period_sum = 0.0
+    dropped = 0
+    for q_end, sgn, lo, hi in pieces:
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        for xi, wgt in zip(_GL_NODES, _GL_WEIGHTS):
+            u = mid + rad * xi
+            q = q_end + sgn * u * u
+            w = E - float(terms.phi(q))
+            try:
+                p_up, p_dn = scalar_psi_roots(mu, w)
+            except ValueError:
+                dropped += 1
+                continue
+            vel_up = math.exp(p_up) - mu
+            vel_dn = mu - math.exp(p_dn)
+            if vel_up <= 0.0 or vel_dn <= 0.0:
+                dropped += 1
+                continue
+            jac = wgt * rad * 2.0 * u
+            dt_up = jac / vel_up
+            dt_dn = jac / vel_dn
+            nodes.append((q, p_up, dt_up))
+            nodes.append((q, p_dn, dt_dn))
+            period_sum += dt_up + dt_dn
+    return period_sum, nodes, dropped
+
+
+def scalar_period(star, E, q_ref, rtol=1e-6):
+    orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
+    t_prev = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus, 6)[0]
+    for n_seg in (8, 12, 18, 28):
+        t_cur = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus, n_seg)[0]
+        if abs(t_cur - t_prev) <= rtol * abs(t_cur):
+            return t_cur
+        t_prev = t_cur
+    return t_prev
+
+
+def scalar_orbit_averages(star, E, observables, q_ref=None):
+    minima = analyze_potential(star).minima()
+    well = (min(minima, key=lambda e: e.phi) if q_ref is None
+            else min(minima, key=lambda e: abs(e.q - q_ref)))
+    if E - (well.phi + star.psi_min()) <= 1e-10 * (1.0 + abs(E)):
+        p_eq = math.log(star.mu)
+        omega2 = star.mu * float(star.terms().d2phi(well.q))
+        return (2.0 * math.pi / math.sqrt(omega2),
+                [float(f(well.q, p_eq)) for f in observables])
+    orbit = classify_orbit(star, E, q_ref=well.q, with_period=False)
+    T, nodes, _ = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus)
+    sums = [0.0] * len(observables)
+    for q, p, dt in nodes:
+        for k, f in enumerate(observables):
+            sums[k] += dt * f(q, p)
+    return T, [s / T for s in sums]
+
+
+def averaged_observables(a, mu):
+    """The 2N+2 observables of the averaged right-hand side, as closures."""
+    obs = [lambda q, p, ai=ai: math.exp(ai * q) for ai in a]
+    obs.append(lambda q, p: q)
+    obs.append(lambda q, p: math.exp(p) * (math.exp(p) - mu))
+    for ai in a:
+        obs.append(lambda q, p, ai=ai: q * math.exp(ai * q))
+    return obs
+
+
+def well_energies(star):
+    """Energies across every well: 5% to 90% of the way to its barrier."""
+    prof = analyze_potential(star)
+    tops = [e.phi for e in prof.maxima()]
+    out = []
+    for well in prof.minima():
+        bottom = well.phi + star.psi_min()
+        top = (min(tops) + star.psi_min()) if tops else bottom + 2.0
+        out += [(well.q, bottom + (top - bottom) * f) for f in (0.05, 0.4, 0.9)]
+    return out
+
+
+CASES = [(name, star, q_ref, E) for name, star in
+         (("unit", UNIT), ("two_species", TWO_SPECIES),
+          ("double_well", DOUBLE_WELL))
+         for q_ref, E in well_energies(star)]
+
+
+# ------------------------------------------------------------ kinetic roots
+
+def draw_levels(rng):
+    """Random mu in [1e-3, 50] with gaps w - min Psi from 0 to 1e3."""
+    for mu in 10.0 ** rng.uniform(-3.0, math.log10(50.0), 25):
+        wmin = mu * (1.0 - math.log(mu))
+        gaps = np.concatenate((
+            [0.0], 10.0 ** rng.uniform(-17.0, 3.0, 60),
+            10.0 ** -rng.uniform(10.0, 17.0, 20)))  # near the turning point
+        w = wmin + gaps
+        # also one ulp above min Psi, and a level below it
+        yield mu, np.concatenate((w, [np.nextafter(wmin, np.inf), wmin - 1e-9]))
+
+
+class TestPsiRoots:
+    def test_array_solver_is_bitwise_scipy_brentq(self):
+        rng = np.random.default_rng(20)
+        n_root = n_fail = 0
+        for mu, w in draw_levels(rng):
+            up, dn = _psi_roots(mu, w)
+            for k, wk in enumerate(w.tolist()):
+                try:
+                    ref = scalar_psi_roots(mu, wk)
+                except ValueError:
+                    assert np.isnan(up[k]) and np.isnan(dn[k])
+                    n_fail += 1
+                    continue
+                assert (up[k], dn[k]) == ref, (mu, wk)
+                n_root += 1
+        assert n_root > 1500 and n_fail >= 25
+
+    def test_scalar_call_is_one_element_case(self):
+        for mu, w in ((1.0, 2.0), (0.3, 5.0), (7.0, 7.0 * (1.0 - math.log(7.0)))):
+            assert _psi_roots(mu, w) == scalar_psi_roots(mu, w)
+            up, dn = _psi_roots(mu, np.array([w]))
+            assert (float(up[0]), float(dn[0])) == _psi_roots(mu, w)
+
+    def test_scalar_below_min_raises(self):
+        with pytest.raises(ValueError, match="below min Psi"):
+            _psi_roots(1.0, 0.5)
+        with pytest.raises(ValueError):
+            _psi_roots(1.0, float("nan"))
+
+    @given(mu=st.floats(1e-3, 50.0),
+           gap=st.one_of(st.just(0.0), st.floats(1e-17, 1e3)))
+    def test_roots_solve_the_kinetic_equation(self, mu, gap):
+        pmin = math.log(mu)
+        wmin = mu * (1.0 - pmin)
+        w = wmin + gap
+        if w != wmin and math.exp(pmin) - mu * pmin - w > 0:
+            # within roundoff of min Psi there is no sign change to bracket
+            with pytest.raises(ValueError):
+                _psi_roots(mu, w)
+            return
+        up, dn = _psi_roots(mu, w)
+        assert dn <= pmin <= up
+        for p in (up, dn):
+            # Brent stops within xtol + rtol |p| of the root; beyond that
+            # only the rounding of exp(p) - mu p - w remains
+            slope = abs(math.exp(p) - mu)
+            scale = max(math.exp(p), mu * abs(p), abs(w))
+            resid = abs(math.exp(p) - mu * p - w)
+            assert resid <= slope * (1e-15 + 8.9e-16 * abs(p)) + 4 * math.ulp(scale)
+
+
+# ------------------------------------------------------------ quadrature
+
+class TestQuadratureBitIdentity:
+    @pytest.mark.parametrize("name,star,q_ref,E", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_nodes_and_period(self, name, star, q_ref, E):
+        orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
+        for n_seg in (6, 8, 28):
+            nodes = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus, n_seg)
+            T, ref, dropped = scalar_quadrature(star, E, orbit.q_minus,
+                                                orbit.q_plus, n_seg)
+            assert nodes.period == T
+            assert nodes.dropped == dropped
+            assert nodes.q.tolist() == [n[0] for n in ref]
+            assert nodes.p.tolist() == [n[1] for n in ref]
+            assert nodes.dt.tolist() == [n[2] for n in ref]
+
+    @pytest.mark.parametrize("name,star,q_ref,E", CASES[::2],
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES[::2])])
+    def test_period_and_classify(self, name, star, q_ref, E):
+        assert period(star, E, q_ref=q_ref) == scalar_period(star, E, q_ref)
+        orbit = classify_orbit(star, E, q_ref=q_ref)
+        T_ref = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus)[0]
+        assert orbit.period == T_ref
+
+    @pytest.mark.parametrize("name,star,q_ref,E", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_orbit_averages(self, name, star, q_ref, E):
+        obs = averaged_observables(star.a, star.mu) + [lambda q, p: q * p]
+        assert (orbit_averages(star, E, obs, q_ref=q_ref)
+                == scalar_orbit_averages(star, E, obs, q_ref=q_ref))
+
+    def test_degenerate_orbit_averages(self):
+        obs = averaged_observables(UNIT.a, UNIT.mu)
+        assert orbit_averages(UNIT, 2.0, obs) == scalar_orbit_averages(UNIT, 2.0, obs)
+
+    @pytest.mark.parametrize("star", [UNIT, DOUBLE_WELL], ids=["unit", "double_well"])
+    def test_averaged_terms_match_scalar_observables(self, star):
+        env = SlowEnvironment(a=CoefficientPath.constant(star.a),
+                              b=CoefficientPath.constant(star.b),
+                              rbar=CoefficientPath.constant(star.rbar),
+                              mu=star.mu, epsilon=0.01, dbar=0.5)
+        q_ref, E = well_energies(star)[1]
+        terms = _averaged_terms(env, 0.0, E, star.C, q_ref)
+        T, avgs = scalar_orbit_averages(
+            star, E, averaged_observables(star.a, env.mu), q_ref=terms["well"].q)
+        n = star.n_species
+        assert terms["T"] == T
+        assert terms["theta"].tolist() == avgs[:n]
+        assert terms["q_avg"] == avgs[n]
+        assert terms["S1"] == -env.dbar * avgs[n + 1]
+
+    def test_dropped_nodes_are_counted(self):
+        # turning points pushed outside the well: the outer nodes have no root
+        orbit = classify_orbit(UNIT, 3.0, with_period=False)
+        q_minus, q_plus = orbit.q_minus - 1e-3, orbit.q_plus + 1e-3
+        nodes = _orbit_quadrature(UNIT, 3.0, q_minus, q_plus)
+        T, ref, dropped = scalar_quadrature(UNIT, 3.0, q_minus, q_plus)
+        assert dropped > 0
+        assert nodes.dropped == dropped
+        assert nodes.period == T
+        assert nodes.dt.tolist() == [n[2] for n in ref]
+
+    def test_evolve_sums_dropped_nodes(self, monkeypatch):
+        # every quadrature reports 3 dropped positions; the barrier event
+        # computes no quadrature, so the total is 3 per quadrature made
+        calls = []
+
+        def lossy(*args, **kwargs):
+            calls.append(args)
+            return dataclasses.replace(_orbit_quadrature(*args, **kwargs),
+                                       dropped=3)
+
+        monkeypatch.setattr(averaging, "_orbit_quadrature", lossy)
+        env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                              b=CoefficientPath.constant([1.0]),
+                              rbar=CoefficientPath.constant(1.0),
+                              mu=1.0, epsilon=0.01, dbar=1.0)
+        avg = evolve_averaged(env, AveragedState(tau=0.0, E=3.0, Cbar=[1.0]),
+                              0.05)
+        assert avg.meta["quadrature_nodes_dropped"] == 3 * len(calls)
+        assert len(calls) == avg.meta["nfev"]
