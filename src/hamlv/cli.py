@@ -491,6 +491,10 @@ def _build_parser():
     p = sub.add_parser("ensemble", help="seeded Monte Carlo experiments")
     modes = p.add_subparsers(dest="mode", required=True)
 
+    serial_workers = ("upper limit on worker threads; this ensemble holds "
+                      "the GIL, so it runs on one thread and the report is "
+                      "the same for any value")
+
     pc = modes.add_parser("census", help="random-potential stability census")
     pc.add_argument("--n-low", type=int, default=1, dest="n_low")
     pc.add_argument("--n-high", type=int, default=100, dest="n_high")
@@ -498,7 +502,8 @@ def _build_parser():
     pc.add_argument("--bbar", type=float, default=1.0)
     pc.add_argument("--sigma-b", type=float, default=10.0, dest="sigma_b")
     pc.add_argument("--sigma-a", type=float, default=5.0, dest="sigma_a")
-    pc.add_argument("--workers", type=int, default=1)
+    pc.add_argument("--workers", type=int, default=1,
+                    help=serial_workers)
     common(pc)
     pc.set_defaults(func=_cmd_ensemble)
 
@@ -506,7 +511,8 @@ def _build_parser():
     pv.add_argument("--N", type=int, default=10)
     pv.add_argument("--mix", default="0,0.1,0.2,0.3,0.4")
     pv.add_argument("--trials", type=int, default=150)
-    pv.add_argument("--workers", type=int, default=1)
+    pv.add_argument("--workers", type=int, default=1,
+                    help=serial_workers)
     pv.add_argument("--format", choices=["csv", "svg"], default="csv")
     common(pv)
     pv.set_defaults(func=_cmd_ensemble)
@@ -517,7 +523,9 @@ def _build_parser():
     p2.add_argument("--r0", type=float, default=1.0)
     p2.add_argument("--sigma", type=float, default=0.3)
     p2.add_argument("--trials", type=int, default=200)
-    p2.add_argument("--workers", type=int, default=1)
+    p2.add_argument("--workers", type=int, default=1,
+                    help="worker threads for the trials (the LP solver "
+                    "releases the GIL); the report is the same for any value")
     common(p2)
     p2.set_defaults(func=_cmd_ensemble)
 
@@ -526,7 +534,8 @@ def _build_parser():
     p3.add_argument("--trials", type=int, default=2000)
     p3.add_argument("--matrix-model", choices=["sparse_uniform", "dense_gaussian"],
                     default="sparse_uniform", dest="matrix_model")
-    p3.add_argument("--workers", type=int, default=1)
+    p3.add_argument("--workers", type=int, default=1,
+                    help=serial_workers)
     common(p3)
     p3.set_defaults(func=_cmd_ensemble)
 

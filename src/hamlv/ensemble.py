@@ -4,6 +4,12 @@ Every experiment draws its trials from per-trial RNG streams keyed by the
 master seed, so reports are byte-identical for any worker count.  All
 frequencies carry Wilson 95% intervals; downstream checks consume the
 intervals rather than the point estimates.
+
+``parallel`` is an upper limit on worker threads, not a request.  Only the
+cone-feasibility ensemble fans out: its trials spend their time in HiGHS,
+which releases the GIL.  The census and the orbit curves run numpy calls
+on small arrays and scalar root finding, which hold the GIL, so threads
+would only add switching; they run on the calling thread.
 """
 
 from __future__ import annotations
@@ -138,7 +144,8 @@ def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
     sigma_b sets the deviation of the summed random part of the potential, so
     the per-coefficient spread is sigma_b / sqrt(N) (censuses compare bands of
     very different N on equal noise footing).  The report's "unstable" cell is
-    the failing fraction with its Wilson interval.
+    the failing fraction with its Wilson interval.  Runs on the calling
+    thread: ``parallel`` is accepted and ignored (see the module docstring).
     """
     if n_low < 1 or n_high < n_low:
         raise ValueError("need 1 <= n_low <= n_high")
@@ -160,7 +167,7 @@ def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
         stable = classify_potential_shape(terms, window=window)
         return {"trial": i, "N": n, "stable": bool(stable)}
 
-    outcomes = run_indexed_trials(trials, seed, trial, parallel=parallel)
+    outcomes = run_indexed_trials(trials, seed, trial)
     unstable = sum(1 for o in outcomes if not o["stable"])
     cells = {"unstable": CellStats.from_counts(unstable, trials)}
     return EnsembleReport(kind="stability_census", config=config, cells=cells,
@@ -204,7 +211,8 @@ def orbit_probability_curve(N, mix_grid, trials, params=None, seed=0,
 
     Follows the random-star protocol: per mixing value, ``trials`` stars are
     drawn and classified by their potential profile; a soliton needs a local
-    maximum with a well below it.
+    maximum with a well below it.  Runs on the calling thread: ``parallel``
+    is accepted and ignored (see the module docstring).
     """
     params = dict(params or {})
     abar = params.get("abar", 1.0)
@@ -228,8 +236,7 @@ def orbit_probability_curve(N, mix_grid, trials, params=None, seed=0,
             return {"mix": mix, "trial": i, "periodic": well, "soliton": soliton}
 
         # separate stream block per grid point keeps trials independent
-        block = run_indexed_trials(trials, seed + 7919 * j, trial,
-                                   parallel=parallel)
+        block = run_indexed_trials(trials, seed + 7919 * j, trial)
         outcomes.extend(block)
         k_per = sum(1 for o in block if o["periodic"])
         k_sol = sum(1 for o in block if o["soliton"])
@@ -255,6 +262,8 @@ def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):
     """Frequency of {rank(B) = M and the cone condition feasible}.
 
     Draws rbar_j ~ Normal(r0, sigma^2) and b_jk ~ Normal(0, 1) per trial.
+    Trials run on up to ``parallel`` threads, since the LP solver releases
+    the GIL.
     """
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")

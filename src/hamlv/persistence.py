@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .util import run_indexed_trials, wilson_interval
 
@@ -55,9 +56,14 @@ def _max_min_entry(A_eq, b_eq, cap=1e4):
     # variables (z_1..z_n, s); minimize -s
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    A_ub = np.hstack((-np.eye(n), np.ones((n, 1))))  # s - z_i <= 0
+    # s - z_i <= 0, and the equalities with a zero column for s; handed over
+    # sparse, so linprog skips scanning the dense n x (n+1) identity block
+    rows = np.arange(n)
+    A_ub = csc_array((np.append(np.full(n, -1.0), np.ones(n)),
+                      np.append(rows, rows), np.append(rows, [n, 2 * n])),
+                     shape=(n, n + 1))
     b_ub = np.zeros(n)
-    eq = np.hstack((A_n, np.zeros((m, 1))))
+    eq = csc_array(np.hstack((A_n, np.zeros((m, 1)))))
     bounds = [(-cap, cap)] * n + [(-cap, cap)]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=eq, b_eq=b_n, bounds=bounds,
                   method="highs")
@@ -314,7 +320,9 @@ def positive_solution_frequency(N, trials, model=None, seed=0, B=None,
     """Monte Carlo frequency of {A Y = B solvable with Y > 0}, Wilson 95% CI.
 
     B defaults to the all-ones vector; per-trial RNG streams keyed by the
-    master seed make the outcome independent of the worker count.
+    master seed make the outcome independent of the worker count.  Trials
+    run on the calling thread: the sparse draw and the small solve hold the
+    GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -331,7 +339,7 @@ def positive_solution_frequency(N, trials, model=None, seed=0, B=None,
             return False
         return bool(np.all(y > 0))
 
-    outcomes = run_indexed_trials(trials, seed, trial, parallel=parallel)
+    outcomes = run_indexed_trials(trials, seed, trial)
     k = int(sum(outcomes))
     lo, hi = wilson_interval(k, trials)
     return {"N": N, "trials": trials, "hits": k, "frequency": k / trials,

@@ -173,6 +173,22 @@ class PotentialProfile:
         return [e for e in self.extrema if e.kind == "max"]
 
 
+def _sign_changes(terms):
+    """Sign changes of the coefficients of Phi', taken in order of exponent.
+
+    Phi'(q) = sum_k c_k a_k exp(a_k q) - slope; terms with equal exponents
+    are merged and the -slope term sits at exponent 0.  By Laguerre's rule
+    of signs for exponential sums (Polya & Szego, Problems and Theorems in
+    Analysis II) the real zeros of Phi', counted with multiplicity, number
+    at most this count and differ from it by an even number.
+    """
+    coeffs = {0.0: -terms.slope}
+    for a, ca in zip(terms.a.tolist(), (terms.c * terms.a).tolist()):
+        coeffs[a] = coeffs.get(a, 0.0) + ca
+    signs = [v > 0.0 for _, v in sorted(coeffs.items()) if v != 0.0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def _profile_of_terms(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
     if q_window is None:
         amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
@@ -186,11 +202,11 @@ def _profile_of_terms(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
     scale = float(np.max(np.abs(dvals))) or 1.0
     roots = []
     sign = np.sign(dvals)
-    for i in range(n_grid - 1):
-        s0, s1 = sign[i], sign[i + 1]
-        if s0 == 0.0:
+    # grid points where Phi' vanishes or changes sign before the next point
+    for i in np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0)):
+        if sign[i] == 0.0:
             roots.append(grid[i])
-        elif s0 * s1 < 0:
+        else:
             roots.append(brentq(terms.dphi, grid[i], grid[i + 1],
                                 xtol=1e-15, rtol=8.9e-16))
     if sign[-1] == 0.0:
@@ -218,8 +234,10 @@ def _profile_of_terms(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
             continue
         cleaned.append((q, val, kind))
     ext = tuple(Extremum(q=q, phi=val, kind=kind) for q, val, kind in cleaned)
-    warn = bool(ext) and (ext[0].q - lo < (hi - lo) * 1e-3
-                          or hi - ext[-1].q < (hi - lo) * 1e-3)
+    bound = _sign_changes(terms)
+    warn = (bool(ext) and (ext[0].q - lo < (hi - lo) * 1e-3
+                           or hi - ext[-1].q < (hi - lo) * 1e-3)
+            or len(ext) > bound or (bound - len(ext)) % 2 == 1)
     return PotentialProfile(
         extrema=ext,
         coercive_left=terms.limit_sign(-1) > 0,
@@ -236,7 +254,11 @@ def analyze_potential(star, q_window=None, n_grid=2001):
     machine precision, then polished with one Newton step.  Coercivity comes
     from the dominant exponent (the -rbar q term decides when every
     exponential decays).  A window_warning is raised, not an error, when an
-    extremum sits against the window edge.
+    extremum sits against the window edge, or when the extrema found do not
+    fit the sign changes of the coefficients of Phi' (Laguerre's rule of
+    signs): more extrema than sign changes, or a count of different parity,
+    which means an extremum outside the window or one the grid did not
+    resolve.
     """
     if hasattr(star, "terms"):
         star = star.terms()

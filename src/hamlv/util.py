@@ -62,7 +62,9 @@ def run_indexed_trials(n_trials, seed, trial_fn, parallel=1):
     """Run trial_fn(rng, i) for i in range(n_trials); results ordered by index.
 
     Each trial gets its own RNG stream keyed by (seed, i), so the outcome list
-    is byte-identical for any worker count.
+    is byte-identical for any worker count.  With ``parallel`` > 1 the trials
+    run on that many threads, which pays only when trial_fn releases the GIL
+    (an LP solve, a large BLAS call); an exception in a trial propagates.
     """
     results = [None] * n_trials
     if parallel <= 1:

@@ -1,13 +1,17 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hamlv import util
 from hamlv.ensemble import (classify_potential_shape, draw_mixed_star_terms,
                             orbit_probability_curve, random_potential,
                             stability_census, cone_feasibility_frequency)
+from hamlv.persistence import positive_solution_frequency
 from hamlv.star import analyze_potential
-from hamlv.util import wilson_interval
+from hamlv.util import run_indexed_trials, wilson_interval
 
 
 class TestRandomPotential:
@@ -141,3 +145,77 @@ class TestReports:
         assert data["kind"] == "stability_census"
         assert data["config"]["seed"] == 4
         assert len(data["outcomes"]) == 20
+
+
+def census_bytes(parallel):
+    report = stability_census(1, 40, 120, seed=6, parallel=parallel)
+    return report.to_json_bytes()
+
+
+def curve_bytes(parallel):
+    return orbit_probability_curve(10, [0.0, 0.3], 40, seed=6,
+                                   parallel=parallel).to_json_bytes()
+
+
+def positive_bytes(parallel):
+    result = positive_solution_frequency(8, 200, seed=6, parallel=parallel)
+    return json.dumps(result, sort_keys=True).encode()
+
+
+class TestThreadPolicy:
+    """Only the LP ensemble, whose trials release the GIL, uses the pool."""
+
+    @pytest.mark.parametrize(
+        "run", [census_bytes, curve_bytes, positive_bytes],
+        ids=["census", "curve", "positive_frequency"])
+    def test_gil_bound_ensembles_stay_on_one_thread(self, run, monkeypatch):
+        serial = run(1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(util, "ThreadPoolExecutor", no_pool)
+        assert run(4) == serial
+
+    def test_cone_frequency_uses_the_pool(self, monkeypatch):
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        serial = cone_feasibility_frequency(2, 20, 1.0, 0.3, 30, seed=6)
+        monkeypatch.setattr(util, "ThreadPoolExecutor", Recording)
+        pooled = cone_feasibility_frequency(2, 20, 1.0, 0.3, 30, seed=6,
+                                            parallel=2)
+        assert started == [2]
+        assert pooled.to_json_bytes() == serial.to_json_bytes()
+
+
+class TestRunIndexedTrials:
+    @staticmethod
+    def trial(rng, i):
+        return (i, float(rng.random()), threading.get_ident())
+
+    def test_results_in_index_order_for_any_worker_count(self):
+        serial = run_indexed_trials(40, 11, self.trial)
+        pooled = run_indexed_trials(40, 11, self.trial, parallel=3)
+        assert [r[0] for r in serial] == list(range(40))
+        assert [r[:2] for r in pooled] == [r[:2] for r in serial]
+        assert {r[2] for r in serial} == {threading.get_ident()}
+
+    def test_streams_are_keyed_by_seed_and_index(self):
+        draws = run_indexed_trials(3, 11, self.trial)
+        assert [d[1] for d in draws] == [
+            float(util.trial_rng(11, i).random()) for i in range(3)]
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_trial_exception_propagates(self, parallel):
+        def trial(rng, i):
+            if i == 5:
+                raise ValueError("trial 5 failed")
+            return i
+
+        with pytest.raises(ValueError, match="trial 5 failed"):
+            run_indexed_trials(10, 0, trial, parallel=parallel)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from hamlv import persistence
 from hamlv.canonical import find_factors
 from hamlv.model import InteractionSystem
-from hamlv.persistence import (RandomMatrixModel, adaptive_solve,
-                               cone_condition, permanence,
+from hamlv.persistence import (RandomMatrixModel, _max_min_entry,
+                               adaptive_solve, cone_condition, permanence,
                                positive_solution_frequency,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
@@ -221,3 +223,98 @@ class TestPositiveSolutionFrequency:
             nz_cols = np.count_nonzero(A, axis=0)
             assert np.all(nz_rows >= 1) and np.all(nz_cols >= 1)
             assert np.all(nz_rows <= 3) and np.all(nz_cols <= 3)
+
+
+def dense_max_min_entry(A_eq, b_eq, cap=1e4):
+    """The LP with dense constraint blocks, as before the sparse ones."""
+    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
+    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    m, n = A_eq.shape
+    row_scale = np.max(np.abs(np.hstack((A_eq, b_eq[:, None]))), axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    A_n = A_eq / row_scale[:, None]
+    b_n = b_eq / row_scale
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
+    eq = np.hstack((A_n, np.zeros((m, 1))))
+    bounds = [(-cap, cap)] * n + [(-cap, cap)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=eq, b_eq=b_n,
+                  bounds=bounds, method="highs")
+    if not res.success:
+        return None, None
+    z = res.x[:n]
+    correction, *_ = np.linalg.lstsq(A_n, b_n - A_n @ z, rcond=None)
+    z = z + correction
+    return float(np.min(z)), z
+
+
+def factorizable_web(rng, n, m, limitation=0.0):
+    """Web with positive factors (sigma_l b_lk = rho_k a_kl) and a positive
+    equilibrium, with Gamma = D = limitation * I."""
+    A = rng.uniform(0.2, 2.0, (n, m)) * (rng.random((n, m)) < 0.6)
+    A[np.arange(n), np.arange(n) % m] = 1.0  # every species interacts
+    rho, sigma = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
+    B = (rho[:, None] * A).T / sigma[:, None]
+    x, v = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+    Gamma, D = limitation * np.eye(n), limitation * np.eye(m)
+    return InteractionSystem(r=A @ v - Gamma @ x, rbar=B @ x + D @ v, A=A,
+                             B=B, Gamma=Gamma, D=D)
+
+
+class TestSparseLP:
+    """The sparse constraint blocks hand HiGHS the same model as the dense."""
+
+    SHAPES = [(3, 300), (30, 300), (300, 30), (330, 330), (5, 5), (1, 4),
+              (10, 40)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_same_answer_as_dense(self, shape):
+        m, n = shape
+        rng = np.random.default_rng(m * 1000 + n)
+        cases = []
+        A = rng.standard_normal((m, n))
+        cases.append((A, rng.normal(1.0, 0.3, m)))           # generic
+        A = np.abs(rng.standard_normal((m, n)))
+        cases.append((A, rng.uniform(0.5, 1.5, m)))          # feasible
+        cases.append((A, -rng.uniform(0.5, 1.5, m)))         # infeasible
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
+        cases.append((A, rng.normal(1.0, 0.3, m)))           # sparse rows
+        A = rng.standard_normal((m, n))
+        A[0] = 0.0
+        b = rng.normal(1.0, 0.3, m)
+        b[0] = 1.0
+        cases.append((A, b))                                 # inconsistent
+        A = rng.standard_normal((m, n))
+        cases.append((A, A @ rng.uniform(0.5, 1.5, n)))      # positive root
+        outcomes = set()
+        for A, b in cases:
+            s_ref, z_ref = dense_max_min_entry(A, b)
+            s, z = _max_min_entry(A, b)
+            assert s == s_ref
+            if z_ref is None:
+                assert z is None
+                outcomes.add("none")
+            else:
+                assert np.array_equal(z, z_ref)
+                outcomes.add("positive" if s > 0 else "nonpositive")
+        assert {"none", "positive"} <= outcomes
+
+    def test_certificates_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        free = factorizable_web(rng, 30, 5)
+        limited = factorizable_web(rng, 30, 5, limitation=0.5)
+
+        def certificates():
+            res = strong_persistence(free, find_factors(free.A, free.B))
+            perm = permanence(limited, find_factors(limited.A, limited.B))
+            return (res.applicable, res.persistent, res.rank_ok,
+                    res.v_certificate.to_dict(), res.x_certificate.to_dict(),
+                    perm.to_dict())
+
+        sparse = certificates()
+        monkeypatch.setattr(persistence, "_max_min_entry", dense_max_min_entry)
+        dense = certificates()
+        assert sparse == dense
+        assert sparse[1] and sparse[3]["witness"] is not None
+        assert sparse[5]["equilibrium"] is not None
