@@ -147,11 +147,9 @@ def _orbit_nodes(star, E, profile, q_ref):
     degenerates to the equilibrium: one node, with the period from the
     curvature, whose averages are point values.
     """
-    minima = profile.minima()
-    if not minima:
+    well = profile.well(q_ref)
+    if well is None:
         raise ValueError("no potential well: averages undefined")
-    well = (min(minima, key=lambda e: e.phi) if q_ref is None
-            else min(minima, key=lambda e: abs(e.q - q_ref)))
     e_min = well.phi + star.psi_min()
     if E - e_min <= _DEGENERATE_GAP * (1.0 + abs(E)):
         omega2 = star.mu * float(star.terms().d2phi(well.q))
@@ -205,34 +203,21 @@ def mu_balance(a, b, r, gamma, rbar=0.0):
 
 
 def _well_and_barrier(star, profile, q_hint):
-    """Tracked well (nearest the hint) and its lowest adjacent barrier energy."""
-    minima = profile.minima()
-    if not minima:
+    """Tracked well (nearest the hint) and the energy of its lowest barrier."""
+    well = profile.well(q_hint)
+    if well is None:
         raise OrbitLostError("potential lost every well")
-    well = (min(minima, key=lambda e: abs(e.q - q_hint)) if q_hint is not None
-            else min(minima, key=lambda e: e.phi))
-    ext = list(profile.extrema)
-    idx = ext.index(well)
-    barrier_phis = []
-    if idx > 0 and ext[idx - 1].kind == "max":
-        barrier_phis.append(ext[idx - 1].phi)
-    if idx + 1 < len(ext) and ext[idx + 1].kind == "max":
-        barrier_phis.append(ext[idx + 1].phi)
-    psi_min = star.psi_min()
-    e_min = well.phi + psi_min
-    e_barrier = min(barrier_phis) + psi_min if barrier_phis else math.inf
-    all_barriers = [p + psi_min for p in barrier_phis]
-    return well, e_min, e_barrier, all_barriers
+    return well, profile.barrier(well) + star.psi_min()
 
 
 def _averaged_terms(env, tau, E, Cbar, q_hint):
     """All averaged quantities at (tau, E, Cbar); clamps E inside the well."""
     star = env.star_at(tau, Cbar)
     profile = _profile_of_terms(star.terms())
-    well, e_min, e_barrier, barriers = _well_and_barrier(star, profile, q_hint)
+    well, e_barrier = _well_and_barrier(star, profile, q_hint)
     margin = 1e-6 * (1.0 + abs(E))
     e_eff = min(E, e_barrier - margin) if math.isfinite(e_barrier) else E
-    e_eff = max(e_eff, e_min)
+    e_eff = max(e_eff, well.phi + star.psi_min())
 
     a = np.atleast_1d(np.asarray(star.a))
     n = a.size
@@ -260,9 +245,8 @@ def _averaged_terms(env, tau, E, Cbar, q_hint):
     drho = (db * a - b * da) / (a * a)
     S2 = float(np.sum(Cbar * (drho * theta + rho * da * q_exp)) - drbar * q_avg)
     S3 = float(np.sum(rho * theta * W))
-    return {"star": star, "well": well, "T": T, "theta": theta, "q_avg": q_avg,
-            "S1": S1, "S2": S2, "S3": S3, "W": W, "e_min": e_min,
-            "e_barrier": e_barrier, "barriers": barriers,
+    return {"well": well, "T": T, "theta": theta, "q_avg": q_avg,
+            "S1": S1, "S2": S2, "S3": S3, "W": W, "e_barrier": e_barrier,
             "dropped": nodes.dropped}
 
 
@@ -332,7 +316,7 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     def barrier_margin(tau, y):
         E, Cbar = unpack(y)
         star = env.star_at(tau, Cbar)
-        _, _, e_barrier, _ = _well_and_barrier(
+        _, e_barrier = _well_and_barrier(
             star, _profile_of_terms(star.terms()), hint["q"])
         if not math.isfinite(e_barrier):
             return 1.0 + abs(E)
@@ -370,7 +354,8 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
         sol_t = sol.t
     meta = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev),
             "quadrature_nodes_dropped": dropped,
-            "s2_derivative": "analytic" if env.rbar.analytic_derivative
+            "s2_derivative": "analytic" if all(
+                path.analytic_derivative for path in (env.a, env.b, env.rbar))
             else "central-difference"}
     return AveragedTrajectory(tau=np.asarray(sol_t), E=np.asarray(E_samples),
                               Cbar=np.asarray(C_samples), events=events,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .persistence import cone_condition
-from .star import PotentialTerms
+from .star import PotentialTerms, _profile_of_terms
 from .util import run_indexed_trials, wilson_interval, write_csv
 
 
@@ -29,15 +29,12 @@ class EnsembleConfig:
     trials: int
     seed: int
     params: dict = field(default_factory=dict)
-    parallel: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
     def to_dict(self):
-        # worker count deliberately not echoed: reports must be byte-identical
-        # for any parallelism level
         return {"trials": self.trials, "seed": self.seed,
                 "params": dict(self.params)}
 
@@ -91,9 +88,10 @@ def random_potential(N, bbar, sigma_b, sigma_a, seed):
 
     Coefficients b_k ~ Normal(bbar, sigma_b^2) i.i.d.; exponents a_k are
     zero-mean with standard deviation exactly sigma_a, drawn uniform on
-    [-sqrt(3) sigma_a, sqrt(3) sigma_a] by default (bounded, which keeps the
-    exponentials tame) or Normal(0, sigma_a^2) with a_dist="normal".  ``seed``
-    may be an integer or a Generator.  Degenerate (constant) draws are
+    [-sqrt(3) sigma_a, sqrt(3) sigma_a] (bounded, which keeps the exponentials
+    tame); Normal(0, sigma_a^2) exponents are drawn by
+    ``stability_census(params={"a_dist": "normal"})``.  ``seed`` may be an
+    integer or a Generator.  Degenerate (constant) draws are
     detectable through the returned terms.
     """
     if N < 1:
@@ -154,7 +152,7 @@ def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
     sigma_b = params.get("sigma_b", 10.0)
     sigma_a = params.get("sigma_a", 5.0)
     a_dist = params.get("a_dist", "uniform")
-    config = EnsembleConfig(trials=trials, seed=seed, parallel=parallel,
+    config = EnsembleConfig(trials=trials, seed=seed,
                             params={"n_low": n_low, "n_high": n_high,
                                     "bbar": bbar, "sigma_b": sigma_b,
                                     "sigma_a": sigma_a, "a_dist": a_dist,
@@ -190,12 +188,9 @@ def draw_mixed_star_terms(rng, N, mix, abar=1.0, bbar=1.0, sigma=0.5, rbar=5.0):
     return PotentialTerms(c=b / a, a=a, slope=rbar)
 
 
-def _orbit_type_flags(terms, window_scale=50.0):
+def _orbit_type_flags(terms):
     """(has periodic well, admits a soliton energy) for a star potential."""
-    from .star import _profile_of_terms
-    amax = float(np.max(np.abs(terms.a)))
-    profile = _profile_of_terms(terms, q_window=(-window_scale / amax,
-                                                 window_scale / amax))
+    profile = _profile_of_terms(terms)
     minima = profile.minima()
     maxima = profile.maxima()
     has_well = bool(minima)
@@ -222,7 +217,7 @@ def orbit_probability_curve(N, mix_grid, trials, params=None, seed=0,
     mix_grid = [float(m) for m in mix_grid]
     if any(not 0.0 <= m <= 1.0 for m in mix_grid):
         raise ValueError("mixing probabilities must lie in [0, 1]")
-    config = EnsembleConfig(trials=trials, seed=seed, parallel=parallel,
+    config = EnsembleConfig(trials=trials, seed=seed,
                             params={"N": N, "mix_grid": mix_grid, "abar": abar,
                                     "bbar": bbar, "sigma": sigma, "rbar": rbar})
 
@@ -267,7 +262,7 @@ def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):
     """
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")
-    config = EnsembleConfig(trials=trials, seed=seed, parallel=parallel,
+    config = EnsembleConfig(trials=trials, seed=seed,
                             params={"M": M, "N": N, "r0": r0, "sigma": sigma})
 
     def trial(rng, i):

@@ -91,7 +91,11 @@ def _transformed_flow(csys):
 
 
 def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
-    """Integrate an _ExpSumFlow; an exponent reaching +-EXP_LIMIT escapes."""
+    """Integrate an _ExpSumFlow; an exponent reaching +-EXP_LIMIT escapes.
+
+    meta["escape_reason"] is "clamp" (the exponent event), "diverged" (the
+    solver failed after some |z| > 30) or None (no escape).
+    """
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
     escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.exponent(y))))
@@ -101,14 +105,16 @@ def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
                     atol=atol, t_eval=t_eval, events=escape)
     escaped = sol.status == 1
     t_escape = float(sol.t_events[0][0]) if escaped and sol.t_events[0].size else None
+    reason = "clamp" if escaped else None
     if sol.status == -1:
         # superexponential blow-up collapses the step size long before an
         # exponent reaches the clamp; a clearly diverged state is an escape
         if flow.t_diverged is None:
             raise RuntimeError(f"integration failed: {sol.message}")
-        escaped, t_escape = True, float(flow.t_diverged)
+        escaped, t_escape, reason = True, float(flow.t_diverged), "diverged"
     meta = {"method": method, "rtol": rtol, "atol": atol,
-            "nfev": int(sol.nfev), "n_samples": int(sol.t.size)}
+            "nfev": int(sol.nfev), "n_samples": int(sol.t.size),
+            "escape_reason": reason}
     return sol, {"meta": meta, "escaped": escaped, "escape_time": t_escape}
 
 
@@ -158,23 +164,6 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
                       energy=energy, **run)
 
 
-def _star_forces(star):
-    """Scalar Phi'(q) and Phi(q) of a star, with a fast path for one term."""
-    rbar = star.rbar
-    bc = (star.b * star.C).tolist()
-    a = star.a.tolist()
-    # dp/dt = -Phi'(q) = rbar - sum_j b_j C_j exp(a_j q)
-    if len(a) == 1:
-        a0, bc0 = a[0], bc[0]
-        dphi = lambda q: bc0 * math.exp(a0 * q) - rbar
-        phi = lambda q: (bc0 / a0) * math.exp(a0 * q) - rbar * q
-    else:
-        rc = [bcj / aj for bcj, aj in zip(bc, a)]
-        dphi = lambda q: sum(bcj * math.exp(aj * q) for bcj, aj in zip(bc, a)) - rbar
-        phi = lambda q: sum(rcj * math.exp(aj * q) for rcj, aj in zip(rc, a)) - rbar * q
-    return dphi, phi
-
-
 def _verlet(dphi, mu, h, q, p, n_steps):
     """n_steps Stormer-Verlet (kick-drift-kick) steps of size h from (q, p)."""
     h_half = 0.5 * h
@@ -200,7 +189,7 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
         raise ValueError("t_end must allow at least one step")
     stride = max(1, n_steps // max(1, n_samples - 1))
     mu = star.mu
-    dphi, phi = _star_forces(star)
+    dphi, phi = star.terms().scalar_forces()
     q, p = float(q0), float(p0)
     H0 = phi(q) + math.exp(p) - mu * p
     samples = [(0.0, q, p, H0)]
@@ -224,7 +213,10 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
                       labels=["q", "p"], energy=samples[:, 3], meta=meta)
 
 
-def poincare_return_time(star, E, h=1e-3, q_ref=None, max_periods=1e6):
+_RETURN_STEPS = 1_000_000  # step budget of a first return
+
+
+def poincare_return_time(star, E, h=1e-3, q_ref=None):
     """First-return time to the section q = q*, dq/dt > 0 at energy E.
 
     Starts on the section at the well bottom q* with the upward momentum
@@ -233,19 +225,16 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None, max_periods=1e6):
     """
     from .star import _psi_roots, analyze_potential
 
-    profile = analyze_potential(star)
-    minima = profile.minima()
-    if not minima:
+    well = analyze_potential(star).well(q_ref)
+    if well is None:
         raise ValueError("no potential well to anchor the section")
-    well = (min(minima, key=lambda e: e.phi) if q_ref is None
-            else min(minima, key=lambda e: abs(e.q - q_ref)))
     q_star = well.q
     p_up, _ = _psi_roots(star.mu, E - well.phi)
 
     mu, ln_mu = star.mu, math.log(star.mu)
-    dphi, _ = _star_forces(star)
+    dphi, _ = star.terms().scalar_forces()
     q, p, t, prev_rel = q_star, p_up, 0.0, 0.0
-    for _ in range(int(max_periods)):
+    for _ in range(_RETURN_STEPS):
         q, p = _verlet(dphi, mu, h, q, p, 1)
         t += h
         rel = q - q_star

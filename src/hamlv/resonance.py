@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .star import StarSystem, analyze_potential
+from .star import PotentialTerms, StarSystem, analyze_potential
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,22 @@ class TwoStarSystem:
     def ebar(self):
         return self.epsilon / self.kappa
 
+    def wells(self):
+        """The deepest potential well of each decoupled star."""
+        wells = tuple(analyze_potential(star).well()
+                      for star in (self.star1, self.star2))
+        if None in wells:
+            raise ValueError("a decoupled star has no potential well")
+        return wells
+
+    def couplings(self):
+        """Couplings g1(q2) = sum_k btilde1_k C2_k exp(a2_k q2) and g2(q1).
+
+        g1 is hub 1's predation on star 2's specialists; g2 swaps the stars.
+        """
+        return (PotentialTerms(c=self.btilde1 * self.star2.C, a=self.star2.a),
+                PotentialTerms(c=self.btilde2 * self.star1.C, a=self.star1.a))
+
     def to_interaction_system(self):
         """Combined (N1 + N2) x 2 population system for direct simulation.
 
@@ -86,17 +102,10 @@ class TwoStarSystem:
         B[1, :n1] = self.kappa * self.btilde2
         mu = np.array([s1.mu, s2.mu])
         r = A @ mu
-        qbars = []
-        for star in (s1, s2):
-            minima = analyze_potential(star).minima()
-            if not minima:
-                raise ValueError("a star has no potential well to anchor")
-            qbars.append(min(minima, key=lambda e: e.phi).q)
-        cross1 = self.kappa * float(np.sum(self.btilde1 * s2.C
-                                           * np.exp(s2.a * qbars[1])))
-        cross2 = self.kappa * float(np.sum(self.btilde2 * s1.C
-                                           * np.exp(s1.a * qbars[0])))
-        rbar = [s1.rbar + cross1, s2.rbar + cross2]
+        q1, q2 = (well.q for well in self.wells())
+        g1, g2 = self.couplings()
+        rbar = [s1.rbar + self.kappa * float(g1.phi(q2)),
+                s2.rbar + self.kappa * float(g2.phi(q1))]
         D = self.epsilon * np.diag([self.d1, self.d2])
         return InteractionSystem(r=r, rbar=rbar, A=A, B=B, D=D)
 
@@ -146,22 +155,13 @@ def linearize(two_star):
     to star-2 specialists and vice versa.
     """
     s1, s2 = two_star.star1, two_star.star2
-    qbars = []
-    omegas = []
-    for star in (s1, s2):
-        profile = analyze_potential(star)
-        minima = profile.minima()
-        if not minima:
-            raise ValueError("a decoupled star has no interior potential well")
-        well = min(minima, key=lambda e: e.phi)
-        curv = float(star.terms().d2phi(well.q))
-        qbars.append(well.q)
-        omegas.append(math.sqrt(star.mu * curv))
-    q1, q2 = qbars
-    g12 = float(np.sum(two_star.btilde1 * s2.C * s2.a
-                       * np.exp(s2.a * q2)))
-    g21 = float(np.sum(two_star.btilde2 * s1.C * s1.a
-                       * np.exp(s1.a * q1)))
+    w1, w2 = two_star.wells()
+    omegas = [math.sqrt(star.mu * float(star.terms().d2phi(well.q)))
+              for star, well in ((s1, w1), (s2, w2))]
+    q1, q2 = w1.q, w2.q
+    g1, g2 = two_star.couplings()
+    g12 = float(g1.dphi(q2))
+    g21 = float(g2.dphi(q1))
     return ResonanceModel(omega1=omegas[0], omega2=omegas[1], g12=g12, g21=g21,
                           ebar=two_star.ebar, qbar=(q1, q2),
                           mu=(s1.mu, s2.mu), d=(two_star.d1, two_star.d2))

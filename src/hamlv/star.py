@@ -46,19 +46,38 @@ class PotentialTerms:
         """Constant potential: every exponent and the slope vanish."""
         return not (np.any(self.a) or self.slope)
 
+    def _exponentials(self, q):
+        """exp(a_k q) for every q and k, exponents clipped to +-EXP_LIMIT."""
+        return np.exp(np.clip(np.multiply.outer(q, self.a), -EXP_LIMIT, EXP_LIMIT))
+
     def phi(self, q):
         q = np.asarray(q, dtype=float)
-        val = np.exp(np.clip(np.multiply.outer(q, self.a), -EXP_LIMIT, EXP_LIMIT)) @ self.c
-        return val - self.slope * q
+        return self._exponentials(q) @ self.c - self.slope * q
 
     def dphi(self, q):
         q = np.asarray(q, dtype=float)
-        val = np.exp(np.clip(np.multiply.outer(q, self.a), -EXP_LIMIT, EXP_LIMIT)) @ (self.c * self.a)
-        return val - self.slope
+        return self._exponentials(q) @ (self.c * self.a) - self.slope
 
     def d2phi(self, q):
         q = np.asarray(q, dtype=float)
-        return np.exp(np.clip(np.multiply.outer(q, self.a), -EXP_LIMIT, EXP_LIMIT)) @ (self.c * self.a ** 2)
+        return self._exponentials(q) @ (self.c * self.a ** 2)
+
+    def scalar_forces(self):
+        """Plain-float closures (Phi'(q), Phi(q)) of a scalar q for tight loops.
+
+        Terms are summed left to right with math.exp and no clipping; a
+        single term skips the sum.
+        """
+        c, a, ca, slope = (self.c.tolist(), self.a.tolist(),
+                           (self.c * self.a).tolist(), self.slope)
+        if len(a) == 1:
+            (c0,), (a0,), (ca0,) = c, a, ca
+            return (lambda q: ca0 * math.exp(a0 * q) - slope,
+                    lambda q: c0 * math.exp(a0 * q) - slope * q)
+        return (lambda q: sum(caj * math.exp(aj * q)
+                              for caj, aj in zip(ca, a)) - slope,
+                lambda q: sum(cj * math.exp(aj * q)
+                              for cj, aj in zip(c, a)) - slope * q)
 
     def limit_sign(self, direction):
         """Sign of Phi at q -> +inf (direction=+1) or -inf (-1); 0 if bounded.
@@ -172,6 +191,19 @@ class PotentialProfile:
     def maxima(self):
         return [e for e in self.extrema if e.kind == "max"]
 
+    def well(self, q_ref=None):
+        """The minimum nearest q_ref, or the deepest one; None without a well."""
+        minima = self.minima()
+        key = (lambda e: e.phi) if q_ref is None else (lambda e: abs(e.q - q_ref))
+        return min(minima, key=key, default=None)
+
+    def barrier(self, well):
+        """Phi at the lower maximum next to a well; inf when it has none."""
+        i = self.extrema.index(well)
+        tops = [e.phi for e in self.extrema[max(i - 1, 0):i + 2]
+                if e.kind == "max"]
+        return min(tops) if tops else math.inf
+
 
 def _sign_changes(terms):
     """Sign changes of the coefficients of Phi', taken in order of exponent.
@@ -189,7 +221,7 @@ def _sign_changes(terms):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _profile_of_terms(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
+def _profile_of_terms(terms, q_window=None, n_grid=2001):
     if q_window is None:
         amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
         half = 50.0 / amax
@@ -221,7 +253,7 @@ def _profile_of_terms(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
                 q -= step
         if extrema and abs(q - extrema[-1][0]) <= 1e-12 * (1.0 + abs(q)):
             continue
-        if abs(float(terms.dphi(q))) > tol_scale * scale * 1e3:
+        if abs(float(terms.dphi(q))) > 1e-12 * scale * 1e3:
             continue  # spurious bracket from a near-flat stretch
         kind = "min" if float(terms.d2phi(q)) > 0 else "max"
         extrema.append((q, float(terms.phi(q)), kind))
@@ -298,6 +330,13 @@ class EnergyBelowWellError(ValueError):
     """Requested energy lies below the bottom of the tracked well."""
 
 
+def _level_root(terms, level, q0, q1):
+    """The root of Phi = level between q0 and q1, given in either order."""
+    lo, hi = (q0, q1) if q0 < q1 else (q1, q0)
+    return brentq(lambda q: float(terms.phi(q)) - level, lo, hi,
+                  xtol=1e-14, rtol=8.9e-16)
+
+
 def _expand_root(terms, level, start, direction, step0):
     """Find a root of Phi = level beyond the last extremum by bracket growth."""
     step = step0
@@ -307,9 +346,7 @@ def _expand_root(terms, level, start, direction, step0):
         q1 = q0 + direction * step
         f1 = float(terms.phi(q1)) - level
         if f0 <= 0.0 <= f1 or f1 <= 0.0 <= f0:
-            lo, hi = (q0, q1) if q0 < q1 else (q1, q0)
-            return brentq(lambda q: float(terms.phi(q)) - level, lo, hi,
-                          xtol=1e-14, rtol=8.9e-16)
+            return _level_root(terms, level, q0, q1)
         q0, f0 = q1, f1
         step *= 1.6
     raise RuntimeError("failed to bracket a level-set root on a coercive side")
@@ -329,9 +366,7 @@ def _march(terms, profile, level, q_start, side, tol_deg):
     for e in ext:
         if e.kind == "max":
             if e.phi > level + tol_deg:
-                lo, hi = (prev_q, e.q) if prev_q < e.q else (e.q, prev_q)
-                return "simple", brentq(lambda q: float(terms.phi(q)) - level,
-                                        lo, hi, xtol=1e-14, rtol=8.9e-16)
+                return "simple", _level_root(terms, level, prev_q, e.q)
             if abs(e.phi - level) <= tol_deg:
                 return "degenerate", e.q
         prev_q = e.q
@@ -343,36 +378,32 @@ def _march(terms, profile, level, q_start, side, tol_deg):
     # windowed tail may still rise above the level even if the limit does not
     edge = profile.window[1] if side == "right" else profile.window[0]
     if float(terms.phi(edge)) > level:
-        lo, hi = (prev_q, edge) if prev_q < edge else (edge, prev_q)
-        return "simple", brentq(lambda q: float(terms.phi(q)) - level,
-                                lo, hi, xtol=1e-14, rtol=8.9e-16)
+        return "simple", _level_root(terms, level, prev_q, edge)
     return "unbounded", None
 
 
-def classify_orbit(star, E, q_ref=None, tol_deg=None, q_window=None,
-                   with_period=True):
+def classify_orbit(star, E, q_ref=None, q_window=None, with_period=True):
     """Classify the orbit at energy E in the well containing q_ref.
 
     The turning points solve Phi(q) = E - mu(1 - ln mu).  Two simple roots
     bound a periodic orbit; a root degenerate at a local maximum (within
-    tol_deg) gives a soliton plateau; two degenerate ends give a kink; an
-    open side gives an unbounded escape.  q_ref defaults to the deepest
-    minimum of the profile.
+    1e-9 (1 + |E - mu(1 - ln mu)|)) gives a soliton plateau; two degenerate
+    ends give a kink; an open side gives an unbounded escape.  q_ref
+    defaults to the deepest minimum of the profile.
     """
     profile = _profile_of_terms(star.terms(), q_window=q_window)
-    return _classify(star, E, profile, q_ref, tol_deg, with_period)
+    return _classify(star, E, profile, q_ref, with_period)
 
 
-def _classify(star, E, profile, q_ref=None, tol_deg=None, with_period=True):
+def _classify(star, E, profile, q_ref=None, with_period=True):
     """classify_orbit on a potential profile the caller already has."""
     terms = star.terms()
     psi_min = star.psi_min()
     level = E - psi_min
-    if tol_deg is None:
-        tol_deg = 1e-9 * (1.0 + abs(level))
+    tol_deg = 1e-9 * (1.0 + abs(level))
 
-    minima = profile.minima()
-    if not minima:
+    well = profile.well(q_ref)
+    if well is None:
         # no well anywhere: the component is open on every non-coercive side
         sides = [s for s, flag in (("left", profile.coercive_left),
                                    ("right", profile.coercive_right)) if not flag]
@@ -380,11 +411,6 @@ def _classify(star, E, profile, q_ref=None, tol_deg=None, with_period=True):
         if direction is None:
             raise EnergyBelowWellError("coercive potential without extrema in window")
         return Orbit(kind="unbounded", energy=E, level=level, direction=direction)
-
-    if q_ref is None:
-        well = min(minima, key=lambda e: e.phi)
-    else:
-        well = min(minima, key=lambda e: abs(e.q - q_ref))
 
     if level < well.phi - tol_deg:
         raise EnergyBelowWellError(
@@ -590,8 +616,8 @@ def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
     jac = (_GL_WEIGHTS * rad * 2.0 * u).ravel()
 
     # one dot product per row: a matrix-vector product sums in another order
-    ex = np.exp(np.clip(np.multiply.outer(q, terms.a), -EXP_LIMIT, EXP_LIMIT))
-    phi = np.array([row @ terms.c for row in ex]) - terms.slope * q
+    phi = (np.array([row @ terms.c for row in terms._exponentials(q)])
+           - terms.slope * q)
     p_up, p_dn = _psi_roots(mu, E - phi)
     vel_up = libm_exp(p_up) - mu
     vel_dn = mu - libm_exp(p_dn)

@@ -156,6 +156,19 @@ class TestEvolveAveraged:
                               q_well=-0.7)
         assert avg.events[0].kind == "environment-destabilized"
 
+    @pytest.mark.parametrize("table", ["a", "b", "rbar", None])
+    def test_s2_derivative_analytic_only_for_analytic_paths(self, table):
+        # S2 uses a', b' and rbar'; a table path takes central differences
+        paths = {"a": CoefficientPath.constant([1.0]),
+                 "b": CoefficientPath.constant([1.0]),
+                 "rbar": CoefficientPath.constant(1.0)}
+        if table is not None:
+            paths[table] = CoefficientPath.from_table([0.0, 1.0], [1.0, 1.0])
+        avg = evolve_averaged(unit_env(**paths),
+                              AveragedState(tau=0.0, E=3.0, Cbar=[1.0]), 0.01)
+        assert avg.meta["s2_derivative"] == (
+            "analytic" if table is None else "central-difference")
+
     def test_event_taus_increasing(self):
         env = unit_env(dbar=0.5)
         avg = evolve_averaged(env, AveragedState(tau=0.0, E=2.7, Cbar=[1.0]),

@@ -75,6 +75,32 @@ class TestIntegrateLV:
         assert traj.escaped
         assert traj.escape_time is not None and traj.escape_time < 50.0
 
+    def test_escape_reason_none_without_escape(self):
+        traj = integrate_lv(PAIR, [2.0], [1.0], 5.0)
+        assert not traj.escaped
+        assert traj.meta["escape_reason"] is None
+
+    def test_escape_reason_clamp(self):
+        # ln x grows at rate 100 and reaches the clamp 700 at t = 7: the
+        # exponent event stops the run although |ln x| > 30 long before
+        system = InteractionSystem(r=[-100.0], rbar=[0.0], A=[[0.0]],
+                                   B=[[0.0]])
+        traj = integrate_lv(system, [1.0], [1.0], 50.0)
+        assert traj.escaped
+        assert traj.meta["escape_reason"] == "clamp"
+        assert traj.escape_time == pytest.approx(7.0, rel=1e-6)
+
+    def test_escape_reason_diverged(self):
+        # x' = x (x - 1) from x = 2 blows up at t = ln 2: the step size
+        # collapses before ln x reaches the clamp, and the escape time is
+        # the first evaluation with |ln x| > 30
+        system = InteractionSystem(r=[1.0], rbar=[-1.0], A=[[0.0]], B=[[0.0]],
+                                   Gamma=[[-1.0]])
+        traj = integrate_lv(system, [2.0], [1.0], 50.0)
+        assert traj.escaped
+        assert traj.meta["escape_reason"] == "diverged"
+        assert traj.escape_time == pytest.approx(math.log(2.0), rel=1e-6)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             integrate_lv(PAIR, [0.0], [1.0], 1.0)
@@ -163,6 +189,7 @@ class TestExpSumFlow:
         traj = integrate_transformed(csys, to_canonical(csys, [1.0], [2.0]),
                                      50.0)
         assert traj.escaped
+        assert traj.meta["escape_reason"] == "clamp"
         assert traj.escape_time == pytest.approx(7.0, rel=1e-3)
         assert np.max(np.abs(traj.states)) < 10.0
 

@@ -23,7 +23,7 @@ DOUBLE_WELL = StarSystem(a=[2.0, -2.0, 1.0, -1.0],
 
 # ------------------------------------------------------- scalar reference
 
-def scalar_extrema(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
+def scalar_extrema(terms, q_window=None, n_grid=2001):
     """(extrema as (q, phi, kind) tuples, window) from the grid loop."""
     if q_window is None:
         amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
@@ -52,7 +52,7 @@ def scalar_extrema(terms, q_window=None, n_grid=2001, tol_scale=1e-12):
                 q -= step
         if extrema and abs(q - extrema[-1][0]) <= 1e-12 * (1.0 + abs(q)):
             continue
-        if abs(float(terms.dphi(q))) > tol_scale * scale * 1e3:
+        if abs(float(terms.dphi(q))) > 1e-12 * scale * 1e3:
             continue
         kind = "min" if float(terms.d2phi(q)) > 0 else "max"
         extrema.append((q, float(terms.phi(q)), kind))

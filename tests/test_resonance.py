@@ -57,6 +57,47 @@ class TestLinearize:
         assert m.b12 * m.b21 == pytest.approx(-m.R / 4.0)
 
 
+def random_star(rng):
+    n = int(rng.integers(1, 7))
+    return StarSystem(a=rng.uniform(0.3, 2.0, n), b=rng.uniform(0.2, 2.0, n),
+                      rbar=float(rng.uniform(0.5, 3.0)),
+                      mu=float(rng.uniform(0.5, 2.0)),
+                      C=rng.uniform(0.5, 2.0, n))
+
+
+class TestCouplingSums:
+    """g12, g21 and the hub-rate cross terms against the sums written out."""
+
+    def test_random_multi_term_stars(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            s1, s2 = random_star(rng), random_star(rng)
+            ts = coupled(rng.normal(0.0, 1.0, s2.n_species),
+                         rng.normal(0.0, 1.0, s1.n_species), kappa=0.02,
+                         star1=s1, star2=s2)
+            m = linearize(ts)
+            q1, q2 = m.qbar
+            rbar = ts.to_interaction_system().rbar
+            for got, terms in (
+                    (m.g12, ts.btilde1 * s2.C * s2.a * np.exp(s2.a * q2)),
+                    (m.g21, ts.btilde2 * s1.C * s1.a * np.exp(s1.a * q1))):
+                assert abs(got - np.sum(terms)) <= 4 * eps * np.sum(np.abs(terms))
+            for got, star, terms in (
+                    (rbar[0], s1, ts.btilde1 * s2.C * np.exp(s2.a * q2)),
+                    (rbar[1], s2, ts.btilde2 * s1.C * np.exp(s1.a * q1))):
+                want = star.rbar + ts.kappa * float(np.sum(terms))
+                mags = abs(star.rbar) + ts.kappa * np.sum(np.abs(terms))
+                assert abs(got - want) <= 4 * eps * mags
+
+    def test_wells_are_the_deepest_minima(self):
+        star = StarSystem(a=[1.0, 0.5], b=[1.0, 0.7], rbar=0.9, mu=1.2)
+        ts = coupled([0.2], [0.2, 0.1], star1=star, star2=UNIT)
+        w1, w2 = ts.wells()
+        assert linearize(ts).qbar == (w1.q, w2.q)
+        assert w2.q == pytest.approx(0.0, abs=1e-12)
+
+
 class TestDetuning:
     def test_equal_frequencies_always_resonant(self):
         m = linearize(coupled([0.2], [0.2]))
