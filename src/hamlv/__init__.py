@@ -8,7 +8,7 @@ from .averaging import (AveragedState, CoefficientPath, SlowEnvironment,
 from .canonical import (CanonicalState, CanonicalSystem, HamiltonianFactors,
                         canonicalize, find_factors, from_canonical,
                         hamiltonian, lyapunov_weights, motion_integral,
-                        star_equilibrium, to_canonical, transformed_rhs)
+                        star_equilibrium, to_canonical)
 from .ensemble import (EnsembleConfig, EnsembleReport, orbit_probability_curve,
                        random_potential, stability_census, cone_feasibility_frequency)
 from .integrate import (Trajectory, integrate_lv, integrate_symplectic,
@@ -24,5 +24,5 @@ from .resonance import (ResonanceModel, TwoStarSystem, detuning,
                         instability_criterion, integrate_resonance, linearize,
                         phase_locked_rates)
 from .star import (Orbit, PotentialProfile, PotentialTerms, StarSystem,
-                   analyze_potential, classify_orbit, domino_check, kinetic,
-                   period, persistence_criteria, potential)
+                   analyze_potential, classify_orbit, domino_check, period,
+                   persistence_criteria)

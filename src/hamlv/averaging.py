@@ -10,7 +10,8 @@ frozen orbit close the system:
 with S1 the self-limitation work -dbar <e^P (e^P - mu)>, S2 = <Phi_tau> the
 explicit slow dependence, S3 = sum_i <Phi_C_i> W_i, and theta_i = <exp(a_i Q)>.
 A trajectory leaves this description when E reaches the lowest barrier of its
-well; that crossing is emitted as a regime event, not an error.
+well; that crossing is emitted as a regime event, not an error.  The direct
+slow-fast simulation it is checked against runs on the exp-sum flow kernel.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks
 
-from .integrate import Trajectory
+from .integrate import Trajectory, _ExpSumFlow, _solve_log_system
 from .star import (StarSystem, _classify, _orbit_quadrature, _OrbitNodes,
                    _profile_of_terms)
-from .util import EXP_LIMIT, libm_exp, write_csv
+from .util import clipped_exp, libm_exp, write_csv
 
 
 class CoefficientPath:
@@ -302,7 +303,7 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     dropped = 0
 
     def unpack(y):
-        return float(y[0]), np.exp(np.clip(y[1:], -EXP_LIMIT, EXP_LIMIT))
+        return float(y[0]), clipped_exp(y[1:])
 
     def rhs(tau, y):
         nonlocal dropped
@@ -406,47 +407,52 @@ def detect_bursts(traj, observable=0, prominence=None, reference_period=None):
                      rare=rare, sampling_warning=warning)
 
 
+def _slow_fast_flow(env, n):
+    """The fast star under the slow environment, y = (q, p, ln C).
+
+    The canonical flow with M = 1, sigma = 1 and K = a(tau), tau = eps t:
+    z = (p, ln C + a q), c = (-mu, rbar, eps beta (gamma_hat - a' q)) and
+    L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]], with c and L
+    refilled in place at each call.
+    """
+    eps, eps_beta = env.epsilon, env.epsilon * env.beta
+    c = np.full(n + 2, -env.mu)
+    L = np.zeros((n + 2, n + 1))
+    L[:2, 0] = 1.0, -eps * env.dbar
+    L[2:, 1:] = np.diag(-eps_beta * env.gamma)
+
+    def terms(t, y):
+        tau, q = eps * t, y[0]
+        c[1] = env.rbar.value(tau)
+        c[2:] = eps_beta * (env.gamma_hat
+                            - np.multiply(q, env.a.derivative(tau)))
+        L[1, 1:] = np.negative(env.b.value(tau))
+        lnx = y[2:] + np.multiply(env.a.value(tau), q)
+        return c, L, np.concatenate((y[1:2], lnx))
+
+    return _ExpSumFlow(terms)
+
+
 def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
                        n_samples=2001):
     """Direct integration of the fast star under the slow environment.
 
-    Integrates (q, p, ln C) with tau = epsilon t entering the coefficients,
-    the hub self-limitation epsilon dbar e^p, and the specialist drift in the
-    same scaled form the averaged system uses.  Returns a Trajectory with the
+    Runs the exp-sum flow kernel of integrate on _slow_fast_flow, so an
+    escape is reported, not raised.  Returns a Trajectory with the
     instantaneous H(q, p; tau, C) recorded for comparison against E(tau).
     """
     C0 = np.atleast_1d(np.asarray(C0, dtype=float))
-    n = C0.size
-    eps, mu = env.epsilon, env.mu
-
-    def rhs(t, y):
-        tau = eps * t
-        q, p = y[0], y[1]
-        C = np.exp(np.clip(y[2:], -EXP_LIMIT, EXP_LIMIT))
-        a = np.atleast_1d(np.asarray(env.a.value(tau))) * np.ones(n)
-        b = np.atleast_1d(np.asarray(env.b.value(tau))) * np.ones(n)
-        da = np.atleast_1d(np.asarray(env.a.derivative(tau), dtype=float)) * np.ones(n)
-        expq = np.exp(np.clip(a * q, -EXP_LIMIT, EXP_LIMIT))
-        ep = math.exp(min(p, EXP_LIMIT))
-        dq = ep - mu
-        dp = float(env.rbar.value(tau)) - float(np.sum(b * C * expq)) \
-            - eps * env.dbar * ep
-        dlnC = eps * env.beta * (env.gamma_hat - env.gamma * C * expq - q * da)
-        return np.concatenate(([dq, dp], dlnC))
-
+    n, eps, mu = C0.size, env.epsilon, env.mu
     y0 = np.concatenate(([q0, p0], np.log(C0)))
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise RuntimeError(f"fast integration failed: {sol.message}")
-    qs, ps = sol.y[0], sol.y[1]
-    Cs = np.exp(sol.y[2:]).T
-    H = np.empty(sol.t.size)
-    for k, t in enumerate(sol.t):
-        star = env.star_at(eps * t, Cs[k])
-        H[k] = float(star.terms().phi(qs[k])) + math.exp(ps[k]) - mu * ps[k]
-    states = np.column_stack((qs, ps, Cs))
+    sol, run = _solve_log_system(_slow_fast_flow(env, n), y0, t_end, rtol,
+                                 atol, n_samples, None, "DOP853")
+    run["meta"]["epsilon"] = eps
+    qs, ps, lnC = sol.y[0], sol.y[1], sol.y[2:].T
+    a, b, rbar = (np.array([path.value(eps * t) for t in sol.t],
+                           dtype=float).reshape(sol.t.size, -1)
+                  for path in (env.a, env.b, env.rbar))
+    x = clipped_exp(lnC + a * qs[:, None])
+    H = np.sum(b / a * x, axis=1) - rbar[:, 0] * qs + clipped_exp(ps) - mu * ps
     labels = ["q", "p"] + [f"C{i + 1}" for i in range(n)]
-    return Trajectory(t=sol.t.copy(), states=states, labels=labels, energy=H,
-                      meta={"method": "DOP853", "rtol": rtol, "epsilon": eps})
+    return Trajectory(t=sol.t.copy(), states=np.column_stack((qs, ps, np.exp(lnC))),
+                      labels=labels, energy=H, **run)

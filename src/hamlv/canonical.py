@@ -13,7 +13,8 @@ Hamiltonian in the scaled coordinates qt_j = sigma_j q_j with
     Psi = sum_k sigma_k (exp(p_k) - mu_k p_k)
 
 CanonicalState stores the scaled positions qt; for M = 1 the normalization
-sigma_1 = 1 makes qt identical to q.
+sigma_1 = 1 makes qt identical to q.  x is evaluated as the clipped
+exponential of ln C + A q / sigma, the exponent the canonical flow takes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import guarded_exp
+from .util import clipped_exp
 
 
 class DegenerateFactorizationError(ValueError):
@@ -188,41 +189,20 @@ def to_canonical(csys, x0, v0):
 
 
 def from_canonical(csys, state):
-    """Map a canonical state back to abundances (x, v)."""
-    q_plain = state.q / csys.factors.sigma
-    x = state.C * guarded_exp(csys.base.A @ q_plain)
-    v = guarded_exp(state.p)
-    return x, np.atleast_1d(v)
+    """Map a canonical state back to abundances (x, v).
 
-
-def transformed_rhs(csys, state):
-    """Time derivatives (dq, dp, dC) of the transformed system.
-
-    q is the scaled coordinate, so dq_j = sigma_j (exp(p_j) - mu_j); with the
-    star normalization sigma = 1 this is the plain exp(p_j) - mu_j.  The C
-    equation carries the self-limitation terms, so dC = 0 exactly for
-    limitation-free systems with gamma_bar = 0.
+    x is exp(ln C + A q / sigma), the exponent the canonical flow takes, so
+    it stays finite where exp(A q / sigma) alone would overflow.
     """
-    base = csys.base
-    sigma = csys.factors.sigma
-    q_plain = state.q / sigma
-    expq = guarded_exp(base.A @ q_plain)     # (N,) exp(A_k . q)
-    expp = guarded_exp(state.p)              # (M,)
-    dq = sigma * (expp - csys.mu)
-    F = base.rbar - base.B @ (state.C * expq)
-    dp = F - base.D @ expp
-    dC = state.C * (csys.gamma_bar - base.Gamma @ (state.C * expq))
-    return dq, dp, dC
+    z = np.log(state.C) + csys.base.A @ (state.q / csys.factors.sigma)
+    return clipped_exp(z), clipped_exp(state.p)
 
 
 def hamiltonian(csys, state):
     """H(C, p, q) = Phi + Psi; conserved when the reduction is exact."""
-    base = csys.base
-    rho, sigma = csys.factors.rho, csys.factors.sigma
-    q_plain = state.q / sigma
-    phi = float(np.sum(rho * state.C * guarded_exp(base.A @ q_plain))
-                - np.sum(base.rbar * state.q))
-    psi = float(np.sum(sigma * (guarded_exp(state.p) - csys.mu * state.p)))
+    x, v = from_canonical(csys, state)
+    phi = float(np.sum(csys.factors.rho * x) - np.sum(csys.base.rbar * state.q))
+    psi = float(np.sum(csys.factors.sigma * (v - csys.mu * state.p)))
     return phi + psi
 
 

@@ -53,6 +53,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_run(path, traj):
+    """Escape state and solver metadata of an integrated trajectory."""
+    _write_json(path, {"escaped": traj.escaped,
+                       "escape_time": traj.escape_time, "meta": traj.meta})
+
+
 def _load_star(data):
     from .star import StarSystem
     for key in ("a", "b", "rbar"):
@@ -197,9 +203,7 @@ def _cmd_simulate(args):
                            [traj.states[:, k] for k in range(traj.states.shape[1])],
                            traj.labels)
         outputs.append("trajectory.svg")
-    info = {"escaped": traj.escaped, "escape_time": traj.escape_time,
-            "meta": traj.meta}
-    _write_json(out / "run.json", info)
+    _write_run(out / "run.json", traj)
     outputs.append("run.json")
     echo = {"input": str(args.input), "state": str(args.state),
             "t_end": args.t_end, "rtol": args.rtol, "atol": args.atol,
@@ -226,7 +230,8 @@ def _cmd_canonical(args):
     else:
         traj = integrate_transformed(csys, cstate, args.t_end, rtol=args.rtol)
     traj.to_csv(out / "trajectory.csv")
-    outputs.append("trajectory.csv")
+    _write_run(out / "run.json", traj)
+    outputs += ["trajectory.csv", "run.json"]
     echo = {"input": str(args.input), "state": str(args.state),
             "t_end": args.t_end, "h": args.h, "rtol": args.rtol,
             "tol": args.tol}

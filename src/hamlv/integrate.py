@@ -1,11 +1,15 @@
 """Time integration: positivity-preserving adaptive runs and symplectic steps.
 
-The full population system and its canonical form are integrated in log
-coordinates, where both are y' = c + L exp(z) with z the log abundances; this
-keeps the positive cone invariant structurally and turns blow-up into a finite
-log-coordinate threshold.  The reduced star Hamiltonian uses a fixed-step
-Stormer-Verlet splitting whose kick and drift substeps are the exact flows of
-Phi and Psi separately.
+The full population system, its canonical form and the slow-fast star are
+integrated in log coordinates, where each is y' = c + L exp(z) with z the log
+abundances; this keeps the positive cone invariant structurally and turns
+blow-up into a finite log-coordinate threshold.  The reduced star Hamiltonian
+uses a fixed-step Stormer-Verlet splitting whose kick and drift substeps are
+the exact flows of Phi and Psi separately.
+
+No integrator raises on an escape: each reports ``escaped``, ``escape_time``
+and meta["escape_reason"], "clamp" (an exponent passed +-EXP_LIMIT),
+"diverged" (the adaptive solver failed after some |z| > 30) or None.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .canonical import CanonicalState, hamiltonian
-from .util import EXP_LIMIT, write_csv
+from .util import EXP_LIMIT, clipped_exp, write_csv
 
 
 @dataclass
@@ -47,32 +51,29 @@ class Trajectory:
 class _ExpSumFlow:
     """Right-hand side y' = c + L exp(z) of a flow in log coordinates.
 
-    z = y when K is None.  Otherwise the first k = K.shape[1] coordinates of
-    y enter only through K and z = y[k:] + K @ y[:k].  Exponents are clipped
-    to +-EXP_LIMIT, and the time of the first evaluation with some |z| > 30
-    is kept in ``t_diverged``.
+    ``terms(t, y)`` gives the coefficients c, L and the exponents z at
+    (t, y); they are fixed unless the flow's coefficients drift.  Once some
+    |z| > 30 the exponents go through clipped_exp, and the time of the first
+    such evaluation is kept in ``t_diverged``.
     """
 
-    def __init__(self, c, L, K=None):
-        self.c, self.L, self.t_diverged = c, L, None
-        k = 0 if K is None else K.shape[1]
-        # the log abundances z of a state y
-        self.exponent = (lambda y: y) if K is None else (lambda y: y[k:] + K @ y[:k])
+    def __init__(self, terms):
+        self.terms, self.t_diverged = terms, None
 
     def __call__(self, t, y):
-        z = self.exponent(y)
+        c, L, z = self.terms(t, y)
         if np.maximum.reduce(z) > 30.0 or np.minimum.reduce(z) < -30.0:
             if self.t_diverged is None:
                 self.t_diverged = t
-            z = np.minimum(np.maximum(z, -EXP_LIMIT), EXP_LIMIT)
-        return self.c + self.L @ np.exp(z)
+            return c + L @ clipped_exp(z)
+        return c + L @ np.exp(z)
 
 
 def _lv_flow(system):
     """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
-    return _ExpSumFlow(np.concatenate((-system.r, system.rbar)),
-                       np.block([[-system.Gamma, system.A],
-                                 [-system.B, -system.D]]))
+    c = np.concatenate((-system.r, system.rbar))
+    L = np.block([[-system.Gamma, system.A], [-system.B, -system.D]])
+    return _ExpSumFlow(lambda t, y: (c, L, y))
 
 
 def _transformed_flow(csys):
@@ -87,7 +88,7 @@ def _transformed_flow(csys):
                   [np.zeros((n, m)), -base.Gamma]])
     K = np.vstack((np.zeros((m, m)), base.A / sigma))
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
-    return _ExpSumFlow(c, L, K)
+    return _ExpSumFlow(lambda t, y: (c, L, y[m:] + K @ y[:m]))
 
 
 def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
@@ -98,7 +99,7 @@ def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
     """
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, n_samples)
-    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.exponent(y))))
+    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.terms(t, y)[2])))
     escape.terminal = True
     escape.direction = -1
     sol = solve_ivp(flow, (0.0, t_end), y0, method=method, rtol=rtol,
@@ -175,12 +176,25 @@ def _verlet(dphi, mu, h, q, p, n_steps):
     return q, p
 
 
+def _overflow_step(dphi, mu, h, q, p, n_steps):
+    """The first of n_steps single Verlet steps from (q, p) that overflows;
+    the last when only the energy at their end did."""
+    for i in range(1, n_steps):
+        try:
+            q, p = _verlet(dphi, mu, h, q, p, 1)
+        except OverflowError:
+            return i
+    return n_steps
+
+
 def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
     """Fixed-step Stormer-Verlet (kick-drift-kick) for the star Hamiltonian.
 
     Second order, symplectic; the energy error oscillates with bounded
     amplitude instead of drifting.  Aborts when a single step moves H by more
-    than 10% of its magnitude (step too large for the orbit).
+    than 10% of its magnitude (step too large for the orbit).  An exponent
+    that overflows ends the run at the sample before it as a "clamp" escape,
+    timed at the step that overflowed.
     """
     if h == 0.0:
         raise ValueError("step h must be nonzero")
@@ -194,12 +208,17 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
     H0 = phi(q) + math.exp(p) - mu * p
     samples = [(0.0, q, p, H0)]
     guard = 0.1 * abs(H0) if H0 != 0.0 else 0.1
-    H_prev, step = H0, 0
+    H_prev, step, escape_time = H0, 0, None
     while step < n_steps:
         block = min(stride, n_steps - step)
-        q, p = _verlet(dphi, mu, h, q, p, block)
+        try:
+            q1, p1 = _verlet(dphi, mu, h, q, p, block)
+            H = phi(q1) + math.exp(p1) - mu * p1
+        except OverflowError:
+            escape_time = (step + _overflow_step(dphi, mu, h, q, p, block)) * h
+            break
+        q, p = q1, p1
         step += block
-        H = phi(q) + math.exp(p) - mu * p
         if abs(H - H_prev) > guard * stride:
             raise RuntimeError(
                 f"energy moved {abs(H - H_prev):.3g} over {stride} step(s) "
@@ -208,9 +227,11 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
         samples.append((step * h, q, p, H))
     samples = np.array(samples)
     meta = {"method": "stormer-verlet", "h": h, "n_steps": n_steps,
-            "stride": stride}
+            "stride": stride,
+            "escape_reason": None if escape_time is None else "clamp"}
     return Trajectory(t=samples[:, 0], states=samples[:, 1:3],
-                      labels=["q", "p"], energy=samples[:, 3], meta=meta)
+                      labels=["q", "p"], energy=samples[:, 3], meta=meta,
+                      escaped=escape_time is not None, escape_time=escape_time)
 
 
 _RETURN_STEPS = 1_000_000  # step budget of a first return
@@ -221,7 +242,9 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
 
     Starts on the section at the well bottom q* with the upward momentum
     branch and integrates with the symplectic stepper until the next upward
-    crossing, locating it by linear interpolation within the step.
+    crossing, locating it by linear interpolation within the step.  Raises
+    RuntimeError when no return comes within the step budget or the orbit
+    escapes first.
     """
     from .star import _psi_roots, analyze_potential
 
@@ -234,11 +257,15 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
     mu, ln_mu = star.mu, math.log(star.mu)
     dphi, _ = star.terms().scalar_forces()
     q, p, t, prev_rel = q_star, p_up, 0.0, 0.0
-    for _ in range(_RETURN_STEPS):
-        q, p = _verlet(dphi, mu, h, q, p, 1)
-        t += h
-        rel = q - q_star
-        if prev_rel < 0.0 <= rel and p > ln_mu:
-            return t - h + h * (-prev_rel) / (rel - prev_rel)
-        prev_rel = rel
+    try:
+        for _ in range(_RETURN_STEPS):
+            q, p = _verlet(dphi, mu, h, q, p, 1)
+            t += h
+            rel = q - q_star
+            if prev_rel < 0.0 <= rel and p > ln_mu:
+                return t - h + h * (-prev_rel) / (rel - prev_rel)
+            prev_rel = rel
+    except OverflowError:
+        raise RuntimeError(f"no return to the section: escaped at t = {t:.6g}"
+                           ) from None
     raise RuntimeError("no return to the section within the step budget")

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .util import EXP_LIMIT, guarded_exp, libm_exp
+from .util import clipped_exp, libm_exp
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class PotentialTerms:
 
     def _exponentials(self, q):
         """exp(a_k q) for every q and k, exponents clipped to +-EXP_LIMIT."""
-        return np.exp(np.clip(np.multiply.outer(q, self.a), -EXP_LIMIT, EXP_LIMIT))
+        return clipped_exp(np.multiply.outer(q, self.a))
 
     def phi(self, q):
         q = np.asarray(q, dtype=float)
@@ -158,16 +158,6 @@ class StarSystem:
         return InteractionSystem(
             r=self.r, rbar=[self.rbar], A=self.a[:, None], B=self.b[None, :],
             Gamma=Gamma, D=[[d]])
-
-
-def potential(star, q):
-    """Phi(q) of the star."""
-    return star.terms().phi(q)
-
-
-def kinetic(star, p):
-    """Psi(p) = exp(p) - mu p."""
-    return guarded_exp(p) - star.mu * np.asarray(p, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared helpers: guarded exponentials, seeded streams, intervals, CSV."""
+"""Shared helpers: the clipped exponential, seeded streams, intervals, CSV."""
 
 from __future__ import annotations
 
@@ -14,20 +14,12 @@ EXP_LIMIT = 700.0
 Z95 = 1.959963984540054
 
 
-class ExponentOverflowError(ValueError):
-    """An exponent left the representable range (|x| > 700)."""
+def clipped_exp(x):
+    """exp(x) with x clipped to +-EXP_LIMIT: the one exponent policy.
 
-
-def guarded_exp(x):
-    """exp(x) with an explicit error once |x| exceeds the clamp limit."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > EXP_LIMIT):
-        worst = float(np.max(np.abs(arr)))
-        raise ExponentOverflowError(
-            f"exponent magnitude {worst:.3g} exceeds clamp limit {EXP_LIMIT:g}"
-        )
-    out = np.exp(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    np.minimum/np.maximum give the bits of a clip, NaN included, in less
+    than half its time."""
+    return np.exp(np.minimum(np.maximum(x, -EXP_LIMIT), EXP_LIMIT))
 
 
 def libm_exp(x):

@@ -7,9 +7,13 @@ from hamlv.averaging import (AveragedState, CoefficientPath, OrbitLostError,
                              SlowEnvironment, averaged_rhs, detect_bursts,
                              evolve_averaged, mu_balance, orbit_averages,
                              period_average, simulate_slow_fast)
+from hamlv.averaging import _slow_fast_flow
 from hamlv.canonical import star_equilibrium
-from hamlv.integrate import Trajectory, integrate_symplectic
+from hamlv.integrate import Trajectory, integrate_lv, integrate_symplectic
 from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
+from oracle import slow_fast_rhs
+
+EPS = np.finfo(float).eps
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 
@@ -288,3 +292,85 @@ class TestAveragingAccuracy:
         state = AveragedState(tau=0.0, E=E, Cbar=[c_star])
         _, dC = averaged_rhs(env, state)
         assert dC[0] == pytest.approx(0.0, abs=1e-8)
+
+
+def random_environment(rng, n, kind):
+    """Drifting coefficients (a table or analytic callables) with nonzero
+    dbar, beta and gamma."""
+    a0 = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 2.0, n)
+    b0 = rng.normal(0.0, 2.0, n)
+    da, db = rng.normal(0.0, 0.5, n), rng.normal(0.0, 0.5, n)
+    if kind == "table":
+        taus = np.linspace(0.0, 1.0, 6)
+        a = CoefficientPath.from_table(taus, a0 + np.outer(taus, da)
+                                       + rng.normal(0.0, 0.05, (6, n)))
+        b = CoefficientPath.from_table(taus, b0 + np.outer(taus, db))
+        rbar = CoefficientPath.from_table(taus, rng.normal(0.0, 1.0, 6))
+    else:
+        a = CoefficientPath.from_callable(lambda tau: a0 + da * np.sin(tau),
+                                          lambda tau: da * np.cos(tau))
+        b = CoefficientPath.from_callable(lambda tau: b0 + db * tau)
+        rbar = CoefficientPath.from_callable(lambda tau: 1.0 - tau ** 2,
+                                             lambda tau: -2.0 * tau)
+    return SlowEnvironment(a=a, b=b, rbar=rbar, mu=rng.uniform(0.5, 2.0),
+                           epsilon=rng.uniform(0.005, 0.05),
+                           dbar=rng.uniform(0.1, 2.0),
+                           beta=rng.uniform(0.1, 3.0),
+                           gamma_hat=rng.normal(0.0, 1.0, n),
+                           gamma=rng.uniform(0.1, 1.0, n))
+
+
+class TestSlowFastFlow:
+    @pytest.mark.parametrize("kind", ["table", "analytic"])
+    def test_kernel_matches_oracle(self, kind):
+        rng = np.random.default_rng(11 if kind == "table" else 12)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            env = random_environment(rng, n, kind)
+            flow, oracle = _slow_fast_flow(env, n), slow_fast_rhs(env, n)
+            for _ in range(5):
+                t = rng.uniform(0.0, 1.0 / env.epsilon)
+                y = np.concatenate((rng.uniform(-1.5, 1.5, 2),
+                                    rng.uniform(-1.0, 1.0, n)))
+                tau, q, p = env.epsilon * t, y[0], y[1]
+                x = np.exp(y[2:] + env.a.value(tau) * q)
+                eb = env.epsilon * env.beta
+                terms = np.concatenate((
+                    [math.exp(p) + env.mu,
+                     abs(env.rbar.value(tau)) + env.epsilon * env.dbar
+                     * math.exp(p) + np.sum(np.abs(env.b.value(tau)) * x)],
+                    eb * (np.abs(env.gamma_hat) + env.gamma * x
+                          + np.abs(q * env.a.derivative(tau)))))
+                got, want = flow(t, y), oracle(t, y)
+                assert np.all(np.abs(got - want) <= 4 * EPS * terms)
+
+    @pytest.mark.parametrize("kind", ["table", "analytic"])
+    def test_energy_is_the_per_sample_star_hamiltonian(self, kind):
+        # the array H against the star of each sample, as it used to be built
+        rng = np.random.default_rng(4)
+        env = random_environment(rng, 3, kind)
+        traj = simulate_slow_fast(env, 0.1, 0.2, np.ones(3), 20.0,
+                                  n_samples=101)
+        for t, (q, p, *C), H in zip(traj.t, traj.states, traj.energy):
+            terms = env.star_at(env.epsilon * t, np.array(C)).terms()
+            want = float(terms.phi(q)) + math.exp(p) - env.mu * p
+            mags = (np.sum(np.abs(terms.c) * np.exp(terms.a * q))
+                    + abs(terms.slope * q) + math.exp(p) + abs(env.mu * p))
+            assert abs(H - want) <= 4 * EPS * mags
+
+    def test_escape_reported(self):
+        # Phi = -e^q - q has no well: q and p blow up near t = 0.97, as in
+        # the population system of the same star; the blow-up is
+        # superexponential, so the step size collapses before the clamp
+        star = StarSystem(a=[1.0], b=[-1.0], rbar=1.0, mu=1.0)
+        env = unit_env(b=CoefficientPath.constant([-1.0]))
+        traj = simulate_slow_fast(env, 0.0, 0.0, [1.0], 20.0)
+        direct = integrate_lv(star.to_interaction_system(), [1.0], [1.0],
+                              20.0)
+        assert traj.escaped
+        assert traj.meta["escape_reason"] == "diverged"
+        assert direct.meta["escape_reason"] == "diverged"
+        assert traj.escape_time == pytest.approx(direct.escape_time,
+                                                 rel=1e-3)
+        assert traj.t[-1] <= traj.escape_time
+        assert np.all(np.isfinite(traj.states))

@@ -6,9 +6,10 @@ import pytest
 from hamlv.canonical import (DegenerateFactorizationError, CanonicalState,
                              canonicalize, find_factors, from_canonical,
                              hamiltonian, lyapunov_weights, motion_integral,
-                             star_equilibrium, to_canonical, transformed_rhs)
+                             star_equilibrium, to_canonical)
 from hamlv.model import InteractionSystem
 from hamlv.star import StarSystem
+from oracle import transformed_rhs
 
 
 def classical_pair():

@@ -117,6 +117,23 @@ class TestSimulateAndCanonical:
         state = json.loads((out / "canonical_state.json").read_text())
         assert state == {"q": [0.0], "p": [0.0], "C": [2.0]}
 
+    def test_canonical_escape_reported(self, tmp_path, state_file):
+        # the star a = [1], b = [-1] has no well and blows up near t = 0.97
+        escaping = dict(SYSTEM, B=[[-1.0]])
+        system = tmp_path / "escaping.json"
+        system.write_text(json.dumps(escaping))
+        state_file.write_text(json.dumps({"x": [1.0], "v": [1.0]}))
+        out = tmp_path / "can"
+        assert main(["canonical", "--input", str(system), "--state",
+                     str(state_file), "--t-end", "20", "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["escaped"] and run["meta"]["escape_reason"] == "clamp"
+        assert 0.9 < run["escape_time"] < 1.0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] < run["escape_time"]
+        assert set(read_manifest(out)["outputs"]) == {
+            "canonical_state.json", "trajectory.csv", "run.json"}
+
     def test_svg_emitted_on_request(self, tmp_path, system_file, state_file):
         out = tmp_path / "svg"
         main(["simulate", "--input", str(system_file), "--state",

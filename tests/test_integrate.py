@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
-                             motion_integral, to_canonical, transformed_rhs)
+                             motion_integral, to_canonical)
 from hamlv.integrate import (Trajectory, _lv_flow, _transformed_flow,
                              integrate_lv, integrate_symplectic,
                              integrate_transformed, poincare_return_time)
 from hamlv.model import InteractionSystem
-from hamlv.star import StarSystem, _psi_roots, period
+from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
+from oracle import transformed_rhs
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -193,6 +194,26 @@ class TestExpSumFlow:
         assert traj.escape_time == pytest.approx(7.0, rel=1e-3)
         assert np.max(np.abs(traj.states)) < 10.0
 
+    def test_transformed_completes_where_a_q_alone_overflows(self):
+        # ln x = ln C + 100 q runs from -691 to about 309 by t = 10, while
+        # 100 q alone passes 700 at t = 7: x must come from the sum
+        system = InteractionSystem(r=[100.0], rbar=[0.0], A=[[100.0]],
+                                   B=[[1e-304]])
+        direct = integrate_lv(system, [1e-300], [2.0], 10.0)
+        assert not direct.escaped
+        csys = canonicalize(system)
+        traj = integrate_transformed(
+            csys, to_canonical(csys, [1e-300], [2.0]), 10.0)
+        assert not traj.escaped and traj.meta["escape_reason"] is None
+        assert np.all(np.isfinite(traj.energy))
+        m = system.M
+        last = traj.states[-1]
+        x, v = from_canonical(csys, CanonicalState(
+            q=last[:m], p=last[m:2 * m], C=last[2 * m:]))
+        assert x[0] == pytest.approx(2e134, rel=0.05)
+        np.testing.assert_allclose(np.concatenate((x, v)),
+                                   direct.states[-1], rtol=1e-6)
+
 
 class TestTrajectoryCsv:
     def test_bytes_match_per_value_formatting(self, tmp_path):
@@ -239,6 +260,38 @@ class TestSymplectic:
         q0, p0 = unit_orbit_start(3.0)
         with pytest.raises(RuntimeError):
             integrate_symplectic(UNIT_STAR, q0, p0, 2.5, 5000.0, n_samples=2001)
+
+    def test_escape_reported_not_raised(self):
+        # Phi = -e^q - q has no well: p and q blow up in finite time, and
+        # the stepper's math.exp overflows
+        star = StarSystem(a=[1.0], b=[-1.0], rbar=1.0, mu=1.0)
+        h = 1e-3
+        traj = integrate_symplectic(star, 0.0, 0.0, h, 20.0)
+        assert traj.escaped
+        assert traj.meta["escape_reason"] == "clamp"
+        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.isfinite(traj.energy))
+        assert traj.t[-1] < traj.escape_time <= traj.t[-1] + traj.meta[
+            "stride"] * h
+        # the same blow-up in log space, from x = v = 1 (q = p = 0)
+        direct = integrate_lv(star.to_interaction_system(), [1.0], [1.0],
+                              20.0)
+        assert direct.escaped
+        assert abs(traj.escape_time - direct.escape_time) <= 2 * h
+        bounded = integrate_symplectic(UNIT_STAR, *unit_orbit_start(3.0), h,
+                                       5.0)
+        assert not bounded.escaped and bounded.escape_time is None
+        assert bounded.meta["escape_reason"] is None
+
+    def test_first_return_escape_raises_no_return(self):
+        # Phi = e^q - 0.1 e^{2q} - q: a well below a barrier, then a fall to
+        # -inf; above the barrier the orbit leaves over it and overflows
+        star = StarSystem(a=[1.0, 2.0], b=[1.0, -0.2], rbar=1.0, mu=1.0)
+        profile = analyze_potential(star)
+        barrier = profile.barrier(profile.well()) + star.psi_min()
+        assert poincare_return_time(star, barrier - 0.1) > 0.0
+        with pytest.raises(RuntimeError, match="no return.*escaped"):
+            poincare_return_time(star, barrier + 0.5)
 
 
 class TestTransformed:

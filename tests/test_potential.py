@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hamlv.averaging import (AveragedState, CoefficientPath, OrbitLostError,
                              SlowEnvironment, averaged_rhs, orbit_averages)
@@ -18,7 +20,7 @@ from hamlv.resonance import TwoStarSystem, linearize
 from hamlv.star import (Extremum, PotentialProfile, PotentialTerms,
                         StarSystem, _profile_of_terms, _psi_roots,
                         analyze_potential, classify_orbit)
-from hamlv.util import libm_exp
+from hamlv.util import EXP_LIMIT, clipped_exp, libm_exp
 
 EPS = np.finfo(float).eps
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
@@ -165,6 +167,33 @@ class TestNoWellErrors:
             linearize(ts)
         with pytest.raises(ValueError):
             ts.to_interaction_system()
+
+
+# ------------------------------------------------------- clipped exponent
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+NEAR_LIMIT = st.floats(EXP_LIMIT - 2.0, EXP_LIMIT + 2.0)
+
+
+class TestClippedExp:
+    # _exponentials and every other clipped exponent go through clipped_exp;
+    # its bits must be those of exp(clip(x)), NaN and -0.0 included
+    @given(st.lists(st.one_of(st.floats(), NEAR_LIMIT, NEAR_LIMIT.map(
+        lambda v: -v), st.sampled_from(SPECIAL)), max_size=40))
+    @example(SPECIAL + [EXP_LIMIT, -EXP_LIMIT, 709.8, -745.2])
+    def test_bits_of_exp_of_clip(self, xs):
+        x = np.array(xs, dtype=float)
+        got = clipped_exp(x)
+        want = np.exp(np.clip(x, -EXP_LIMIT, EXP_LIMIT))
+        assert got.tobytes() == want.tobytes()
+        finite = ~np.isnan(x)
+        assert np.all(got[finite] == want[finite])
+
+    def test_exponentials_are_clipped(self):
+        terms = PotentialTerms(c=[1.0, 1.0], a=[1.0, -1.0])
+        np.testing.assert_array_equal(
+            terms._exponentials(np.array([800.0, -0.0])),
+            [[np.exp(EXP_LIMIT), np.exp(-EXP_LIMIT)], [1.0, 1.0]])
 
 
 # ------------------------------------------------------------ scalar forces

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
                         analyze_potential, classify_orbit, domino_check,
-                        kinetic, period, persistence_criteria, potential)
+                        period, persistence_criteria)
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 
@@ -26,16 +26,17 @@ def grid_extrema(terms, lo, hi, step=1e-4):
 
 class TestPotentialValues:
     def test_unit_star_phi_zero(self):
-        assert potential(UNIT, 0.0) == pytest.approx(1.0)
+        assert UNIT.terms().phi(0.0) == pytest.approx(1.0)
 
     def test_kinetic_minimum_mu_one(self):
-        assert kinetic(UNIT, 0.0) == pytest.approx(1.0)
+        # Psi(p) = e^p - mu p is smallest at p = ln mu = 0
         assert UNIT.psi_min() == pytest.approx(1.0)
+        assert UNIT.psi_min() == pytest.approx(math.exp(0.0) - UNIT.mu * 0.0)
 
     def test_kinetic_minimum_mu_e(self):
         star = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=math.e)
         assert star.psi_min() == pytest.approx(0.0)
-        assert kinetic(star, 1.0) == pytest.approx(0.0)
+        assert star.psi_min() == pytest.approx(math.exp(1.0) - star.mu * 1.0)
 
     def test_hamiltonian_flag(self):
         assert UNIT.is_hamiltonian()
@@ -140,7 +141,7 @@ class TestClassifyOrbit:
             orbit = classify_orbit(UNIT, E)
             level = E - UNIT.psi_min()
             for q in (orbit.q_minus, orbit.q_plus):
-                assert potential(UNIT, q) == pytest.approx(level, abs=1e-9)
+                assert UNIT.terms().phi(q) == pytest.approx(level, abs=1e-9)
 
     def test_convex_star_never_soliton_or_kink(self):
         star = StarSystem(a=[1.0, 2.0], b=[1.0, 1.0], rbar=1.0, mu=1.0)
