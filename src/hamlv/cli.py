@@ -253,6 +253,8 @@ def _cmd_star(args):
                     for e in profile.extrema],
         "coercive_left": profile.coercive_left,
         "coercive_right": profile.coercive_right,
+        "window": list(profile.window),
+        "window_warning": profile.window_warning,
     }
     _write_json(out / "report.json", report)
     outputs = ["report.json"]
@@ -557,7 +559,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         return _emit_error(exc)
 
 

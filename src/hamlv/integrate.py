@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .canonical import CanonicalState, hamiltonian
@@ -52,7 +53,8 @@ class _ExpSumFlow:
     """Right-hand side y' = c + L exp(z) of a flow in log coordinates.
 
     ``terms(t, y)`` gives the coefficients c, L and the exponents z at
-    (t, y); they are fixed unless the flow's coefficients drift.  Once some
+    (t, y); they are fixed unless the flow's coefficients drift.  L is a
+    dense ndarray or, for a large sparse operator, a CSR array.  Once some
     |z| > 30 the exponents go through clipped_exp, and the time of the first
     such evaluation is kept in ``t_diverged``.
     """
@@ -69,10 +71,32 @@ class _ExpSumFlow:
         return c + L @ np.exp(z)
 
 
+# CSR pays for operators of at least 256 x 256 entries with at most one in
+# ten nonzero: one BLAS thread, c + L @ e, dense against CSR (CHANGES.md)
+_CSR_MIN_SIZE = 256 * 256
+_CSR_MAX_DENSITY = 0.1
+
+
+def _operator(blocks):
+    """The block matrix of a grid of dense blocks, as the flow applies it.
+
+    A large, mostly zero operator is assembled as a CSR array from the blocks,
+    so its dense form is never held; L @ e then costs one multiply-add per
+    nonzero instead of one per entry.  Smaller or denser operators stay dense
+    ndarrays, where BLAS wins.
+    """
+    size = (sum(row[0].shape[0] for row in blocks)
+            * sum(b.shape[1] for b in blocks[0]))
+    nnz = sum(np.count_nonzero(b) for row in blocks for b in row)
+    if size >= _CSR_MIN_SIZE and nnz <= _CSR_MAX_DENSITY * size:
+        return sparse.block_array(blocks, format="csr")
+    return np.block(blocks)
+
+
 def _lv_flow(system):
     """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
     c = np.concatenate((-system.r, system.rbar))
-    L = np.block([[-system.Gamma, system.A], [-system.B, -system.D]])
+    L = _operator([[-system.Gamma, system.A], [-system.B, -system.D]])
     return _ExpSumFlow(lambda t, y: (c, L, y))
 
 
@@ -84,9 +108,9 @@ def _transformed_flow(csys):
     """
     base, sigma = csys.base, csys.factors.sigma
     n, m = base.N, base.M
-    L = np.block([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
-                  [np.zeros((n, m)), -base.Gamma]])
-    K = np.vstack((np.zeros((m, m)), base.A / sigma))
+    L = _operator([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
+                   [np.zeros((n, m)), -base.Gamma]])
+    K = _operator([[np.zeros((m, m))], [base.A / sigma]])
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
     return _ExpSumFlow(lambda t, y: (c, L, y[m:] + K @ y[:m]))
 

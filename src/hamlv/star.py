@@ -265,7 +265,7 @@ def _profile_of_terms(terms, q_window=None, n_grid=2001):
         coercive_left=terms.limit_sign(-1) > 0,
         coercive_right=terms.limit_sign(+1) > 0,
         window=(lo, hi),
-        window_warning=warn,
+        window_warning=bool(warn),
     )
 
 
@@ -434,7 +434,7 @@ def _classify(star, E, profile, q_ref=None, with_period=True):
 _XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
 
 
-def _brentq(f, xa, xb):
+def _brentq(f, xa, xb, fa, fb):
     """Roots of f in the brackets [xa, xb], as scipy's brentq finds them.
 
     A step-for-step port of scipy's brentq.c (Brent, *Algorithms for
@@ -445,12 +445,12 @@ def _brentq(f, xa, xb):
     evaluates the functions of entries i at x.  The root is NaN where
     brentq raises ValueError (a NaN value, no sign change); RuntimeError is
     raised where it would fail to converge.  Converged entries leave the
-    working arrays each iteration.
+    working arrays each iteration.  fa and fb are f(xa) and f(xb), which
+    the caller has from bracketing the roots.
     """
     root = np.full(xa.shape, np.nan)
     idx = np.arange(xa.size)
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre, idx), f(xcur, idx)
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
     valid = ~(np.isnan(fpre) | np.isnan(fcur))
     at_a = valid & (fpre == 0)
     at_b = valid & ~at_a & (fcur == 0)
@@ -526,14 +526,19 @@ def _psi_roots(mu, w):
             return libm_exp(p) - mu * p - level[i]
 
         edge = pmin + np.repeat([1.0, -1.0], todo.size)
+        f_edge = np.empty(edge.size)
         grow = np.arange(edge.size)
         while grow.size:
-            grow = grow[f(edge[grow], grow) < 0]
+            f_edge[grow] = f(edge[grow], grow)
+            grow = grow[f_edge[grow] < 0]
             edge[grow] = pmin + 2.0 * (edge[grow] - pmin)
         start = np.full(edge.size, pmin)
+        f_start = (math.exp(pmin) - mu * pmin) - level
         up = np.arange(edge.size) < todo.size
-        roots[:, todo] = _brentq(f, np.where(up, start, edge),
-                                 np.where(up, edge, start)).reshape(2, -1)
+        roots[:, todo] = _brentq(
+            f, np.where(up, start, edge), np.where(up, edge, start),
+            np.where(up, f_start, f_edge),
+            np.where(up, f_edge, f_start)).reshape(2, -1)
     if np.ndim(w):
         return roots[0], roots[1]
     if w < wmin:
@@ -605,9 +610,10 @@ def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
     q = (q_end + sgn * u * u).ravel()
     jac = (_GL_WEIGHTS * rad * 2.0 * u).ravel()
 
-    # one dot product per row: a matrix-vector product sums in another order
-    phi = (np.array([row @ terms.c for row in terms._exponentials(q)])
-           - terms.slope * q)
+    # one dot product per row, stacked: a matrix-vector product sums in
+    # another order
+    E_terms = terms._exponentials(q)
+    phi = np.matmul(E_terms[:, None, :], terms.c[:, None])[:, 0, 0] - terms.slope * q
     p_up, p_dn = _psi_roots(mu, E - phi)
     vel_up = libm_exp(p_up) - mu
     vel_dn = mu - libm_exp(p_dn)

@@ -134,6 +134,15 @@ class TestSimulateAndCanonical:
         assert set(read_manifest(out)["outputs"]) == {
             "canonical_state.json", "trajectory.csv", "run.json"}
 
+    def test_energy_guard_exit_one(self, tmp_path, capsys, system_file,
+                                   state_file):
+        # h = 2.5 is far too large for the unit star: the Verlet energy
+        # guard raises RuntimeError, which the CLI reports as an error
+        assert main(["canonical", "--input", str(system_file), "--state",
+                     str(state_file), "--h", "2.5", "--t-end", "5000",
+                     "--out", str(tmp_path / "can")]) == 1
+        assert "error: energy moved" in capsys.readouterr().err
+
     def test_svg_emitted_on_request(self, tmp_path, system_file, state_file):
         out = tmp_path / "svg"
         main(["simulate", "--input", str(system_file), "--state",
@@ -170,6 +179,9 @@ class TestStar:
         assert orbit["period"] > 0
         profile = (out / "profile.csv").read_text().splitlines()
         assert profile[0] == "q,phi"
+        report = json.loads((out / "report.json").read_text())
+        assert report["window"] == [-50.0, 50.0]
+        assert report["window_warning"] is False
 
     def test_failing_star_exit_two(self, tmp_path):
         path = tmp_path / "bad_star.json"

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
                              motion_integral, to_canonical)
-from hamlv.integrate import (Trajectory, _lv_flow, _transformed_flow,
-                             integrate_lv, integrate_symplectic,
-                             integrate_transformed, poincare_return_time)
+from hamlv.integrate import (Trajectory, _lv_flow, _operator,
+                             _transformed_flow, integrate_lv,
+                             integrate_symplectic, integrate_transformed,
+                             poincare_return_time)
 from hamlv.model import InteractionSystem
 from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
 from oracle import transformed_rhs
+from test_acceptance import REGRESSION_SUITE
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -35,6 +38,38 @@ def damped_factorizable(seed, n=4, m=3):
     system = InteractionSystem(r=A @ mu, rbar=B @ rng.uniform(0.5, 1.5, n),
                                A=A, B=B, Gamma=Gamma, D=D)
     return system, mu, rng
+
+
+def hub_web(limited, n=300, m=30, seed=7):
+    """Factorizable web of n prey that each feed one to three of m hubs.
+
+    Gamma and D are positive diagonals when limited, zero otherwise.
+    """
+    rng = np.random.default_rng(seed)
+    support = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        support[i, rng.choice(m, size=int(rng.integers(1, 4)),
+                              replace=False)] = True
+    A = np.where(support, rng.uniform(0.3, 1.2, (n, m)), 0.0)
+    rho = rng.uniform(0.5, 1.5, n)
+    sigma = np.concatenate(([1.0], rng.uniform(0.5, 1.5, m - 1)))
+    B = (rho[:, None] * A / sigma[None, :]).T
+    Gamma = np.diag(rng.uniform(0.05, 0.2, n)) if limited else np.zeros((n, n))
+    D = np.diag(rng.uniform(0.05, 0.2, m)) if limited else np.zeros((m, m))
+    mu = rng.uniform(0.8, 1.2, m)
+    system = InteractionSystem(r=A @ mu, rbar=B @ rng.uniform(0.5, 1.5, n),
+                               A=A, B=B, Gamma=Gamma, D=D)
+    return system, mu, rng
+
+
+# damped_factorizable seeds, then the large sparse webs the CSR operator serves
+FLOW_CASES = [0, 1, 2, 3, 4, "hub", "hub-limited"]
+
+
+def flow_case(case):
+    if isinstance(case, int):
+        return damped_factorizable(case)
+    return hub_web(limited=case == "hub-limited")
 
 
 def block_rhs(system):
@@ -138,9 +173,9 @@ class TestIntegrateLV:
 
 
 class TestExpSumFlow:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_lv_flow_is_block_formula(self, seed):
-        system, _, rng = damped_factorizable(seed)
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_lv_flow_is_block_formula(self, case):
+        system, _, rng = flow_case(case)
         flow = _lv_flow(system)
         for _ in range(10):
             y = rng.normal(0.0, 2.0, system.N + system.M)
@@ -150,9 +185,9 @@ class TestExpSumFlow:
                 system.rbar + system.B @ x + system.D @ v))
             assert_sum_close(flow(0.0, y), block_rhs(system)(0.0, y), terms)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_transformed_flow_is_transformed_rhs(self, seed):
-        system, mu, rng = damped_factorizable(seed)
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_transformed_flow_is_transformed_rhs(self, case):
+        system, mu, rng = flow_case(case)
         csys = canonicalize(system, mu=mu)
         base, sigma = csys.base, csys.factors.sigma
         flow = _transformed_flow(csys)
@@ -170,6 +205,33 @@ class TestExpSumFlow:
                                     np.abs(csys.gamma_bar) + base.Gamma @ x))
             assert_sum_close(flow(0.0, y),
                              np.concatenate((dq, dp, dC / state.C)), terms)
+
+    @pytest.mark.parametrize("limited", [False, True])
+    def test_large_sparse_web_gets_csr(self, limited):
+        system, mu, _ = hub_web(limited)
+        n, m = system.N, system.M
+        assert sparse.issparse(_lv_flow(system).terms(0.0, np.zeros(n + m))[1])
+        csys = canonicalize(system, mu=mu)
+        flow = _transformed_flow(csys)
+        assert sparse.issparse(flow.terms(0.0, np.zeros(n + 2 * m))[1])
+        # the canonical map K = [[0], [A / sigma]] is too small to pay
+        K = _operator([[np.zeros((m, m))], [system.A / csys.factors.sigma]])
+        assert type(K) is np.ndarray
+
+    def test_small_systems_keep_dense_operators(self):
+        # the tests' own systems and the c10 cases keep the dense operator,
+        # and with it the bits they had before CSR
+        def lv_operator(system):
+            return _lv_flow(system).terms(0.0, np.zeros(system.N + system.M))[1]
+
+        for system, mu in [(PAIR, None)] + [damped_factorizable(seed)[:2]
+                                            for seed in range(5)]:
+            assert type(lv_operator(system)) is np.ndarray
+            flow = _transformed_flow(canonicalize(system, mu=mu))
+            y = np.zeros(system.N + 2 * system.M)
+            assert type(flow.terms(0.0, y)[1]) is np.ndarray
+        for ts, _ in REGRESSION_SUITE:  # c10's systems do not factor
+            assert type(lv_operator(ts.to_interaction_system())) is np.ndarray
 
     def test_exponents_clipped_and_divergence_timed(self):
         flow = _lv_flow(PAIR)
