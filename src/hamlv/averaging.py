@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.signal import find_peaks
 
-from .integrate import Trajectory, _ExpSumFlow, _solve_log_system
+from .integrate import (Trajectory, _adaptive_run, _ExpSumFlow,
+                        _solve_log_system)
 from .star import (StarSystem, _classify, _orbit_quadrature, _OrbitNodes,
                    _profile_of_terms)
 from .util import clipped_exp, libm_exp, write_csv
@@ -39,21 +39,21 @@ class CoefficientPath:
 
     _FD_STEP = 1e-4
 
-    def __init__(self, value_fn, derivative_fn=None, analytic=False):
+    def __init__(self, value_fn, derivative_fn=None):
         self._value = value_fn
         self._derivative = derivative_fn
-        self.analytic_derivative = bool(derivative_fn) and analytic
+        self.analytic_derivative = derivative_fn is not None
 
     @classmethod
     def constant(cls, value):
         arr = np.asarray(value, dtype=float)
         frozen = arr.copy()
         zero = np.zeros_like(frozen) if frozen.ndim else 0.0
-        return cls(lambda tau: frozen, lambda tau: zero, analytic=True)
+        return cls(lambda tau: frozen, lambda tau: zero)
 
     @classmethod
     def from_callable(cls, fn, derivative=None):
-        return cls(fn, derivative, analytic=derivative is not None)
+        return cls(fn, derivative)
 
     @classmethod
     def from_table(cls, taus, values):
@@ -323,44 +323,30 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
             return 1.0 + abs(E)
         return e_barrier - E
 
-    barrier_margin.terminal = True
-    barrier_margin.direction = -1
-
     y0 = np.concatenate(([init.E], np.log(init.Cbar)))
-    t_eval = np.linspace(init.tau, tau_end, n_samples)
-    sol = solve_ivp(rhs, (init.tau, tau_end), y0, method="RK45", rtol=rtol,
-                    atol=atol, t_eval=t_eval, events=barrier_margin)
-    if sol.status == -1:
-        raise RuntimeError(f"averaged integration failed: {sol.message}")
-
-    E_samples = sol.y[0]
-    C_samples = np.exp(sol.y[1:]).T
-    events = []
-    if sol.status == 1 and sol.t_events[0].size:
-        tau_c = float(sol.t_events[0][0])
-        y_c = sol.y_events[0][0]
-        E_c, C_c = unpack(y_c)
+    sol, stop, meta = _adaptive_run(rhs, (init.tau, tau_end), y0,
+                                    barrier_margin, "RK45", rtol, atol,
+                                    n_samples)
+    tau, E_samples, C_samples = sol.t, sol.y[0], np.exp(sol.y[1:]).T
+    if stop is None:
+        events = [RegimeEvent(tau=float(tau_end), kind="stabilized")]
+    else:
+        tau_c, (E_c, C_c) = stop[0], unpack(stop[1])
         terms = _averaged_terms(env, tau_c, E_c, C_c, hint["q"])
         dropped += terms["dropped"]
         driven = terms["S1"] < 0 and terms["S2"] > abs(terms["S1"])
-        events.append(RegimeEvent(tau=tau_c,
-                                  kind="environment-destabilized" if driven
-                                  else "burst"))
+        events = [RegimeEvent(tau=tau_c, kind="environment-destabilized"
+                              if driven else "burst")]
         # include the crossing point itself in the samples
+        tau = np.append(tau, tau_c)
         E_samples = np.append(E_samples, E_c)
         C_samples = np.vstack((C_samples, C_c))
-        sol_t = np.append(sol.t, tau_c)
-    else:
-        events.append(RegimeEvent(tau=float(tau_end), kind="stabilized"))
-        sol_t = sol.t
-    meta = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev),
-            "quadrature_nodes_dropped": dropped,
-            "s2_derivative": "analytic" if all(
-                path.analytic_derivative for path in (env.a, env.b, env.rbar))
-            else "central-difference"}
-    return AveragedTrajectory(tau=np.asarray(sol_t), E=np.asarray(E_samples),
-                              Cbar=np.asarray(C_samples), events=events,
-                              meta=meta)
+    meta.update(n_samples=tau.size, quadrature_nodes_dropped=dropped,
+                s2_derivative="analytic" if all(
+                    path.analytic_derivative for path in (env.a, env.b, env.rbar))
+                else "central-difference")
+    return AveragedTrajectory(tau=tau, E=E_samples, Cbar=C_samples,
+                              events=events, meta=meta)
 
 
 @dataclass
@@ -445,7 +431,7 @@ def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
     n, eps, mu = C0.size, env.epsilon, env.mu
     y0 = np.concatenate(([q0, p0], np.log(C0)))
     sol, run = _solve_log_system(_slow_fast_flow(env, n), y0, t_end, rtol,
-                                 atol, n_samples, None, "DOP853")
+                                 atol, n_samples, None)
     run["meta"]["epsilon"] = eps
     qs, ps, lnC = sol.y[0], sol.y[1], sol.y[2:].T
     a, b, rbar = (np.array([path.value(eps * t) for t in sol.t],

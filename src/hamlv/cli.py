@@ -25,11 +25,6 @@ from . import __version__
 from .util import sha256_file, write_csv
 
 
-def _emit_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
@@ -37,14 +32,41 @@ def _resolve_seed(args):
     return int(env) if env else 0
 
 
-def _load_json(path, what):
+def _is_array(value):
+    """A number or a nested list of numbers (one type scan per list)."""
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    return kinds <= {int, float} or (kinds == {list}
+                                     and all(map(_is_array, value)))
+
+
+def _typed(data, what, numbers=(), arrays=(), required=()):
+    """The JSON object data of `what` without its null fields (a null takes
+    the default); fields in numbers must be numbers, in arrays numbers or
+    nested lists of numbers, and the required ones must be there."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    data = {key: value for key, value in data.items() if value is not None}
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} missing field {key!r}")
+    for key in [key for key in numbers + arrays if key in data]:
+        if not _is_array(data[key]) or (key in numbers
+                                        and isinstance(data[key], list)):
+            raise ValueError(f"{what}: field {key!r} must be a number" + (
+                " or an array of numbers" if key in arrays else ""))
+    return data
+
+
+def _load_json(path, what, **fields):
+    """The JSON object of a `what` file, its fields checked by _typed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file {path} is not valid JSON: {exc}")
+    return _typed(data, f"{what} file {path}", **fields)
 
 
 def _write_json(path, payload):
@@ -59,11 +81,10 @@ def _write_run(path, traj):
                        "escape_time": traj.escape_time, "meta": traj.meta})
 
 
-def _load_star(data):
+def _load_star(data, what):
     from .star import StarSystem
-    for key in ("a", "b", "rbar"):
-        if key not in data:
-            raise ValueError(f"star description missing field {key!r}")
+    data = _typed(data, what, numbers=("rbar", "mu"), arrays=("a", "b", "C"),
+                  required=("a", "b", "rbar"))
     return StarSystem(a=data["a"], b=data["b"], rbar=data["rbar"],
                       mu=data.get("mu", 1.0), C=data.get("C"))
 
@@ -99,11 +120,23 @@ def write_svg_polyline(path, xs, series, labels, width=640, height=400):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _finish(out_dir, command, args_echo, seed, outputs, exit_code=0):
+def _out_dir(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _finish(args, outputs, exit_code=0):
+    """Write manifest.json: the command, every option of the run but the
+    plumbing (output directory, seed, worker count), the seed, versions and
+    a checksum per output."""
+    out_dir = Path(args.out)
     manifest = {
-        "command": command,
-        "config": args_echo,
-        "seed": seed,
+        "command": " ".join(filter(None, (args.command,
+                                          getattr(args, "mode", None)))),
+        "config": {key: value for key, value in vars(args).items()
+                   if key not in ("func", "command", "out", "seed", "workers")},
+        "seed": _resolve_seed(args),
         "versions": {"hamlv": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
@@ -116,8 +149,7 @@ def _finish(out_dir, command, args_echo, seed, outputs, exit_code=0):
 def _cmd_netgen(args):
     from .model import connectance, generate_scale_free, powerlaw_exponent
     seed = _resolve_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     top = generate_scale_free(args.nodes, args.m, seed)
     top.save_edges(out / "topology.txt")
     degrees = top.degrees()
@@ -129,15 +161,14 @@ def _cmd_netgen(args):
     except ValueError:
         stats["powerlaw_exponent"] = None
     _write_json(out / "stats.json", stats)
-    echo = {"nodes": args.nodes, "m": args.m}
-    return _finish(out, "netgen", echo, seed, ["topology.txt", "stats.json"])
+    return _finish(args, ["topology.txt", "stats.json"])
 
 
 def _cmd_check(args):
     from .canonical import find_factors
-    from .model import InteractionSystem, classify_signs
+    from .model import classify_signs
     from .persistence import permanence, strong_persistence
-    system = InteractionSystem.load(args.input)
+    system = _load_system(args.input)
     factors = find_factors(system.A, system.B, tol=args.tol)
     report = {
         "sign_class": classify_signs(system).value,
@@ -155,12 +186,9 @@ def _cmd_check(args):
                 "applicable": res.applicable,
                 "persistent": res.persistent,
                 "rank_ok": res.rank_ok,
-                "v_witness": None if not (res.v_certificate and
-                                          res.v_certificate.feasible)
-                else res.v_certificate.witness.tolist(),
-                "x_witness": None if not (res.x_certificate and
-                                          res.x_certificate.feasible)
-                else res.x_certificate.witness.tolist(),
+                **{f"{name}_witness": cert and cert.to_dict()["witness"]
+                   for name, cert in (("v", res.v_certificate),
+                                      ("x", res.x_certificate))},
             }
             negative = res.applicable and not res.persistent
         elif factors.positive:
@@ -169,23 +197,23 @@ def _cmd_check(args):
             negative = not rep.permanent
     else:
         negative = True
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(out / "certificate.json", report)
-    echo = {"input": str(args.input), "tol": args.tol}
     code = 2 if negative else 0
-    return _finish(out, "check", echo, _resolve_seed(args),
-                   ["certificate.json"], exit_code=code)
+    return _finish(args, ["certificate.json"], exit_code=code)
+
+
+def _load_system(path):
+    from .model import InteractionSystem
+    return InteractionSystem.from_dict(_load_json(
+        path, "system", numbers=("N", "M"),
+        arrays=("r", "rbar", "A", "B", "Gamma", "D")))
 
 
 def _load_system_and_state(args):
-    from .model import InteractionSystem
-    system = InteractionSystem.load(args.input)
-    state = _load_json(args.state, "state")
-    for key in ("x", "v"):
-        if key not in state:
-            raise ValueError(f"state file missing field {key!r}")
-    return system, state
+    state = _load_json(args.state, "state", arrays=("x", "v"),
+                       required=("x", "v"))
+    return _load_system(args.input), state
 
 
 def _cmd_simulate(args):
@@ -194,8 +222,7 @@ def _cmd_simulate(args):
     traj = integrate_lv(system, state["x"], state["v"], args.t_end,
                         rtol=args.rtol, atol=args.atol,
                         n_samples=args.samples)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
     outputs = ["trajectory.csv"]
     if args.format == "svg":
@@ -205,10 +232,7 @@ def _cmd_simulate(args):
         outputs.append("trajectory.svg")
     _write_run(out / "run.json", traj)
     outputs.append("run.json")
-    echo = {"input": str(args.input), "state": str(args.state),
-            "t_end": args.t_end, "rtol": args.rtol, "atol": args.atol,
-            "samples": args.samples, "format": args.format}
-    return _finish(out, "simulate", echo, _resolve_seed(args), outputs)
+    return _finish(args, outputs)
 
 
 def _cmd_canonical(args):
@@ -218,8 +242,7 @@ def _cmd_canonical(args):
     system, state = _load_system_and_state(args)
     csys = canonicalize(system, tol=args.tol)
     cstate = to_canonical(csys, state["x"], state["v"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(out / "canonical_state.json", cstate.to_dict())
     outputs = ["canonical_state.json"]
     if system.M == 1 and csys.conserves_C:
@@ -232,18 +255,14 @@ def _cmd_canonical(args):
     traj.to_csv(out / "trajectory.csv")
     _write_run(out / "run.json", traj)
     outputs += ["trajectory.csv", "run.json"]
-    echo = {"input": str(args.input), "state": str(args.state),
-            "t_end": args.t_end, "h": args.h, "rtol": args.rtol,
-            "tol": args.tol}
-    return _finish(out, "canonical", echo, _resolve_seed(args), outputs)
+    return _finish(args, outputs)
 
 
 def _cmd_star(args):
     from .star import (EnergyBelowWellError, analyze_potential, classify_orbit,
                        persistence_criteria)
-    star = _load_star(_load_json(args.input, "star"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    star = _load_star(_load_json(args.input, "star"), f"star file {args.input}")
+    out = _out_dir(args)
     profile = analyze_potential(star)
     verdict = persistence_criteria(star)
     report = {
@@ -275,25 +294,22 @@ def _cmd_star(args):
                                              "message": str(exc)})
             code = 2
         outputs.append("orbit.json")
-    echo = {"input": str(args.input), "E": args.E, "format": args.format}
-    return _finish(out, "star", echo, _resolve_seed(args), outputs,
-                   exit_code=code)
+    return _finish(args, outputs, exit_code=code)
 
 
-def _make_path(spec_block, fallback):
+def _make_path(spec_block, fallback, what):
     from .averaging import CoefficientPath
-    if spec_block is None:
-        return CoefficientPath.constant(fallback)
+    spec_block = _typed(spec_block, what, numbers=("freq",),
+                        arrays=("value", "base", "rate", "amp"))
     kind = spec_block.get("kind", "constant")
     if kind == "constant":
         return CoefficientPath.constant(spec_block.get("value", fallback))
+    base = np.asarray(spec_block.get("base", fallback), dtype=float)
     if kind == "linear":
-        base = np.asarray(spec_block.get("base", fallback), dtype=float)
         rate = np.asarray(spec_block.get("rate", 0.0), dtype=float)
         return CoefficientPath.from_callable(lambda tau: base + rate * tau,
                                              lambda tau: rate * np.ones_like(base))
     if kind == "sinusoid":
-        base = np.asarray(spec_block.get("base", fallback), dtype=float)
         amp = np.asarray(spec_block.get("amp", 0.0), dtype=float)
         freq = float(spec_block.get("freq", 1.0))
         return CoefficientPath.from_callable(
@@ -304,14 +320,14 @@ def _make_path(spec_block, fallback):
 
 def _cmd_average(args):
     from .averaging import AveragedState, SlowEnvironment, evolve_averaged
-    data = _load_json(args.input, "environment")
-    if "star" not in data:
-        raise ValueError("environment file missing field 'star'")
-    star = _load_star(data["star"])
+    data = _load_json(args.input, "environment",
+                      numbers=("mu", "epsilon", "dbar", "beta"),
+                      arrays=("gamma_hat", "gamma"), required=("star",))
+    star = _load_star(data["star"], "star")
     env = SlowEnvironment(
-        a=_make_path(data.get("a_path"), star.a),
-        b=_make_path(data.get("b_path"), star.b),
-        rbar=_make_path(data.get("rbar_path"), star.rbar),
+        a=_make_path(data.get("a_path", {}), star.a, "a_path"),
+        b=_make_path(data.get("b_path", {}), star.b, "b_path"),
+        rbar=_make_path(data.get("rbar_path", {}), star.rbar, "rbar_path"),
         mu=data.get("mu", star.mu),
         epsilon=data.get("epsilon", 0.01),
         dbar=data.get("dbar", 0.0),
@@ -321,29 +337,25 @@ def _cmd_average(args):
     )
     init = AveragedState(tau=0.0, E=args.E0, Cbar=star.C)
     avg = evolve_averaged(env, init, args.tau_end)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     avg.to_csv(out / "averaged.csv")
     _write_json(out / "events.json", [e.to_dict() for e in avg.events])
     outputs = ["averaged.csv", "events.json"]
     if args.format == "svg":
         write_svg_polyline(out / "averaged.svg", avg.tau, [avg.E], ["E"])
         outputs.append("averaged.svg")
-    echo = {"input": str(args.input), "E0": args.E0, "tau_end": args.tau_end,
-            "format": args.format}
-    return _finish(out, "average", echo, _resolve_seed(args), outputs)
+    return _finish(args, outputs)
 
 
 def _cmd_resonance(args):
     from .resonance import (TwoStarSystem, detuning, instability_criterion,
                             integrate_resonance, linearize)
-    data = _load_json(args.input, "two-star")
-    for key in ("star1", "star2", "atilde1", "atilde2", "btilde1", "btilde2",
-                "kappa", "epsilon"):
-        if key not in data:
-            raise ValueError(f"two-star file missing field {key!r}")
-    ts = TwoStarSystem(star1=_load_star(data["star1"]),
-                       star2=_load_star(data["star2"]),
+    couplings = ("atilde1", "atilde2", "btilde1", "btilde2")
+    data = _load_json(args.input, "two-star",
+                      numbers=("kappa", "epsilon", "d1", "d2"), arrays=couplings,
+                      required=("star1", "star2", "kappa", "epsilon") + couplings)
+    ts = TwoStarSystem(star1=_load_star(data["star1"], "star1"),
+                       star2=_load_star(data["star2"], "star2"),
                        atilde1=data["atilde1"], atilde2=data["atilde2"],
                        btilde1=data["btilde1"], btilde2=data["btilde2"],
                        kappa=data["kappa"], epsilon=data["epsilon"],
@@ -354,8 +366,7 @@ def _cmd_resonance(args):
     payload["omega1"] = model.omega1
     payload["omega2"] = model.omega2
     payload["regime"] = detuning(model, ts.kappa)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(out / "verdict.json", payload)
     outputs = ["verdict.json"]
     if args.tau_end is not None:
@@ -364,10 +375,8 @@ def _cmd_resonance(args):
         write_csv(out / "slow_trajectory.csv", ["tau", "Q1", "Q2", "phi1", "phi2"],
                   traj.tau, traj.Q, traj.phi)
         outputs.append("slow_trajectory.csv")
-    echo = {"input": str(args.input), "tau_end": args.tau_end, "Q0": args.Q0}
     code = 2 if verdict.verdict == "unstable" else 0
-    return _finish(out, "resonance", echo, _resolve_seed(args), outputs,
-                   exit_code=code)
+    return _finish(args, outputs, exit_code=code)
 
 
 def _cmd_ensemble(args):
@@ -375,9 +384,8 @@ def _cmd_ensemble(args):
                            stability_census, cone_feasibility_frequency)
     from .persistence import RandomMatrixModel, positive_solution_frequency
     seed = _resolve_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    out = _out_dir(args)
+    outputs = ["report.json"]
     if args.mode == "census":
         report = stability_census(args.n_low, args.n_high, args.trials,
                                   params={"bbar": args.bbar,
@@ -385,44 +393,32 @@ def _cmd_ensemble(args):
                                           "sigma_a": args.sigma_a},
                                   seed=seed, parallel=args.workers)
         report.save(out / "report.json")
-        outputs.append("report.json")
-        echo = {"mode": "census", "n_low": args.n_low, "n_high": args.n_high,
-                "trials": args.trials, "bbar": args.bbar,
-                "sigma_b": args.sigma_b, "sigma_a": args.sigma_a}
     elif args.mode == "curve":
         mixes = [float(tok) for tok in args.mix.split(",")]
         report = orbit_probability_curve(args.N, mixes, args.trials,
                                          seed=seed, parallel=args.workers)
         report.save(out / "report.json")
         curve_to_csv(report, out / "curve.csv")
-        outputs += ["report.json", "curve.csv"]
+        outputs.append("curve.csv")
         if args.format == "svg":
             ps = [report.cells[f"periodic@{m:g}"].frequency for m in mixes]
             sol = [report.cells[f"soliton@{m:g}"].frequency for m in mixes]
             write_svg_polyline(out / "curve.svg", mixes, [ps, sol],
                                ["P_periodic", "P_soliton"])
             outputs.append("curve.svg")
-        echo = {"mode": "curve", "N": args.N, "mix": args.mix,
-                "trials": args.trials, "format": args.format}
     elif args.mode == "cone-frequency":
         report = cone_feasibility_frequency(args.M, args.N, args.r0, args.sigma,
                                     args.trials, seed=seed,
                                     parallel=args.workers)
         report.save(out / "report.json")
-        outputs.append("report.json")
-        echo = {"mode": "cone-frequency", "M": args.M, "N": args.N, "r0": args.r0,
-                "sigma": args.sigma, "trials": args.trials}
     elif args.mode == "positive-frequency":
         model = RandomMatrixModel(kind=args.matrix_model)
         result = positive_solution_frequency(args.N, args.trials, model=model,
                                              seed=seed, parallel=args.workers)
         _write_json(out / "report.json", result)
-        outputs.append("report.json")
-        echo = {"mode": "positive-frequency", "N": args.N, "trials": args.trials,
-                "matrix_model": args.matrix_model}
     else:
         raise ValueError(f"unknown ensemble mode {args.mode!r}")
-    return _finish(out, f"ensemble {args.mode}", echo, seed, outputs)
+    return _finish(args, outputs)
 
 
 def _build_parser():
@@ -560,7 +556,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        return _emit_error(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

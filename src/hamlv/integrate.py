@@ -115,36 +115,49 @@ def _transformed_flow(csys):
     return _ExpSumFlow(lambda t, y: (c, L, y[m:] + K @ y[:m]))
 
 
-def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval, method):
+def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
+                  t_eval=None):
+    """Every adaptive run of hamlv: solve_ivp sampled at t_eval (n_samples
+    even steps by default) and stopped where stop(t, y) falls through zero.
+
+    A solver failure raises RuntimeError unless rhs recorded a divergence
+    (an _ExpSumFlow's ``t_diverged``), which the caller reports as an escape.
+    Returns the solution, the first stop (t, y) or None, and the run's meta.
+    """
+    stop.terminal, stop.direction = True, -1
+    if t_eval is None:
+        t_eval = np.linspace(*t_span, n_samples)
+    sol = solve_ivp(rhs, t_span, y0, method=method, rtol=rtol, atol=atol,
+                    t_eval=t_eval, events=stop)
+    if sol.status == -1 and getattr(rhs, "t_diverged", None) is None:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    first = ((float(sol.t_events[0][0]), sol.y_events[0][0])
+             if sol.status == 1 else None)
+    meta = {"method": method, "rtol": rtol, "atol": atol,
+            "nfev": int(sol.nfev), "n_samples": int(sol.t.size)}
+    return sol, first, meta
+
+
+def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval):
     """Integrate an _ExpSumFlow; an exponent reaching +-EXP_LIMIT escapes.
 
     meta["escape_reason"] is "clamp" (the exponent event), "diverged" (the
-    solver failed after some |z| > 30) or None (no escape).
+    solver failed after some |z| > 30: superexponential blow-up collapses
+    the step long before an exponent reaches the clamp) or None.
     """
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples)
     escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.terms(t, y)[2])))
-    escape.terminal = True
-    escape.direction = -1
-    sol = solve_ivp(flow, (0.0, t_end), y0, method=method, rtol=rtol,
-                    atol=atol, t_eval=t_eval, events=escape)
-    escaped = sol.status == 1
-    t_escape = float(sol.t_events[0][0]) if escaped and sol.t_events[0].size else None
-    reason = "clamp" if escaped else None
+    sol, stop, meta = _adaptive_run(flow, (0.0, t_end), y0, escape, "DOP853",
+                                    rtol, atol, n_samples, t_eval)
     if sol.status == -1:
-        # superexponential blow-up collapses the step size long before an
-        # exponent reaches the clamp; a clearly diverged state is an escape
-        if flow.t_diverged is None:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        escaped, t_escape, reason = True, float(flow.t_diverged), "diverged"
-    meta = {"method": method, "rtol": rtol, "atol": atol,
-            "nfev": int(sol.nfev), "n_samples": int(sol.t.size),
-            "escape_reason": reason}
-    return sol, {"meta": meta, "escaped": escaped, "escape_time": t_escape}
+        stop, meta["escape_reason"] = (float(flow.t_diverged), None), "diverged"
+    else:
+        meta["escape_reason"] = None if stop is None else "clamp"
+    return sol, {"meta": meta, "escaped": stop is not None,
+                 "escape_time": None if stop is None else stop[0]}
 
 
 def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
-                 t_eval=None, method="DOP853"):
+                 t_eval=None):
     """Integrate the two-group system from positive initial abundances.
 
     Escape (any log abundance beyond +-700) terminates the run and is reported
@@ -159,14 +172,14 @@ def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
     n, m = system.N, system.M
     y0 = np.concatenate((np.log(x0), np.log(v0)))
     sol, run = _solve_log_system(_lv_flow(system), y0, t_end, rtol, atol,
-                                 n_samples, t_eval, method)
+                                 n_samples, t_eval)
     labels = [f"x{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(m)]
     return Trajectory(t=sol.t.copy(), states=np.exp(sol.y.T), labels=labels,
                       **run)
 
 
 def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
-                          n_samples=1001, t_eval=None, method="DOP853"):
+                          n_samples=1001, t_eval=None):
     """Integrate the transformed (q, p, C) system, C in log space.
 
     An exponent ln x or ln v beyond +-700 is reported as an escape.  Records
@@ -176,7 +189,7 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
     n, m = csys.base.N, csys.base.M
     y0 = np.concatenate((state0.q, state0.p, np.log(state0.C)))
     sol, run = _solve_log_system(_transformed_flow(csys), y0, t_end, rtol,
-                                 atol, n_samples, t_eval, method)
+                                 atol, n_samples, t_eval)
     qs = sol.y[:m].T
     ps = sol.y[m:2 * m].T
     Cs = np.exp(sol.y[2 * m:].T)

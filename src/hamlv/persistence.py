@@ -77,6 +77,28 @@ def _max_min_entry(A_eq, b_eq, cap=1e4):
     return float(np.min(z)), z
 
 
+def _rank_ok(mat, rank, tol):
+    """rank(mat) = rank by singular values: none below tol times the largest."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return bool(0 < rank <= svals.size and svals[-1] > tol * svals[0])
+
+
+def _certificate(mat, rhs, rank_ok):
+    """Certificate that {z > 0 : mat z = rhs} is nonempty: feasible when the
+    largest minimum entry s* exceeds 1e-9 |rhs| / |mat|.  The slack is s*, or
+    0.0 for inconsistent equalities; only a feasible verdict carries the
+    witness z and its relative residual."""
+    s_star, z = _max_min_entry(mat, rhs)
+    threshold = 1e-9 * (np.linalg.norm(rhs) / max(np.linalg.norm(mat), 1e-300))
+    feasible = bool(s_star is not None and s_star > threshold)
+    residual = (float(np.linalg.norm(rhs - mat @ z) /
+                      max(np.linalg.norm(rhs), 1e-300)) if feasible else np.inf)
+    return FeasibilityCertificate(
+        feasible=feasible, witness=z if feasible else None,
+        slack=0.0 if s_star is None else s_star, rank_ok=rank_ok,
+        residual=residual)
+
+
 def cone_condition(B, rbar, tol=1e-9):
     """Certificate that rbar is a strictly positive combination of B's columns.
 
@@ -90,20 +112,7 @@ def cone_condition(B, rbar, tol=1e-9):
         raise ValueError(f"rbar must have length {m}, got {rbar.shape}")
     if m > n:
         raise ValueError("cone condition requires M <= N")
-    svals = np.linalg.svd(B, compute_uv=False)
-    rank_ok = bool(svals.size and svals[-1] > tol * svals[0])
-    slack_threshold = 1e-9 * (np.linalg.norm(rbar) /
-                              max(np.linalg.norm(B), 1e-300))
-    s_star, z = _max_min_entry(B, rbar)
-    if s_star is None or s_star <= slack_threshold:
-        return FeasibilityCertificate(feasible=False, witness=None,
-                                      slack=0.0 if s_star is None else s_star,
-                                      rank_ok=rank_ok, residual=np.inf)
-    residual = float(np.linalg.norm(rbar - B @ z) /
-                     max(np.linalg.norm(rbar), 1e-300))
-    return FeasibilityCertificate(feasible=True, witness=z,
-                                  slack=float(np.min(z)), rank_ok=rank_ok,
-                                  residual=residual)
+    return _certificate(B, rbar, _rank_ok(B, m, tol))
 
 
 @dataclass(frozen=True)
@@ -133,21 +142,9 @@ def strong_persistence(system, factors, tol=1e-9):
                                  rank_ok=False, v_certificate=None,
                                  x_certificate=None,
                                  note="requires a limitation-free system")
-    A, B = system.A, system.B
-    svals = np.linalg.svd(A, compute_uv=False)
-    rank_ok = bool(svals.size and svals[-1] > tol * svals[0]
-                   and min(A.shape) >= system.M)
-    s_v, v = _max_min_entry(A, system.r)
-    thr_v = 1e-9 * (np.linalg.norm(system.r) / max(np.linalg.norm(A), 1e-300))
-    cert_v = FeasibilityCertificate(
-        feasible=bool(s_v is not None and s_v > thr_v),
-        witness=v if s_v is not None and s_v > thr_v else None,
-        slack=0.0 if s_v is None else max(s_v, 0.0),
-        rank_ok=rank_ok,
-        residual=(float(np.linalg.norm(system.r - A @ v)
-                        / max(np.linalg.norm(system.r), 1e-300))
-                  if s_v is not None and s_v > thr_v else np.inf))
-    cert_x = cone_condition(B, system.rbar, tol=tol)
+    rank_ok = _rank_ok(system.A, system.M, tol)
+    cert_v = _certificate(system.A, system.r, rank_ok)
+    cert_x = cone_condition(system.B, system.rbar, tol=tol)
     persistent = bool(rank_ok and cert_v.feasible and cert_x.feasible)
     return PersistenceResult(applicable=True, persistent=persistent,
                              rank_ok=rank_ok, v_certificate=cert_v,
@@ -207,13 +204,11 @@ def permanence(system, factors, A_pert=None, B_pert=None, tol=1e-12):
         np.hstack((system.B + B_pert, system.D)),
     ))
     eq_rhs = np.concatenate((system.r, system.rbar))
-    s_star, w = _max_min_entry(eq_mat, eq_rhs)
-    thr = 1e-9 * (np.linalg.norm(eq_rhs) / max(np.linalg.norm(eq_mat), 1e-300))
-    has_eq = bool(s_star is not None and s_star > thr)
+    cert = _certificate(eq_mat, eq_rhs, rank_ok=None)
     return PermanenceReport(matrix_M=M, pd=pd, min_eig_sym=min_eig,
-                            has_positive_equilibrium=has_eq,
-                            equilibrium=w if has_eq else None,
-                            permanent=bool(pd and has_eq))
+                            has_positive_equilibrium=cert.feasible,
+                            equilibrium=cert.witness,
+                            permanent=bool(pd and cert.feasible))
 
 
 @dataclass(frozen=True)

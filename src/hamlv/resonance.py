@@ -19,11 +19,11 @@ agree for every damping level.  Exponential instability needs R = g12 g21 < 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .integrate import _adaptive_run
 from .star import PotentialTerms, StarSystem, analyze_potential
 
 
@@ -122,12 +122,6 @@ class ResonanceModel:
     qbar: tuple
     mu: tuple
     d: tuple
-    mu_tilde: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu_tilde",
-                           (self.ebar * self.mu[0] * self.d[0],
-                            self.ebar * self.mu[1] * self.d[1]))
 
     @property
     def b12(self):
@@ -167,10 +161,10 @@ def linearize(two_star):
                           mu=(s1.mu, s2.mu), d=(two_star.d1, two_star.d2))
 
 
-def detuning(model, kappa, factor=1.0):
-    """'resonant' when |omega1 - omega2| <= factor * kappa (inclusive)."""
+def detuning(model, kappa):
+    """'resonant' when |omega1 - omega2| <= kappa (inclusive)."""
     gap = abs(model.omega1 - model.omega2)
-    return "resonant" if gap <= factor * kappa else "nonresonant"
+    return "resonant" if gap <= kappa else "nonresonant"
 
 
 @dataclass
@@ -212,23 +206,15 @@ def integrate_resonance(model, Q0, phi0, tau_end, rtol=1e-10, atol=1e-12,
     def floor_event(tau, y):
         return min(y[0], y[1]) - 1e-12
 
-    floor_event.terminal = True
-    floor_event.direction = -1
-
     y0 = np.concatenate((Q0, phi0))
-    t_eval = np.linspace(0.0, tau_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, tau_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, t_eval=t_eval, events=floor_event)
-    if sol.status == -1:
-        raise RuntimeError(f"slow integration failed: {sol.message}")
-    ext = sol.status == 1
+    sol, stop, _ = _adaptive_run(rhs, (0.0, tau_end), y0, floor_event,
+                                 "DOP853", rtol, atol, n_samples)
     return SlowTrajectory(tau=sol.t.copy(), Q=sol.y[:2].T, phi=sol.y[2:].T,
-                          extinguished=ext,
-                          extinction_tau=float(sol.t_events[0][0]) if ext and
-                          sol.t_events[0].size else None)
+                          extinguished=stop is not None,
+                          extinction_tau=None if stop is None else stop[0])
 
 
-def phase_locked_rates(model, branch=+1):
+def phase_locked_rates(model):
     """Eigenvalues of the phase-locked linear amplitude system.
 
     2 omega Q' = [[-ebar d1 omega, +-b12], [+-b21, -ebar d2 omega]] Q gives
@@ -247,14 +233,6 @@ def phase_locked_rates(model, branch=+1):
     lam_minus = (-eb * w * (d1 + d2) - root) / (4.0 * w)
     growing = bool(np.real(lam_plus) > 0)
     return lam_minus, lam_plus, growing
-
-
-def locked_matrix(model, branch=+1):
-    """The 2x2 rate matrix of the locked branch (for numeric cross-checks)."""
-    w = model.omega
-    s = 1.0 if branch >= 0 else -1.0
-    return np.array([[-model.ebar * model.d[0] * w, s * model.b12],
-                     [s * model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Readable reference right-hand sides that the tests hold the kernels to.
+"""Readable references that the tests hold the kernels to.
 
-Each is written term by term from the model equations, without the exp-sum
-flow kernel of ``hamlv.integrate``, so a test can compare the two.
+The right-hand sides are written term by term from the model equations,
+without the exp-sum flow kernel of ``hamlv.integrate``, so a test can compare
+the two; the locked rate matrix gives numeric eigenvalues to hold the closed
+form of ``phase_locked_rates`` to.
 """
 
 import math
@@ -56,3 +58,12 @@ def slow_fast_rhs(env, n):
         return np.concatenate(([dq, dp], dlnC))
 
     return rhs
+
+
+def locked_matrix(model, branch=+1):
+    """The 2x2 rate matrix 2 omega Q' = [[-ebar d1 omega, +-b12],
+    [+-b21, -ebar d2 omega]] Q of the phase-locked amplitudes."""
+    w = model.omega
+    s = 1.0 if branch >= 0 else -1.0
+    return np.array([[-model.ebar * model.d[0] * w, s * model.b12],
+                     [s * model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)

@@ -263,3 +263,125 @@ class TestEnsembleCli:
         for name, digest in manifest["outputs"].items():
             assert sha256_file(out / name) == digest
         assert manifest["versions"]["hamlv"]
+
+
+ENV = {"star": STAR, "epsilon": 0.01, "dbar": 1.0}
+TWO_STAR = {"star1": STAR, "star2": STAR, "atilde1": [0.0], "atilde2": [0.0],
+            "btilde1": [0.3], "btilde2": [0.3], "kappa": 0.01, "epsilon": 0.0}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Paths of one input file of each kind the subcommands read."""
+    paths = {}
+    for name, data in (("system", SYSTEM), ("state", {"x": [2.0], "v": [1.0]}),
+                       ("star", STAR), ("env", ENV), ("two", TWO_STAR)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    return paths
+
+
+class TestManifestConfig:
+    """config is every option of the run except --out, --seed, --workers."""
+
+    @pytest.mark.parametrize("argv, command, config", [
+        (["netgen", "--nodes", "30", "--seed", "1"], "netgen",
+         {"nodes": 30, "m": 2}),
+        (["check", "--input", "{system}"], "check",
+         {"input": "{system}", "tol": 1e-9}),
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--t-end", "2", "--samples", "11"], "simulate",
+         {"input": "{system}", "state": "{state}", "t_end": 2.0,
+          "rtol": 1e-8, "atol": 1e-10, "samples": 11, "format": "csv"}),
+        (["canonical", "--input", "{system}", "--state", "{state}",
+          "--t-end", "1", "--h", "0.01"], "canonical",
+         {"input": "{system}", "state": "{state}", "t_end": 1.0, "h": 0.01,
+          "rtol": 1e-8, "tol": 1e-9}),
+        (["star", "--input", "{star}", "--format", "svg"], "star",
+         {"input": "{star}", "E": None, "format": "svg"}),
+        (["average", "--input", "{env}", "--E0", "3", "--tau-end", "0.1"],
+         "average", {"input": "{env}", "E0": 3.0, "tau_end": 0.1,
+                     "format": "csv"}),
+        (["resonance", "--input", "{two}"], "resonance",
+         {"input": "{two}", "tau_end": None, "Q0": 1e-3}),
+        (["ensemble", "census", "--n-high", "5", "--trials", "3",
+          "--workers", "2"], "ensemble census",
+         {"mode": "census", "n_low": 1, "n_high": 5, "trials": 3,
+          "bbar": 1.0, "sigma_b": 10.0, "sigma_a": 5.0}),
+        (["ensemble", "curve", "--N", "3", "--mix", "0", "--trials", "3"],
+         "ensemble curve",
+         {"mode": "curve", "N": 3, "mix": "0", "trials": 3,
+          "format": "csv"}),
+        (["ensemble", "cone-frequency", "--M", "2", "--N", "6", "--trials",
+          "3"], "ensemble cone-frequency",
+         {"mode": "cone-frequency", "M": 2, "N": 6, "r0": 1.0,
+          "sigma": 0.3, "trials": 3}),
+        (["ensemble", "positive-frequency", "--N", "3", "--trials", "5",
+          "--seed", "4"], "ensemble positive-frequency",
+         {"mode": "positive-frequency", "N": 3, "trials": 5,
+          "matrix_model": "sparse_uniform"}),
+    ])
+    def test_config_echoes_every_option(self, tmp_path, inputs, argv,
+                                        command, config):
+        fill = lambda v: v.format(**inputs) if isinstance(v, str) else v
+        out = tmp_path / "out"
+        assert main([fill(a) for a in argv] + ["--out", str(out)]) in (0, 2)
+        manifest = read_manifest(out)
+        assert manifest["command"] == command
+        assert manifest["config"] == {k: fill(v) for k, v in config.items()}
+
+
+class TestMalformedInput:
+    """A file of the wrong shape ends in error: and exit 1, no traceback."""
+
+    def run(self, tmp_path, capsys, command, payload, *extra):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = main([command, "--input", str(path), *extra,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_check_list_instead_of_object(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "check", [])
+        assert "must be a JSON object" in err
+
+    def test_check_null_size(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "check", dict(SYSTEM, N=None))
+        assert "'N'" in err
+
+    def test_star_null_rbar(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "star", dict(STAR, rbar=None))
+        assert "'rbar'" in err
+
+    def test_star_rbar_array(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "star", dict(STAR, rbar=[1.0, 2.0]))
+        assert "'rbar' must be a number" in err
+
+    def test_average_path_of_wrong_type(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "average",
+                       dict(ENV, rbar_path={"kind": "linear", "rate": {}}),
+                       "--E0", "3")
+        assert "'rate' must be a number or an array" in err
+
+    def test_resonance_star_not_object(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "resonance",
+                       dict(TWO_STAR, star2=[1.0]))
+        assert "star2 must be a JSON object" in err
+
+    def test_simulate_state_of_wrong_type(self, tmp_path, capsys,
+                                          system_file):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"x": {"a": 1}, "v": [1.0]}))
+        assert main(["simulate", "--input", str(system_file), "--state",
+                     str(state), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'x'" in err
+
+    def test_null_optional_field_takes_the_default(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(dict(STAR, mu=None, C=None)))
+        assert main(["star", "--input", str(path), "--out",
+                     str(tmp_path / "o")]) == 0

@@ -1,10 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
+from hamlv import integrate
+from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
+                             evolve_averaged)
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
                              motion_integral, to_canonical)
 from hamlv.integrate import (Trajectory, _lv_flow, _operator,
@@ -12,6 +16,7 @@ from hamlv.integrate import (Trajectory, _lv_flow, _operator,
                              integrate_symplectic, integrate_transformed,
                              poincare_return_time)
 from hamlv.model import InteractionSystem
+from hamlv.resonance import ResonanceModel, integrate_resonance
 from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
 from oracle import transformed_rhs
 from test_acceptance import REGRESSION_SUITE
@@ -409,3 +414,39 @@ class TestTransformed:
             C = traj.column("C1")
             drifts.append(abs(C[-1] - C[0]) / 5.0)
         assert drifts[0] == pytest.approx(2.0 * drifts[1], rel=0.1)
+
+
+class TestAdaptiveRun:
+    """Every adaptive run goes through one driver, which owns failure."""
+
+    ENV = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                          b=CoefficientPath.constant([1.0]),
+                          rbar=CoefficientPath.constant(1.0), mu=1.0,
+                          epsilon=0.01)
+    START = AveragedState(tau=0.0, E=2.5, Cbar=[1.0])
+
+    @staticmethod
+    def failed_solve(*args, **kwargs):
+        return SimpleNamespace(status=-1, message="step size collapsed")
+
+    @pytest.mark.parametrize("run", ["lv", "averaged", "resonance"])
+    def test_solver_failure_raises(self, monkeypatch, run):
+        monkeypatch.setattr(integrate, "solve_ivp", self.failed_solve)
+        if run == "lv":
+            # the flow never saw a diverged state, so this is no escape
+            call = lambda: integrate_lv(PAIR, [2.0], [1.0], 5.0)
+        elif run == "averaged":
+            call = lambda: evolve_averaged(self.ENV, self.START, 1.0)
+        else:
+            model = ResonanceModel(omega1=1.0, omega2=1.0, g12=0.3,
+                                   g21=-0.3, ebar=0.0, qbar=(0.0, 0.0),
+                                   mu=(1.0, 1.0), d=(0.0, 0.0))
+            call = lambda: integrate_resonance(model, [1e-3, 1e-3],
+                                               [0.0, 0.5], 10.0)
+        with pytest.raises(RuntimeError, match="step size collapsed"):
+            call()
+
+    def test_averaged_meta_names_the_run(self):
+        avg = evolve_averaged(self.ENV, self.START, 0.5, n_samples=11)
+        assert avg.meta["method"] == "RK45"
+        assert avg.meta["n_samples"] == avg.tau.size == 11

@@ -84,6 +84,18 @@ class TestStrongPersistence:
         assert not res.rank_ok
         assert not res.persistent
 
+    def test_infeasible_v_certificate_reports_s_star(self):
+        # A v = r asks v = -1: the best minimum entry s* is -1, and the
+        # certificate reports it as the slack, as cone_condition does
+        sys = InteractionSystem(r=[-1.0, -2.0], rbar=[1.0], A=[[1.0], [2.0]],
+                                B=[[1.0, 2.0]])
+        res = strong_persistence(sys, find_factors(sys.A, sys.B))
+        cert = res.v_certificate
+        assert res.applicable and not cert.feasible
+        assert cert.witness is None and cert.residual == np.inf
+        s_star, _ = _max_min_entry(sys.A, sys.r)
+        assert cert.slack == s_star == pytest.approx(-1.0)
+
     def test_not_applicable_without_positive_factors(self):
         sys = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[-1.0]])
         res = strong_persistence(sys, find_factors(sys.A, sys.B))
@@ -149,6 +161,18 @@ class TestPermanence:
         rep2 = permanence(sys, scaled)
         assert rep1.pd == rep2.pd == True
         assert rep2.min_eig_sym == pytest.approx(rep1.min_eig_sym / 3.0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.0])
+    def test_equilibrium_is_the_certificate_witness(self, eps):
+        sys = self.eps_system(eps)
+        rep = permanence(sys, find_factors(sys.A, sys.B))
+        eq_mat = np.block([[-sys.Gamma, sys.A], [sys.B, sys.D]])
+        cert = cone_condition(eq_mat, np.concatenate((sys.r, sys.rbar)))
+        assert rep.has_positive_equilibrium == cert.feasible
+        if cert.feasible:
+            assert np.array_equal(rep.equilibrium, cert.witness)
+        else:
+            assert rep.equilibrium is None
 
     def test_equilibrium_witness_solves_system(self):
         sys = self.eps_system()

@@ -5,9 +5,10 @@ import pytest
 
 from hamlv.integrate import integrate_lv
 from hamlv.resonance import (TwoStarSystem, detuning, instability_criterion,
-                             integrate_resonance, linearize, locked_matrix,
+                             integrate_resonance, linearize,
                              phase_locked_rates)
 from hamlv.star import StarSystem
+from oracle import locked_matrix
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 
