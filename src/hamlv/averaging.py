@@ -327,11 +327,14 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     sol, stop, meta = _adaptive_run(rhs, (init.tau, tau_end), y0,
                                     barrier_margin, "RK45", rtol, atol,
                                     n_samples)
-    tau, E_samples, C_samples = sol.t, sol.y[0], np.exp(sol.y[1:]).T
+    tau = sol.t
+    E_samples = sol.y[0]
+    C_samples = np.exp(sol.y[1:]).T
     if stop is None:
         events = [RegimeEvent(tau=float(tau_end), kind="stabilized")]
     else:
-        tau_c, (E_c, C_c) = stop[0], unpack(stop[1])
+        tau_c = stop[0]
+        E_c, C_c = unpack(stop[1])
         terms = _averaged_terms(env, tau_c, E_c, C_c, hint["q"])
         dropped += terms["dropped"]
         driven = terms["S1"] < 0 and terms["S2"] > abs(terms["S1"])

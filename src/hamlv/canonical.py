@@ -276,7 +276,6 @@ def lyapunov_weights(star, gamma, d):
     For uniform b this is proportional to xbar.  Requires rho > 0 and a
     feasible equilibrium.
     """
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     eq = star_equilibrium(star.a, star.b, star.r, gamma, d, star.rbar)
     if not eq.feasible:
         raise ValueError("no positive equilibrium: Lyapunov weights undefined")

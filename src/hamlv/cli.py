@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .util import sha256_file, write_csv
+from .util import json_fields, read_json, sha256_file, write_csv
 
 
 def _resolve_seed(args):
@@ -32,41 +32,9 @@ def _resolve_seed(args):
     return int(env) if env else 0
 
 
-def _is_array(value):
-    """A number or a nested list of numbers (one type scan per list)."""
-    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
-    return kinds <= {int, float} or (kinds == {list}
-                                     and all(map(_is_array, value)))
-
-
-def _typed(data, what, numbers=(), arrays=(), required=()):
-    """The JSON object data of `what` without its null fields (a null takes
-    the default); fields in numbers must be numbers, in arrays numbers or
-    nested lists of numbers, and the required ones must be there."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    data = {key: value for key, value in data.items() if value is not None}
-    for key in required:
-        if key not in data:
-            raise ValueError(f"{what} missing field {key!r}")
-    for key in [key for key in numbers + arrays if key in data]:
-        if not _is_array(data[key]) or (key in numbers
-                                        and isinstance(data[key], list)):
-            raise ValueError(f"{what}: field {key!r} must be a number" + (
-                " or an array of numbers" if key in arrays else ""))
-    return data
-
-
 def _load_json(path, what, **fields):
-    """The JSON object of a `what` file, its fields checked by _typed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} file {path} is not valid JSON: {exc}")
-    return _typed(data, f"{what} file {path}", **fields)
+    """The JSON object of a `what` file, its fields checked by json_fields."""
+    return json_fields(read_json(path, what), f"{what} file {path}", **fields)
 
 
 def _write_json(path, payload):
@@ -83,8 +51,8 @@ def _write_run(path, traj):
 
 def _load_star(data, what):
     from .star import StarSystem
-    data = _typed(data, what, numbers=("rbar", "mu"), arrays=("a", "b", "C"),
-                  required=("a", "b", "rbar"))
+    data = json_fields(data, what, numbers=("rbar", "mu"),
+                       arrays=("a", "b", "C"), required=("a", "b", "rbar"))
     return StarSystem(a=data["a"], b=data["b"], rbar=data["rbar"],
                       mu=data.get("mu", 1.0), C=data.get("C"))
 
@@ -166,9 +134,9 @@ def _cmd_netgen(args):
 
 def _cmd_check(args):
     from .canonical import find_factors
-    from .model import classify_signs
+    from .model import InteractionSystem, classify_signs
     from .persistence import permanence, strong_persistence
-    system = _load_system(args.input)
+    system = InteractionSystem.load(args.input)
     factors = find_factors(system.A, system.B, tol=args.tol)
     report = {
         "sign_class": classify_signs(system).value,
@@ -182,13 +150,13 @@ def _cmd_check(args):
                              "positive": factors.positive}
         if system.is_limitation_free():
             res = strong_persistence(system, factors)
+            v_cert, x_cert = res.v_certificate, res.x_certificate
             report["strong_persistence"] = {
                 "applicable": res.applicable,
                 "persistent": res.persistent,
                 "rank_ok": res.rank_ok,
-                **{f"{name}_witness": cert and cert.to_dict()["witness"]
-                   for name, cert in (("v", res.v_certificate),
-                                      ("x", res.x_certificate))},
+                "v_witness": v_cert and v_cert.to_dict()["witness"],
+                "x_witness": x_cert and x_cert.to_dict()["witness"],
             }
             negative = res.applicable and not res.persistent
         elif factors.positive:
@@ -203,17 +171,11 @@ def _cmd_check(args):
     return _finish(args, ["certificate.json"], exit_code=code)
 
 
-def _load_system(path):
-    from .model import InteractionSystem
-    return InteractionSystem.from_dict(_load_json(
-        path, "system", numbers=("N", "M"),
-        arrays=("r", "rbar", "A", "B", "Gamma", "D")))
-
-
 def _load_system_and_state(args):
+    from .model import InteractionSystem
     state = _load_json(args.state, "state", arrays=("x", "v"),
                        required=("x", "v"))
-    return _load_system(args.input), state
+    return InteractionSystem.load(args.input), state
 
 
 def _cmd_simulate(args):
@@ -299,8 +261,8 @@ def _cmd_star(args):
 
 def _make_path(spec_block, fallback, what):
     from .averaging import CoefficientPath
-    spec_block = _typed(spec_block, what, numbers=("freq",),
-                        arrays=("value", "base", "rate", "amp"))
+    spec_block = json_fields(spec_block, what, numbers=("freq",),
+                             arrays=("value", "base", "rate", "amp"))
     kind = spec_block.get("kind", "constant")
     if kind == "constant":
         return CoefficientPath.constant(spec_block.get("value", fallback))

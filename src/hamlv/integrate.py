@@ -124,7 +124,8 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
     (an _ExpSumFlow's ``t_diverged``), which the caller reports as an escape.
     Returns the solution, the first stop (t, y) or None, and the run's meta.
     """
-    stop.terminal, stop.direction = True, -1
+    stop.terminal = True
+    stop.direction = -1
     if t_eval is None:
         t_eval = np.linspace(*t_span, n_samples)
     sol = solve_ivp(rhs, t_span, y0, method=method, rtol=rtol, atol=atol,
@@ -149,7 +150,8 @@ def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval):
     sol, stop, meta = _adaptive_run(flow, (0.0, t_end), y0, escape, "DOP853",
                                     rtol, atol, n_samples, t_eval)
     if sol.status == -1:
-        stop, meta["escape_reason"] = (float(flow.t_diverged), None), "diverged"
+        stop = (float(flow.t_diverged), None)
+        meta["escape_reason"] = "diverged"
     else:
         meta["escape_reason"] = None if stop is None else "clamp"
     return sol, {"meta": meta, "escaped": stop is not None,

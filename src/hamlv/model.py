@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from .util import json_fields, read_json
+
 
 class SignPattern(Enum):
     """Interaction sign classes.
@@ -110,13 +112,14 @@ class InteractionSystem:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            n, m = int(data["N"]), int(data["M"])
-            sys = cls(r=data["r"], rbar=data["rbar"], A=data["A"], B=data["B"],
-                      Gamma=data.get("Gamma"), D=data.get("D"))
-        except KeyError as exc:
-            raise ValueError(f"system file missing field {exc.args[0]!r}") from exc
-        if sys.N != n or sys.M != m:
+        """The system of a JSON object; a missing, null or non-numeric field
+        raises ValueError naming it (a null Gamma or D takes the default)."""
+        data = json_fields(data, "system", numbers=("N", "M"),
+                           arrays=("r", "rbar", "A", "B", "Gamma", "D"),
+                           required=("N", "M", "r", "rbar", "A", "B"))
+        sys = cls(r=data["r"], rbar=data["rbar"], A=data["A"], B=data["B"],
+                  Gamma=data.get("Gamma"), D=data.get("D"))
+        if sys.N != int(data["N"]) or sys.M != int(data["M"]):
             raise ValueError("declared N/M do not match array shapes")
         return sys
 
@@ -127,8 +130,7 @@ class InteractionSystem:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "system"))
 
 
 def classify_signs(system):

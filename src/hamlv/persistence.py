@@ -118,10 +118,10 @@ def cone_condition(B, rbar, tol=1e-9):
 @dataclass(frozen=True)
 class PersistenceResult:
     applicable: bool
-    persistent: bool
-    rank_ok: bool
-    v_certificate: FeasibilityCertificate  # solution of A v = r
-    x_certificate: FeasibilityCertificate  # solution of B x = rbar
+    persistent: bool = False
+    rank_ok: bool = False
+    v_certificate: FeasibilityCertificate = None  # solution of A v = r
+    x_certificate: FeasibilityCertificate = None  # solution of B x = rbar
     note: str = ""
 
 
@@ -133,14 +133,10 @@ def strong_persistence(system, factors, tol=1e-9):
     has self-limitation or the factors are missing/non-positive.
     """
     if factors is None or not factors.positive:
-        return PersistenceResult(applicable=False, persistent=False,
-                                 rank_ok=False, v_certificate=None,
-                                 x_certificate=None,
+        return PersistenceResult(applicable=False,
                                  note="requires positive factorization")
     if not system.is_limitation_free():
-        return PersistenceResult(applicable=False, persistent=False,
-                                 rank_ok=False, v_certificate=None,
-                                 x_certificate=None,
+        return PersistenceResult(applicable=False,
                                  note="requires a limitation-free system")
     rank_ok = _rank_ok(system.A, system.M, tol)
     cert_v = _certificate(system.A, system.r, rank_ok)

@@ -120,7 +120,6 @@ class ResonanceModel:
     g21: float
     ebar: float
     qbar: tuple
-    mu: tuple
     d: tuple
 
     @property
@@ -158,7 +157,7 @@ def linearize(two_star):
     g21 = float(g2.dphi(q1))
     return ResonanceModel(omega1=omegas[0], omega2=omegas[1], g12=g12, g21=g21,
                           ebar=two_star.ebar, qbar=(q1, q2),
-                          mu=(s1.mu, s2.mu), d=(two_star.d1, two_star.d2))
+                          d=(two_star.d1, two_star.d2))
 
 
 def detuning(model, kappa):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,3 +91,40 @@ def sha256_file(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_json(path, what):
+    """The parsed JSON of a `what` file; a missing or unparsable file raises
+    ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}")
+
+
+def _is_array(value):
+    """A number or a nested list of numbers (one type scan per list)."""
+    kinds = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    return kinds <= {int, float} or (kinds == {list}
+                                     and all(map(_is_array, value)))
+
+
+def json_fields(data, what, numbers=(), arrays=(), required=()):
+    """The JSON object data of `what` without its null fields (a null takes
+    the default); fields in numbers must be numbers, in arrays numbers or
+    nested lists of numbers, and the required ones must be there."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    data = {key: value for key, value in data.items() if value is not None}
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} missing field {key!r}")
+    for key in [key for key in numbers + arrays if key in data]:
+        if not _is_array(data[key]) or (key in numbers
+                                        and isinstance(data[key], list)):
+            raise ValueError(f"{what}: field {key!r} must be a number" + (
+                " or an array of numbers" if key in arrays else ""))
+    return data

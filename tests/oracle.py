@@ -60,10 +60,9 @@ def slow_fast_rhs(env, n):
     return rhs
 
 
-def locked_matrix(model, branch=+1):
-    """The 2x2 rate matrix 2 omega Q' = [[-ebar d1 omega, +-b12],
-    [+-b21, -ebar d2 omega]] Q of the phase-locked amplitudes."""
+def locked_matrix(model):
+    """The 2x2 rate matrix 2 omega Q' = [[-ebar d1 omega, b12],
+    [b21, -ebar d2 omega]] Q of the phase-locked amplitudes."""
     w = model.omega
-    s = 1.0 if branch >= 0 else -1.0
-    return np.array([[-model.ebar * model.d[0] * w, s * model.b12],
-                     [s * model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)
+    return np.array([[-model.ebar * model.d[0] * w, model.b12],
+                     [model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)

@@ -440,7 +440,7 @@ class TestAdaptiveRun:
         else:
             model = ResonanceModel(omega1=1.0, omega2=1.0, g12=0.3,
                                    g21=-0.3, ebar=0.0, qbar=(0.0, 0.0),
-                                   mu=(1.0, 1.0), d=(0.0, 0.0))
+                                   d=(0.0, 0.0))
             call = lambda: integrate_resonance(model, [1e-3, 1e-3],
                                                [0.0, 0.5], 10.0)
         with pytest.raises(RuntimeError, match="step size collapsed"):

@@ -78,6 +78,20 @@ class TestInteractionSystem:
         with pytest.raises(ValueError, match="rbar"):
             InteractionSystem.load(path)
 
+    def test_malformed_file_names_the_field(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            InteractionSystem.load(path)
+        path.write_text('{"N": null, "M": 1, "r": [1.0], "rbar": [1.0], '
+                        '"A": [[1.0]], "B": [[1.0]]}')
+        with pytest.raises(ValueError, match="missing field 'N'"):
+            InteractionSystem.load(path)
+        path.write_text('{"N": 1, "M": 1, "r": [1.0], "rbar": [1.0], '
+                        '"A": [[1.0]], "B": [["x"]]}')
+        with pytest.raises(ValueError, match="'B' must be a number"):
+            InteractionSystem.load(path)
+
 
 class TestConnectance:
     def test_three_nodes_two_edges(self):
