@@ -43,13 +43,16 @@ class CoefficientPath:
         self._value = value_fn
         self._derivative = derivative_fn
         self.analytic_derivative = derivative_fn is not None
+        self.is_constant = False
 
     @classmethod
     def constant(cls, value):
         arr = np.asarray(value, dtype=float)
         frozen = arr.copy()
         zero = np.zeros_like(frozen) if frozen.ndim else 0.0
-        return cls(lambda tau: frozen, lambda tau: zero)
+        path = cls(lambda tau: frozen, lambda tau: zero)
+        path.is_constant = True
+        return path
 
     @classmethod
     def from_callable(cls, fn, derivative=None):
@@ -72,6 +75,13 @@ class CoefficientPath:
     def value(self, tau):
         out = self._value(tau)
         return out if np.ndim(out) else float(out)
+
+    def samples(self, taus):
+        """The values at taus, one row per tau."""
+        if self.is_constant:
+            return np.tile(np.atleast_1d(self.value(0.0)), (len(taus), 1))
+        return np.array([self.value(tau) for tau in taus],
+                        dtype=float).reshape(len(taus), -1)
 
     def derivative(self, tau):
         if self._derivative is not None:
@@ -401,22 +411,37 @@ def _slow_fast_flow(env, n):
 
     The canonical flow with M = 1, sigma = 1 and K = a(tau), tau = eps t:
     z = (p, ln C + a q), c = (-mu, rbar, eps beta (gamma_hat - a' q)) and
-    L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]], with c and L
-    refilled in place at each call.
+    L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]].  The parts
+    of c and L set by constant paths are filled once; the others are refilled
+    in place at each call.
     """
     eps, eps_beta = env.epsilon, env.epsilon * env.beta
+    a, b, rbar = env.a, env.b, env.rbar
     c = np.full(n + 2, -env.mu)
     L = np.zeros((n + 2, n + 1))
     L[:2, 0] = 1.0, -eps * env.dbar
     L[2:, 1:] = np.diag(-eps_beta * env.gamma)
+    if rbar.is_constant:
+        c[1] = rbar.value(0.0)
+    if b.is_constant:
+        L[1, 1:] = np.negative(b.value(0.0))
+    if a.is_constant:  # a' = 0
+        a_fixed = a.value(0.0)
+        c[2:] = eps_beta * env.gamma_hat
 
     def terms(t, y):
         tau, q = eps * t, y[0]
-        c[1] = env.rbar.value(tau)
-        c[2:] = eps_beta * (env.gamma_hat
-                            - np.multiply(q, env.a.derivative(tau)))
-        L[1, 1:] = np.negative(env.b.value(tau))
-        lnx = y[2:] + np.multiply(env.a.value(tau), q)
+        if not rbar.is_constant:
+            c[1] = rbar.value(tau)
+        if not b.is_constant:
+            L[1, 1:] = np.negative(b.value(tau))
+        if a.is_constant:
+            a_now = a_fixed
+        else:
+            a_now = a.value(tau)
+            c[2:] = eps_beta * (env.gamma_hat
+                                - np.multiply(q, a.derivative(tau)))
+        lnx = y[2:] + np.multiply(a_now, q)
         return c, L, np.concatenate((y[1:2], lnx))
 
     return _ExpSumFlow(terms)
@@ -437,8 +462,7 @@ def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
                                  atol, n_samples, None)
     run["meta"]["epsilon"] = eps
     qs, ps, lnC = sol.y[0], sol.y[1], sol.y[2:].T
-    a, b, rbar = (np.array([path.value(eps * t) for t in sol.t],
-                           dtype=float).reshape(sol.t.size, -1)
+    a, b, rbar = (path.samples(eps * sol.t)
                   for path in (env.a, env.b, env.rbar))
     x = clipped_exp(lnC + a * qs[:, None])
     H = np.sum(b / a * x, axis=1) - rbar[:, 0] * qs + clipped_exp(ps) - mu * ps

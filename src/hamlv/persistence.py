@@ -265,6 +265,30 @@ def adaptive_solve(B, r, rho_signs=None):
     return AdaptiveSolution(feasible=True, sigma=w, rho=rho)
 
 
+def _sample_indices(rng, m, take):
+    """``rng.choice(m, take, replace=False).tolist()``, drawn the way it draws.
+
+    For all but very large samples numpy runs Floyd's algorithm (Bentley &
+    Floyd 1987), then a Fisher-Yates shuffle of the picks, each step one
+    bounded-integer draw; making those draws here consumes the stream as
+    ``choice`` does without its per-call setup.  The large case numpy handles
+    otherwise (m > 10000, take > m // 50) stays with ``choice``.
+    """
+    if m > 10000 and take > m // 50:
+        return rng.choice(m, size=take, replace=False).tolist()
+    picks, seen = [], set()
+    for j in range(m - take, m):
+        v = int(rng.integers(0, j + 1))
+        if v in seen:  # a repeat takes j, which no earlier step can reach
+            v = j
+        picks.append(v)
+        seen.add(v)
+    for k in range(take - 1, 0, -1):
+        s = int(rng.integers(0, k + 1))
+        picks[k], picks[s] = picks[s], picks[k]
+    return picks
+
+
 @dataclass(frozen=True)
 class RandomMatrixModel:
     """Ensemble for the positive-solution frequency experiment.
@@ -273,6 +297,13 @@ class RandomMatrixModel:
     permutation (every row and column nonzero) plus extra entries added per
     row up to max_row_nonzero, respecting max_col_nonzero.
     kind "dense_gaussian": all entries standard normal.
+
+    The sparse draw consumes the generator exactly as picking each row's
+    extra columns with ``Generator.choice(open_cols, take, replace=False)``
+    does: it makes the same bounded-integer draws in the same order, so a
+    seed gives the same matrix bytes.  ``tests/oracle.py`` keeps the
+    ``choice`` draw, and the test comparing the two catches a numpy release
+    that samples differently.
     """
 
     kind: str = "sparse_uniform"
@@ -285,24 +316,39 @@ class RandomMatrixModel:
             return rng.standard_normal((n, n))
         if self.kind != "sparse_uniform":
             raise ValueError(f"unknown matrix model {self.kind!r}")
-        A = np.zeros((n, n))
+        K, cap = self.K, self.max_col_nonzero
         perm = rng.permutation(n)
-        col_counts = np.ones(n, dtype=int)
-        for i in range(n):
-            A[i, perm[i]] = rng.uniform(-self.K, self.K)
-        for i in range(n):
-            extra = rng.integers(0, self.max_row_nonzero)  # beyond the base entry
+        base = rng.uniform(-K, K, n)
+        counts = [1] * n
+        below_cap = list(range(n)) if cap > 1 else []  # ascending
+        rows, cols, vals = [], [], []
+        for i, (col, value) in enumerate(zip(perm.tolist(), base.tolist())):
+            # entries beyond the base one
+            extra = int(rng.integers(0, self.max_row_nonzero))
             if extra <= 0:
                 continue
-            open_cols = np.nonzero((col_counts < self.max_col_nonzero)
-                                   & (A[i] == 0.0))[0]
-            if open_cols.size == 0:
+            # the row's open columns: those below the cap, less the base
+            # column unless its entry was drawn as exactly zero
+            open_cols = below_cap
+            if value != 0.0 and col in below_cap:
+                at = below_cap.index(col)
+                open_cols = below_cap[:at] + below_cap[at + 1:]
+            if not open_cols:
                 continue
-            take = min(extra, open_cols.size)
-            chosen = rng.choice(open_cols, size=take, replace=False)
+            take = min(extra, len(open_cols))
+            picks = _sample_indices(rng, len(open_cols), take)
+            chosen = [open_cols[k] for k in picks]
+            rows += [i] * take
+            cols += chosen
+            vals.append(rng.uniform(-K, K, take))
             for j in chosen:
-                A[i, j] = rng.uniform(-self.K, self.K)
-                col_counts[j] += 1
+                counts[j] += 1
+                if counts[j] == cap:
+                    below_cap.remove(j)
+        A = np.zeros((n, n))
+        A[np.arange(n), perm] = base
+        if rows:  # after the base entries: an extra may fill a zero base slot
+            A[rows, cols] = np.concatenate(vals)
         return A
 
 

@@ -110,24 +110,31 @@ class StarSystem:
     r: np.ndarray = None
 
     def __post_init__(self):
+        # a missing coefficient (None) reads as NaN and is rejected by name
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        rbar = np.asarray(self.rbar, dtype=float)
+        mu = np.asarray(self.mu, dtype=float)
+        C = np.ones_like(a) if self.C is None else np.atleast_1d(
+            np.asarray(self.C, dtype=float))
+        r = a * mu if self.r is None else np.atleast_1d(
+            np.asarray(self.r, dtype=float))
+        for name, arr in (("a", a), ("b", b), ("rbar", rbar), ("mu", mu),
+                          ("C", C), ("r", r)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
         if a.shape != b.shape:
             raise ValueError("a and b must have equal length")
         if np.any(a == 0):
             raise ValueError("coefficients a must be nonzero")
-        if self.mu <= 0:
+        if mu <= 0:
             raise ValueError("mu must be positive")
-        C = np.ones_like(a) if self.C is None else np.atleast_1d(
-            np.asarray(self.C, dtype=float))
         if C.shape != a.shape or np.any(C <= 0):
             raise ValueError("C must be positive, one entry per species")
-        r = a * self.mu if self.r is None else np.atleast_1d(
-            np.asarray(self.r, dtype=float))
         for name, arr in (("a", a), ("b", b), ("C", C), ("r", r)):
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rbar", float(self.rbar))
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "rbar", float(rbar))
+        object.__setattr__(self, "mu", float(mu))
 
     @property
     def n_species(self):

@@ -66,3 +66,27 @@ def locked_matrix(model):
     w = model.omega
     return np.array([[-model.ebar * model.d[0] * w, model.b12],
                      [model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)
+
+
+def choice_sparse_draw(model, rng, n):
+    """The sparse_uniform draw of ``RandomMatrixModel`` written with
+    ``Generator.choice``: a dense row scan for the open columns and one
+    ``choice(open_cols, take, replace=False)`` per row with extra entries."""
+    A = np.zeros((n, n))
+    perm = rng.permutation(n)
+    col_counts = np.ones(n, dtype=int)
+    for i in range(n):
+        A[i, perm[i]] = rng.uniform(-model.K, model.K)
+    for i in range(n):
+        extra = rng.integers(0, model.max_row_nonzero)  # beyond the base entry
+        if extra <= 0:
+            continue
+        open_cols = np.nonzero((col_counts < model.max_col_nonzero)
+                               & (A[i] == 0.0))[0]
+        if open_cols.size == 0:
+            continue
+        take = min(extra, open_cols.size)
+        for j in rng.choice(open_cols, size=take, replace=False):
+            A[i, j] = rng.uniform(-model.K, model.K)
+            col_counts[j] += 1
+    return A

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -357,6 +358,30 @@ class TestSlowFastFlow:
             mags = (np.sum(np.abs(terms.c) * np.exp(terms.a * q))
                     + abs(terms.slope * q) + math.exp(p) + abs(env.mu * p))
             assert abs(H - want) <= 4 * EPS * mags
+
+    @pytest.mark.parametrize("fixed", [("a",), ("b",), ("rbar",),
+                                       ("a", "b", "rbar")])
+    def test_constant_paths_folded_bit_for_bit(self, fixed):
+        # a constant path is filled into c and L once per run; the trajectory
+        # equals the one of an unmarked path giving the same values
+        rng = np.random.default_rng(8)
+        env = random_environment(rng, 3, "analytic")
+        values = {"a": np.array([1.5, -0.8, 0.6]),
+                  "b": np.array([0.7, 1.1, -0.4]), "rbar": 0.3}
+        zeros = {"a": np.zeros(3), "b": np.zeros(3), "rbar": 0.0}
+
+        def run(make):
+            paths = {k: make(k) for k in fixed}
+            return simulate_slow_fast(dataclasses.replace(env, **paths),
+                                      0.1, 0.2, np.ones(3), 20.0,
+                                      n_samples=101)
+
+        folded = run(lambda k: CoefficientPath.constant(values[k]))
+        plain = run(lambda k: CoefficientPath.from_callable(
+            lambda tau: values[k], lambda tau: zeros[k]))
+        for got, want in ((folded.t, plain.t), (folded.states, plain.states),
+                          (folded.energy, plain.energy)):
+            assert got.tobytes() == want.tobytes()
 
     def test_escape_reported(self):
         # Phi = -e^q - q has no well: q and p blow up near t = 0.97, as in

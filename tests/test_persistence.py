@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hamlv import persistence
 from hamlv.canonical import find_factors
 from hamlv.model import InteractionSystem
 from hamlv.persistence import (RandomMatrixModel, _max_min_entry,
-                               adaptive_solve, cone_condition, permanence,
+                               _sample_indices, adaptive_solve,
+                               cone_condition, permanence,
                                positive_solution_frequency,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
+from oracle import choice_sparse_draw
 
 
 class TestConeCondition:
@@ -247,6 +251,97 @@ class TestPositiveSolutionFrequency:
             nz_cols = np.count_nonzero(A, axis=0)
             assert np.all(nz_rows >= 1) and np.all(nz_cols >= 1)
             assert np.all(nz_rows <= 3) and np.all(nz_cols <= 3)
+
+
+class ZeroingGenerator:
+    """A Generator whose uniform draws below ``cut`` in magnitude read 0.0.
+
+    The rule acts on values, so a scalar call and a vector call over the
+    same stream see the same zeros."""
+
+    def __init__(self, rng, cut):
+        self._rng, self._cut = rng, cut
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, low, high, size=None):
+        out = np.asarray(self._rng.uniform(low, high, size))
+        out = np.where(np.abs(out) < self._cut, 0.0, out)
+        return float(out) if size is None else out
+
+
+SIZES = (1, 3, 10, 40, 100)
+CAPS = ((1, 3), (3, 1), (3, 3), (6, 6), (5, 2))  # (max_row, max_col)
+
+
+def assert_draws_match(model, n, make_rng):
+    """The draw and the Generator.choice oracle give the same bytes and
+    leave the stream at the same place."""
+    rng, ref = make_rng(), make_rng()
+    got, want = model.draw(rng, n), choice_sparse_draw(model, ref, n)
+    assert got.tobytes() == want.tobytes()
+    assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+class TestSparseDrawStream:
+    """The sparse draw makes Generator.choice's draws itself."""
+
+    @pytest.mark.parametrize("K", (0.3, 1.0, 2.5))
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_same_bytes_as_choice(self, caps, K):
+        model = RandomMatrixModel(K=K, max_row_nonzero=caps[0],
+                                  max_col_nonzero=caps[1])
+        for n in SIZES:
+            for seed in range(12):
+                assert_draws_match(model, n,
+                                   lambda: np.random.default_rng([seed, n]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(SIZES),
+           max_row=st.integers(1, 7), max_col=st.integers(1, 7),
+           K=st.sampled_from((0.3, 1.0, 2.5)))
+    def test_same_bytes_as_choice_property(self, seed, n, max_row, max_col, K):
+        model = RandomMatrixModel(K=K, max_row_nonzero=max_row,
+                                  max_col_nonzero=max_col)
+        assert_draws_match(model, n, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("caps", ((3, 3), (6, 6), (5, 2)))
+    def test_zero_base_entry_leaves_its_column_open(self, caps):
+        # a third of the uniform draws read 0.0; a zero base entry leaves its
+        # column open, and an extra entry drawn there replaces it
+        model = RandomMatrixModel(max_row_nonzero=caps[0],
+                                  max_col_nonzero=caps[1])
+        refilled = 0
+        for seed in range(40):
+            def make_rng():
+                return ZeroingGenerator(np.random.default_rng(seed), 1.0 / 3.0)
+            assert_draws_match(model, 10, make_rng)
+            replay = make_rng()
+            perm = replay.permutation(10)
+            base = replay.uniform(-1.0, 1.0, 10)
+            A = model.draw(make_rng(), 10)
+            refilled += int(np.sum((base == 0.0)
+                                   & (A[np.arange(10), perm] != 0.0)))
+        assert refilled > 0
+
+    @pytest.mark.parametrize("m, take", [(1, 1), (2, 2), (5, 3), (40, 2),
+                                         (20000, 100), (10001, 300)])
+    def test_sample_indices_is_choice(self, m, take):
+        # (10001, 300) is the case numpy samples without Floyd's algorithm
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (_sample_indices(rng, m, take)
+                    == ref.choice(m, size=take, replace=False).tolist())
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @pytest.mark.parametrize("N, model", [
+        (40, RandomMatrixModel()),
+        (10, RandomMatrixModel(K=2.5, max_row_nonzero=6, max_col_nonzero=6)),
+        (1, RandomMatrixModel())])
+    def test_frequency_unchanged_with_choice_draw(self, monkeypatch, N, model):
+        res = positive_solution_frequency(N, 300, model=model, seed=21)
+        monkeypatch.setattr(RandomMatrixModel, "draw", choice_sparse_draw)
+        assert positive_solution_frequency(N, 300, model=model, seed=21) == res
 
 
 def dense_max_min_entry(A_eq, b_eq, cap=1e4):

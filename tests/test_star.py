@@ -24,6 +24,29 @@ def grid_extrema(terms, lo, hi, step=1e-4):
     return out
 
 
+class TestStarSystemChecks:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(a=None, b=None, rbar=1.0), "a"),
+        (dict(a=[1.0], b=None, rbar=1.0), "b"),
+        (dict(a=[1.0], b=[1.0], rbar=math.nan, mu=math.inf), "rbar"),
+        (dict(a=[1.0], b=[1.0], rbar=None), "rbar"),
+        (dict(a=[1.0], b=[1.0], rbar=1.0, mu=math.inf), "mu"),
+        (dict(a=[1.0], b=[1.0], rbar=1.0, mu=math.nan), "mu"),
+        (dict(a=[1.0, 2.0], b=[1.0, 1.0], rbar=1.0, C=[1.0, math.inf]), "C"),
+        (dict(a=[1.0], b=[1.0], rbar=1.0, r=[math.nan]), "r"),
+        (dict(a=[-math.inf], b=[1.0], rbar=1.0), "a"),
+    ])
+    def test_non_finite_parameter_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            StarSystem(**kwargs)
+
+    def test_finite_star_keeps_its_values(self):
+        star = StarSystem(a=[2.0, -1.0], b=[1.0, 3.0], rbar=0.5, mu=2)
+        assert star.mu == 2.0 and isinstance(star.mu, float)
+        assert star.rbar == 0.5 and isinstance(star.rbar, float)
+        assert star.r.tolist() == [4.0, -2.0]
+
+
 class TestPotentialValues:
     def test_unit_star_phi_zero(self):
         assert UNIT.terms().phi(0.0) == pytest.approx(1.0)
