@@ -76,13 +76,6 @@ class CoefficientPath:
         out = self._value(tau)
         return out if np.ndim(out) else float(out)
 
-    def samples(self, taus):
-        """The values at taus, one row per tau."""
-        if self.is_constant:
-            return np.tile(np.atleast_1d(self.value(0.0)), (len(taus), 1))
-        return np.array([self.value(tau) for tau in taus],
-                        dtype=float).reshape(len(taus), -1)
-
     def derivative(self, tau):
         if self._derivative is not None:
             out = self._derivative(tau)
@@ -462,7 +455,8 @@ def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
                                  atol, n_samples, None)
     run["meta"]["epsilon"] = eps
     qs, ps, lnC = sol.y[0], sol.y[1], sol.y[2:].T
-    a, b, rbar = (path.samples(eps * sol.t)
+    a, b, rbar = (np.array([path.value(eps * t) for t in sol.t],
+                           dtype=float).reshape(sol.t.size, -1)
                   for path in (env.a, env.b, env.rbar))
     x = clipped_exp(lnC + a * qs[:, None])
     H = np.sum(b / a * x, axis=1) - rbar[:, 0] * qs + clipped_exp(ps) - mu * ps

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import clipped_exp
+from .util import clipped_exp, require_finite
 
 
 class DegenerateFactorizationError(ValueError):
@@ -161,8 +161,7 @@ class CanonicalState:
     def __post_init__(self):
         for name in ("q", "p", "C"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            require_finite((name, arr))
             object.__setattr__(self, name, arr)
         if np.any(self.C <= 0):
             raise ValueError("constants C must be strictly positive")

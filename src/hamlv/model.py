@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .util import json_fields, read_json
+from .util import json_fields, read_json, require_finite
 
 
 class SignPattern(Enum):
@@ -77,12 +77,10 @@ class InteractionSystem:
             raise ValueError(f"Gamma must have shape {(n, n)}, got {Gamma.shape}")
         if D.shape != (m, m):
             raise ValueError(f"D must have shape {(m, m)}, got {D.shape}")
-        for name, arr in (("r", r), ("rbar", rbar), ("A", A), ("B", B),
-                          ("Gamma", Gamma), ("D", D)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("r", r), ("rbar", rbar), ("A", A), ("B", B),
-                          ("Gamma", Gamma), ("D", D)):
+        fields = (("r", r), ("rbar", rbar), ("A", A), ("B", B),
+                  ("Gamma", Gamma), ("D", D))
+        require_finite(*fields)
+        for name, arr in fields:
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 

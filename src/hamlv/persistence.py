@@ -329,10 +329,8 @@ class RandomMatrixModel:
                 continue
             # the row's open columns: those below the cap, less the base
             # column unless its entry was drawn as exactly zero
-            open_cols = below_cap
-            if value != 0.0 and col in below_cap:
-                at = below_cap.index(col)
-                open_cols = below_cap[:at] + below_cap[at + 1:]
+            open_cols = (below_cap if value == 0.0
+                         else [j for j in below_cap if j != col])
             if not open_cols:
                 continue
             take = min(extra, len(open_cols))

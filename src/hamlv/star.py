@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .util import clipped_exp, libm_exp
+from .util import clipped_exp, libm_exp, require_finite
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,14 @@ class StarSystem:
         # a missing coefficient (None) reads as NaN and is rejected by name
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        rbar = np.asarray(self.rbar, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
+        rbar = float(np.asarray(self.rbar, dtype=float))
+        mu = float(np.asarray(self.mu, dtype=float))
         C = np.ones_like(a) if self.C is None else np.atleast_1d(
             np.asarray(self.C, dtype=float))
         r = a * mu if self.r is None else np.atleast_1d(
             np.asarray(self.r, dtype=float))
-        for name, arr in (("a", a), ("b", b), ("rbar", rbar), ("mu", mu),
-                          ("C", C), ("r", r)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        require_finite(("a", a), ("b", b), ("rbar", rbar), ("mu", mu),
+                       ("C", C), ("r", r))
         if a.shape != b.shape:
             raise ValueError("a and b must have equal length")
         if np.any(a == 0):
@@ -133,8 +131,8 @@ class StarSystem:
             raise ValueError("C must be positive, one entry per species")
         for name, arr in (("a", a), ("b", b), ("C", C), ("r", r)):
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rbar", float(rbar))
-        object.__setattr__(self, "mu", float(mu))
+        object.__setattr__(self, "rbar", rbar)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def n_species(self):

@@ -1,4 +1,5 @@
-"""Shared helpers: the clipped exponential, seeded streams, intervals, CSV."""
+"""Shared helpers: the clipped exponential, finiteness checks, seeded streams,
+intervals, CSV."""
 
 from __future__ import annotations
 
@@ -33,6 +34,15 @@ def libm_exp(x):
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(math.exp, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
+
+
+def require_finite(*fields):
+    """Raise ValueError naming the first (name, value) pair with a non-finite
+    entry; a value is a float or an array."""
+    for name, value in fields:
+        if not (math.isfinite(value) if isinstance(value, float)
+                else np.isfinite(value).all()):
+            raise ValueError(f"{name} contains non-finite entries")
 
 
 def wilson_interval(k, n, z=Z95):
