@@ -7,9 +7,14 @@ intervals rather than the point estimates.
 
 ``parallel`` is an upper limit on worker threads, not a request.  Only the
 cone-feasibility ensemble fans out: its trials spend their time in HiGHS,
-which releases the GIL.  The census and the orbit curves run numpy calls
-on small arrays and scalar root finding, which hold the GIL, so threads
-would only add switching; they run on the calling thread.
+which releases the GIL, and each LP goes to HiGHS directly
+(``persistence.linprog``), so little Python runs around the solve.  On 2
+vCPUs with one BLAS thread, two workers ran 160 cone trials (M=3, N=300)
+1.2 to 1.8 times as fast as one (three runs; through
+``scipy.optimize.linprog``, whose input cleaning holds the GIL, 0.7 to 1.7
+times).  The census and the orbit curves run numpy calls on small arrays
+and scalar root finding, which hold the GIL, so threads would only add
+switching; they run on the calling thread.
 """
 
 from __future__ import annotations
@@ -258,7 +263,8 @@ def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):
 
     Draws rbar_j ~ Normal(r0, sigma^2) and b_jk ~ Normal(0, 1) per trial.
     Trials run on up to ``parallel`` threads, since the LP solver releases
-    the GIL.
+    the GIL; at M=3, N=300 two workers ran 1.2 to 1.8 times as fast as one
+    (2 vCPUs).
     """
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")

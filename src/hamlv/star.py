@@ -121,8 +121,15 @@ class StarSystem:
             np.asarray(self.r, dtype=float))
         require_finite(("a", a), ("b", b), ("rbar", rbar), ("mu", mu),
                        ("C", C), ("r", r))
+        for name, arr in (("a", a), ("b", b)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape "
+                                 f"{arr.shape}")
         if a.shape != b.shape:
             raise ValueError("a and b must have equal length")
+        if r.shape != a.shape:
+            raise ValueError(f"r must have one entry per species, got shape "
+                             f"{r.shape}")
         if np.any(a == 0):
             raise ValueError("coefficients a must be nonzero")
         if mu <= 0:

@@ -3,13 +3,17 @@
 The right-hand sides are written term by term from the model equations,
 without the exp-sum flow kernel of ``hamlv.integrate``, so a test can compare
 the two; the locked rate matrix gives numeric eigenvalues to hold the closed
-form of ``phase_locked_rates`` to.
+form of ``phase_locked_rates`` to.  The LP certificates are written with
+dense constraint blocks and ``scipy.optimize.linprog``, so a test can hold
+the direct HiGHS call of ``hamlv.persistence`` to them bit for bit.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
+from hamlv.persistence import AdaptiveSolution
 from hamlv.util import EXP_LIMIT
 
 
@@ -90,3 +94,57 @@ def choice_sparse_draw(model, rng, n):
             A[i, j] = rng.uniform(-model.K, model.K)
             col_counts[j] += 1
     return A
+
+
+def dense_max_min_entry(A_eq, b_eq, cap=1e4):
+    """``persistence._max_min_entry`` with dense constraint blocks and
+    ``linprog(method="highs")``."""
+    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
+    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    m, n = A_eq.shape
+    row_scale = np.max(np.abs(np.hstack((A_eq, b_eq[:, None]))), axis=1)
+    row_scale[row_scale == 0.0] = 1.0
+    A_n = A_eq / row_scale[:, None]
+    b_n = b_eq / row_scale
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
+    eq = np.hstack((A_n, np.zeros((m, 1))))
+    bounds = [(-cap, cap)] * n + [(-cap, cap)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=eq, b_eq=b_n,
+                  bounds=bounds, method="highs")
+    if not res.success:
+        return None, None
+    z = res.x[:n]
+    correction, *_ = np.linalg.lstsq(A_n, b_n - A_n @ z, rcond=None)
+    z = z + correction
+    return float(np.min(z)), z
+
+
+def linprog_adaptive_solve(B, r, rho_signs=None):
+    """``persistence.adaptive_solve`` with a dense ``A_ub`` and
+    ``linprog(method="highs")``."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    m, n = B.shape
+    signs = (np.ones(n) if rho_signs is None
+             else np.sign(np.asarray(rho_signs, dtype=float)))
+    G = (signs * np.sign(r))[:, None] * B.T
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    A_ub = np.vstack((
+        np.hstack((-G, np.ones((n, 1)))),
+        np.hstack((-np.eye(m), np.ones((m, 1)))),
+    ))
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n + m),
+                  bounds=[(None, 1.0)] * (m + 1), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    s_star, w = float(res.x[-1]), res.x[:m]
+    if s_star <= 1e-9:
+        alone = tuple(int(i) for i in range(n) if np.all(G[i] <= 0.0))
+        violated = alone or tuple(
+            int(i) for i in np.nonzero(G @ w <= 1e-12)[0])
+        return AdaptiveSolution(feasible=False, sigma=None, rho=None,
+                                violated=violated)
+    return AdaptiveSolution(feasible=True, sigma=w, rho=(B.T @ w) / r)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.optimize._linprog_highs as linprog_highs
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize._linprog_util import _check_result
 
 from hamlv import persistence
 from hamlv.canonical import find_factors
@@ -13,7 +16,9 @@ from hamlv.persistence import (RandomMatrixModel, _max_min_entry,
                                positive_solution_frequency,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
-from oracle import choice_sparse_draw
+from hamlv.ensemble import cone_feasibility_frequency
+from oracle import (choice_sparse_draw, dense_max_min_entry,
+                    linprog_adaptive_solve)
 
 
 class TestConeCondition:
@@ -344,30 +349,6 @@ class TestSparseDrawStream:
         assert positive_solution_frequency(N, 300, model=model, seed=21) == res
 
 
-def dense_max_min_entry(A_eq, b_eq, cap=1e4):
-    """The LP with dense constraint blocks, as before the sparse ones."""
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-    b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    m, n = A_eq.shape
-    row_scale = np.max(np.abs(np.hstack((A_eq, b_eq[:, None]))), axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    A_n = A_eq / row_scale[:, None]
-    b_n = b_eq / row_scale
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
-    eq = np.hstack((A_n, np.zeros((m, 1))))
-    bounds = [(-cap, cap)] * n + [(-cap, cap)]
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=eq, b_eq=b_n,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        return None, None
-    z = res.x[:n]
-    correction, *_ = np.linalg.lstsq(A_n, b_n - A_n @ z, rcond=None)
-    z = z + correction
-    return float(np.min(z)), z
-
-
 def factorizable_web(rng, n, m, limitation=0.0):
     """Web with positive factors (sigma_l b_lk = rho_k a_kl) and a positive
     equilibrium, with Gamma = D = limitation * I."""
@@ -437,3 +418,210 @@ class TestSparseLP:
         assert sparse == dense
         assert sparse[1] and sparse[3]["witness"] is not None
         assert sparse[5]["equilibrium"] is not None
+
+
+def capture_models(fn, *args):
+    """The models fn(*args) hands HiGHS, through ``persistence.linprog`` or
+    through scipy's ``_highs_wrapper``, as tuples (c, indptr, indices, data,
+    row_lower, row_upper, lb, ub)."""
+    models, direct, wrapper = [], persistence.linprog, \
+        linprog_highs._highs_wrapper
+
+    def via_direct(c, A, row_lower, row_upper, lb, ub):
+        models.append((c, *A, row_lower, row_upper, lb, ub))
+        return direct(c, A, row_lower, row_upper, lb, ub)
+
+    def via_wrapper(c, indptr, indices, data, lhs, rhs, lb, ub, *rest):
+        models.append((c, indptr, indices, data, lhs, rhs, lb, ub))
+        return wrapper(c, indptr, indices, data, lhs, rhs, lb, ub, *rest)
+
+    with mock.patch.object(persistence, "linprog", via_direct), \
+            mock.patch.object(linprog_highs, "_highs_wrapper", via_wrapper):
+        fn(*args)
+    return models
+
+
+def assert_same_models(mine, ref):
+    assert len(mine) == len(ref) == 1
+    for got, want in zip(mine[0], ref[0]):
+        assert np.array_equal(got, want)
+        if want.dtype.kind == "f":
+            assert got.astype(float).tobytes() == want.tobytes()
+
+
+class TestDirectHighs:
+    """One LP entry point, bit for bit ``linprog(method="highs")``."""
+
+    @given(st.integers(1, 8), st.integers(1, 30),
+           st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+           st.sampled_from(["positive", "negative", "zero", "mixed"]),
+           st.integers(0, 2**32 - 1))
+    def test_max_min_entry_matches_linprog(self, m, n, sparsity, rhs, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) >= sparsity)
+        b = {"positive": rng.uniform(0.5, 1.5, m),
+             "negative": -rng.uniform(0.5, 1.5, m),
+             "zero": np.zeros(m),
+             "mixed": rng.normal(0.0, 1.0, m)}[rhs]
+        s_ref, z_ref = dense_max_min_entry(A, b)
+        s, z = _max_min_entry(A, b)
+        assert s == s_ref
+        assert (z is None) == (z_ref is None)
+        if z_ref is not None:
+            assert z.tobytes() == z_ref.tobytes()
+        assert_same_models(capture_models(_max_min_entry, A, b),
+                           capture_models(dense_max_min_entry, A, b))
+
+    def test_adaptive_solve_matches_linprog(self):
+        grid = [([[1.0, 1.0]], [2.0, 3.0], None),             # feasible
+                ([[1.0, -1.0]], [1.0, 1.0], None),            # alone
+                ([[1.0, -1.0]], [1.0, 1.0], [1.0, -1.0]),     # signs fix it
+                ([[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0], None),  # clash
+                ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0], None)]   # zero entries
+        rng = np.random.default_rng(40)
+        for m, n in [(1, 3), (2, 5), (3, 3), (4, 12), (6, 4)]:
+            for density in (1.0, 0.4):
+                B = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+                r = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+                grid.append((B, r, None))
+                grid.append((B, r, rng.choice([-1.0, 1.0], n)))
+        kinds = set()
+        for B, r, signs in grid:
+            ref = linprog_adaptive_solve(B, r, signs)
+            sol = adaptive_solve(B, r, signs)
+            assert sol.feasible == ref.feasible
+            assert sol.violated == ref.violated
+            if ref.feasible:
+                assert sol.sigma.tobytes() == ref.sigma.tobytes()
+                assert sol.rho.tobytes() == ref.rho.tobytes()
+                kinds.add("feasible")
+            else:
+                G = np.sign(r) * (np.ones(len(r)) if signs is None
+                                  else np.sign(signs)) * np.asarray(B)
+                alone = np.all(G <= 0.0, axis=0).any()
+                kinds.add("alone" if alone else "clash")
+            assert_same_models(
+                capture_models(adaptive_solve, B, r, signs),
+                capture_models(linprog_adaptive_solve, B, r, signs))
+        assert kinds == {"feasible", "alone", "clash"}
+
+    def test_options_are_linprogs(self):
+        seen = []
+        wrapper = linprog_highs._highs_wrapper
+
+        def spy(*args):
+            seen.append(args[-1])
+            return wrapper(*args)
+
+        with mock.patch.object(linprog_highs, "_highs_wrapper", spy):
+            dense_max_min_entry([[1.0, 2.0]], [3.0])
+        passed = {key: value for key, value in seen[0].items()
+                  if value is not None and key != "sense"}
+        assert set(passed) == {"presolve", "simplex_strategy",
+                               "highs_debug_level", "output_flag",
+                               "log_to_console"}
+        for key, value in passed.items():
+            want = (("on" if value else "off") if key == "presolve"
+                    else value if isinstance(value, bool) else int(value))
+            assert getattr(persistence._HIGHS_OPTIONS, key) == want
+
+    def test_infeasible_lp_reports_the_highs_status(self):
+        # x >= 1 and x <= 0
+        A = (np.array([0, 1]), np.array([0]), np.array([1.0]))
+        x, message = persistence.linprog(
+            np.zeros(1), A, np.array([-np.inf]), np.zeros(1), np.ones(1),
+            np.full(1, np.inf))
+        assert x is None and message == "Infeasible"
+
+
+def unit_lp(x=(0.5, 0.5), objective=-0.5, activity=(0.9, 1.0)):
+    """An optimum of a two-variable LP with bounds [0, 1], an inequality row
+    (<= 1) and an equality row (= 1), as the check receives it."""
+    return (np.array(x), objective, np.array(activity), np.zeros(2),
+            np.ones(2), np.array([-np.inf, 1.0]), np.array([1.0, 1.0]))
+
+
+def linprog_accepts(x, objective, activity, lb, ub, row_lower, row_upper):
+    """Verdict of scipy's own check of a linprog(method="highs") answer."""
+    slack = row_upper - activity
+    status, _ = _check_result(x, objective, 0, slack[:1], slack[1:],
+                              np.column_stack((lb, ub)), 1e-9, "", None)
+    return status == 0
+
+
+class TestLpValidityCheck:
+    TOL = persistence._LP_TOL
+
+    @pytest.mark.parametrize("case, rule", [
+        (dict(), None),
+        (dict(x=(np.nan, 0.5)), "NaN"),
+        (dict(objective=np.nan), "NaN"),
+        (dict(activity=(np.nan, 1.0)), "NaN"),
+        (dict(x=(1.0 + 2 * TOL, 0.5)), "bounds"),
+        (dict(x=(0.5, -2 * TOL)), "bounds"),
+        (dict(x=(1.0 + 0.5 * TOL, -0.5 * TOL)), None),
+        (dict(activity=(1.0 + 2 * TOL, 1.0)), "upper side"),
+        (dict(activity=(1.0 + 0.5 * TOL, 1.0)), None),
+        (dict(activity=(-1e300, 1.0)), None),
+        (dict(activity=(0.9, 1.0 + 2 * TOL)), "upper side"),
+        (dict(activity=(0.9, 1.0 - 2 * TOL)), "lower side"),
+        (dict(activity=(0.9, 1.0 - 0.5 * TOL)), None),
+    ])
+    def test_each_rule_rejects(self, case, rule):
+        lp = unit_lp(**case)
+        reason = persistence._lp_violation(*lp)
+        if rule is None:
+            assert reason is None
+        else:
+            assert rule in reason
+        assert (reason is None) == linprog_accepts(*lp)
+
+    def test_rejected_optimum_fails_adaptive_solve(self, monkeypatch):
+        monkeypatch.setattr(persistence, "_lp_violation",
+                            lambda *args: "a planted violation")
+        with pytest.raises(RuntimeError, match="^LP solver failed: Optimal, "
+                           "but a planted violation$"):
+            adaptive_solve([[1.0, 1.0]], [2.0, 3.0])
+
+    def test_rejected_optimum_is_no_certificate(self, monkeypatch):
+        monkeypatch.setattr(persistence, "_lp_violation",
+                            lambda *args: "a planted violation")
+        assert _max_min_entry([[1.0, 2.0]], [3.0]) == (None, None)
+        cert = cone_condition([[1.0, 2.0]], [3.0])
+        assert not cert.feasible and cert.slack == 0.0
+
+
+class TestLpCount:
+    """The benchmark counts LPs by wrapping ``persistence.linprog``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made, solve = [], persistence.linprog
+
+        def counted(*args):
+            made.append(1)  # list.append is atomic, so threads may share it
+            return solve(*args)
+
+        monkeypatch.setattr(persistence, "linprog", counted)
+        return made
+
+    def test_each_certificate(self, calls):
+        rng = np.random.default_rng(17)
+        free = factorizable_web(rng, 30, 5)
+        limited = factorizable_web(rng, 30, 5, limitation=0.5)
+        for run, count in [
+                (lambda: cone_condition([[1.0, 2.0]], [3.0]), 1),
+                (lambda: strong_persistence(
+                    free, find_factors(free.A, free.B)), 2),
+                (lambda: permanence(
+                    limited, find_factors(limited.A, limited.B)), 1),
+                (lambda: adaptive_solve([[1.0, -1.0]], [1.0, 1.0]), 1)]:
+            calls.clear()
+            run()
+            assert len(calls) == count
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_one_per_cone_trial(self, calls, parallel):
+        cone_feasibility_frequency(3, 12, 1.0, 0.5, 9, seed=2,
+                                   parallel=parallel)
+        assert len(calls) == 9

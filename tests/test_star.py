@@ -40,6 +40,21 @@ class TestStarSystemChecks:
         with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
             StarSystem(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(a=[[1.0, 2.0]], b=[1.0, 1.0], rbar=1.0),
+         r"^a must be one-dimensional, got shape \(1, 2\)"),
+        (dict(a=[1.0, 2.0], b=[[1.0, 1.0]], rbar=1.0),
+         r"^b must be one-dimensional, got shape \(1, 2\)"),
+        (dict(a=[[1.0, 2.0]], b=[[1.0, 1.0]], rbar=1.0), "^a must be one-dim"),
+        (dict(a=[1.0, 2.0], b=[1.0, 1.0], rbar=1.0, r=[1.0]),
+         r"^r must have one entry per species, got shape \(1,\)"),
+        (dict(a=[1.0], b=[1.0], rbar=1.0, r=[1.0, 1.0]),
+         r"^r must have one entry per species"),
+    ])
+    def test_misshapen_parameter_names_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            StarSystem(**kwargs)
+
     def test_finite_star_keeps_its_values(self):
         star = StarSystem(a=[2.0, -1.0], b=[1.0, 3.0], rbar=0.5, mu=2)
         assert star.mu == 2.0 and isinstance(star.mu, float)
