@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .integrate import (Trajectory, _adaptive_run, _ExpSumFlow,
                         _solve_log_system)
@@ -368,23 +367,24 @@ class BurstScan:
         return self.times.size
 
 
-def detect_bursts(traj, observable=0, prominence=None, reference_period=None):
+def detect_bursts(traj, observable=0, reference_period=None):
     """Locate bursts of an observable by prominence-thresholded peak search.
 
-    The default threshold is five times the median absolute deviation of the
-    signal (rare bursts barely move the MAD, so it tracks the quiet
-    baseline).  When a reference fast period is supplied the scan flags the
-    rare-burst regime (mean spacing above ten periods) and warns about
-    sampling sparser than twenty samples per period.
+    The threshold is five times the median absolute deviation of the signal
+    (rare bursts barely move the MAD, so it tracks the quiet baseline).
+    When a reference fast period is supplied the scan flags the rare-burst
+    regime (mean spacing above ten periods) and warns about sampling sparser
+    than twenty samples per period.
     """
+    from scipy.signal import find_peaks  # keeps it out of `import hamlv`
+
     if isinstance(observable, str):
         signal = traj.column(observable)
     else:
         signal = traj.states[:, observable]
     t = traj.t
-    if prominence is None:
-        mad = float(np.median(np.abs(signal - np.median(signal))))
-        prominence = 5.0 * (mad if mad > 0 else float(np.std(signal)) or 1.0)
+    mad = float(np.median(np.abs(signal - np.median(signal))))
+    prominence = 5.0 * (mad if mad > 0 else float(np.std(signal)) or 1.0)
     idx, _ = find_peaks(signal, prominence=prominence)
     times = t[idx]
     intervals = np.diff(times)

@@ -43,13 +43,13 @@ class HamiltonianFactors:
     sigma: np.ndarray
     positive: bool
 
-    def residual(self, A, B, eps=1e-300):
+    def residual(self, A, B):
         """Largest relative mismatch of sigma_l b_lk against rho_k a_kl."""
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         lhs = self.sigma[:, None] * B          # (M, N): sigma_l b_lk
         rhs = (self.rho[:, None] * A).T        # (M, N): rho_k a_kl
-        scale = np.abs(lhs) + np.abs(rhs) + eps
+        scale = np.abs(lhs) + np.abs(rhs) + 1e-300
         return float(np.max(np.abs(lhs - rhs) / scale))
 
 

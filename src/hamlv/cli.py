@@ -13,7 +13,6 @@ then 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .util import json_fields, read_json, sha256_file, write_csv
+from .util import (json_fields, read_json, sha256_file, write_csv,
+                   write_json)
 
 
 def _resolve_seed(args):
@@ -37,16 +37,10 @@ def _load_json(path, what, **fields):
     return json_fields(read_json(path, what), f"{what} file {path}", **fields)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_run(path, traj):
     """Escape state and solver metadata of an integrated trajectory."""
-    _write_json(path, {"escaped": traj.escaped,
-                       "escape_time": traj.escape_time, "meta": traj.meta})
+    write_json(path, {"escaped": traj.escaped,
+                      "escape_time": traj.escape_time, "meta": traj.meta})
 
 
 def _load_star(data, what):
@@ -57,15 +51,15 @@ def _load_star(data, what):
                       mu=data.get("mu", 1.0), C=data.get("C"))
 
 
-def write_svg_polyline(path, xs, series, labels, width=640, height=400):
-    """Minimal unstyled SVG line chart (one polyline per series)."""
+def write_svg_polyline(path, xs, series, labels):
+    """Minimal unstyled 640 x 400 SVG line chart (one polyline per series)."""
     xs = np.asarray(xs, dtype=float)
     ys_all = np.concatenate([np.asarray(s, dtype=float) for s in series])
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys_all)), float(np.max(ys_all))
     xr = (x1 - x0) or 1.0
     yr = (y1 - y0) or 1.0
-    pad = 40
+    width, height, pad = 640, 400, 40
     colors = ["black", "green", "red", "blue", "orange"]
 
     def px(x):
@@ -110,7 +104,7 @@ def _finish(args, outputs, exit_code=0):
                      "python": sys.version.split()[0]},
         "outputs": {name: sha256_file(out_dir / name) for name in outputs},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
     return exit_code
 
 
@@ -128,7 +122,7 @@ def _cmd_netgen(args):
         stats["powerlaw_exponent"] = powerlaw_exponent(degrees)
     except ValueError:
         stats["powerlaw_exponent"] = None
-    _write_json(out / "stats.json", stats)
+    write_json(out / "stats.json", stats)
     return _finish(args, ["topology.txt", "stats.json"])
 
 
@@ -166,7 +160,7 @@ def _cmd_check(args):
     else:
         negative = True
     out = _out_dir(args)
-    _write_json(out / "certificate.json", report)
+    write_json(out / "certificate.json", report)
     code = 2 if negative else 0
     return _finish(args, ["certificate.json"], exit_code=code)
 
@@ -205,7 +199,7 @@ def _cmd_canonical(args):
     csys = canonicalize(system, tol=args.tol)
     cstate = to_canonical(csys, state["x"], state["v"])
     out = _out_dir(args)
-    _write_json(out / "canonical_state.json", cstate.to_dict())
+    write_json(out / "canonical_state.json", cstate.to_dict())
     outputs = ["canonical_state.json"]
     if system.M == 1 and csys.conserves_C:
         star = StarSystem(a=system.A[:, 0], b=system.B[0], rbar=system.rbar[0],
@@ -237,7 +231,7 @@ def _cmd_star(args):
         "window": list(profile.window),
         "window_warning": profile.window_warning,
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     outputs = ["report.json"]
     terms = star.terms()
     qs = np.linspace(profile.window[0], profile.window[1], 801)
@@ -250,10 +244,10 @@ def _cmd_star(args):
     if args.E is not None:
         try:
             orbit = classify_orbit(star, args.E)
-            _write_json(out / "orbit.json", orbit.to_dict())
+            write_json(out / "orbit.json", orbit.to_dict())
         except EnergyBelowWellError as exc:
-            _write_json(out / "orbit.json", {"class": "error",
-                                             "message": str(exc)})
+            write_json(out / "orbit.json", {"class": "error",
+                                            "message": str(exc)})
             code = 2
         outputs.append("orbit.json")
     return _finish(args, outputs, exit_code=code)
@@ -301,7 +295,7 @@ def _cmd_average(args):
     avg = evolve_averaged(env, init, args.tau_end)
     out = _out_dir(args)
     avg.to_csv(out / "averaged.csv")
-    _write_json(out / "events.json", [e.to_dict() for e in avg.events])
+    write_json(out / "events.json", [e.to_dict() for e in avg.events])
     outputs = ["averaged.csv", "events.json"]
     if args.format == "svg":
         write_svg_polyline(out / "averaged.svg", avg.tau, [avg.E], ["E"])
@@ -329,7 +323,7 @@ def _cmd_resonance(args):
     payload["omega2"] = model.omega2
     payload["regime"] = detuning(model, ts.kappa)
     out = _out_dir(args)
-    _write_json(out / "verdict.json", payload)
+    write_json(out / "verdict.json", payload)
     outputs = ["verdict.json"]
     if args.tau_end is not None:
         traj = integrate_resonance(model, [args.Q0, args.Q0],
@@ -350,10 +344,9 @@ def _cmd_ensemble(args):
     outputs = ["report.json"]
     if args.mode == "census":
         report = stability_census(args.n_low, args.n_high, args.trials,
-                                  params={"bbar": args.bbar,
-                                          "sigma_b": args.sigma_b,
-                                          "sigma_a": args.sigma_a},
-                                  seed=seed, parallel=args.workers)
+                                  bbar=args.bbar, sigma_b=args.sigma_b,
+                                  sigma_a=args.sigma_a, seed=seed,
+                                  parallel=args.workers)
         report.save(out / "report.json")
     elif args.mode == "curve":
         mixes = [float(tok) for tok in args.mix.split(",")]
@@ -377,7 +370,7 @@ def _cmd_ensemble(args):
         model = RandomMatrixModel(kind=args.matrix_model)
         result = positive_solution_frequency(args.N, args.trials, model=model,
                                              seed=seed, parallel=args.workers)
-        _write_json(out / "report.json", result)
+        write_json(out / "report.json", result)
     else:
         raise ValueError(f"unknown ensemble mode {args.mode!r}")
     return _finish(args, outputs)
@@ -391,11 +384,10 @@ def _build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed (overrides HLV_SEED)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed (overrides HLV_SEED)")
 
     p = sub.add_parser("netgen", help="generate a scale-free topology")
     p.add_argument("--nodes", type=int, required=True)

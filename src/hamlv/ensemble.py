@@ -19,14 +19,14 @@ switching; they run on the calling thread.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .persistence import cone_condition
 from .star import PotentialTerms, _profile_of_terms
-from .util import run_indexed_trials, wilson_interval, write_csv
+from .util import (json_bytes, run_indexed_trials, wilson_interval,
+                   write_csv, write_json)
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,10 @@ class EnsembleReport:
         }
 
     def to_json_bytes(self):
-        return (json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return json_bytes(self.to_dict())
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+        write_json(path, self.to_dict())
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -94,23 +93,15 @@ def random_potential(N, bbar, sigma_b, sigma_a, seed):
     Coefficients b_k ~ Normal(bbar, sigma_b^2) i.i.d.; exponents a_k are
     zero-mean with standard deviation exactly sigma_a, drawn uniform on
     [-sqrt(3) sigma_a, sqrt(3) sigma_a] (bounded, which keeps the exponentials
-    tame); Normal(0, sigma_a^2) exponents are drawn by
-    ``stability_census(params={"a_dist": "normal"})``.  ``seed`` may be an
-    integer or a Generator.  Degenerate (constant) draws are
-    detectable through the returned terms.
+    tame).  ``seed`` may be an integer or a Generator.  Degenerate (constant)
+    draws are detectable through the returned terms.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _draw_potential(rng, N, bbar, sigma_b, sigma_a, "uniform")
-
-
-def _draw_potential(rng, N, bbar, sigma_b, sigma_a, a_dist):
     b = rng.normal(bbar, sigma_b, N) if sigma_b > 0 else np.full(N, float(bbar))
     if sigma_a <= 0:
         a = np.zeros(N)
-    elif a_dist == "normal":
-        a = rng.normal(0.0, sigma_a, N)
     else:
         a = rng.uniform(-_SQRT3 * sigma_a, _SQRT3 * sigma_a, N)
     return PotentialTerms(c=b, a=a, slope=0.0)
@@ -121,16 +112,16 @@ def _draw_potential(rng, N, bbar, sigma_b, sigma_a, a_dist):
 CENSUS_WINDOW = 0.5
 
 
-def classify_potential_shape(terms, window=CENSUS_WINDOW, n_grid=401):
-    """True (stable) iff Phi has the single-well shape on the window.
+def classify_potential_shape(terms):
+    """True (stable) iff Phi has the single-well shape on the census window.
 
     Checks that Phi' is negative entering, positive leaving, and changes sign
-    exactly once: a unique minimum with the potential rising toward both window
-    ends.
+    exactly once on a 401-point grid: a unique minimum with the potential
+    rising toward both window ends.
     """
     if terms.degenerate:
         return False
-    qs = np.linspace(-window, window, n_grid)
+    qs = np.linspace(-CENSUS_WINDOW, CENSUS_WINDOW, 401)
     slopes = terms.dphi(qs)
     signs = np.sign(slopes)
     signs[signs == 0] = 1.0
@@ -139,8 +130,8 @@ def classify_potential_shape(terms, window=CENSUS_WINDOW, n_grid=401):
     return int(np.count_nonzero(np.diff(signs))) == 1
 
 
-def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
-                     window=CENSUS_WINDOW):
+def stability_census(n_low, n_high, trials, bbar=1.0, sigma_b=10.0,
+                     sigma_a=5.0, seed=0, parallel=1):
     """Fraction of random potentials that fail the single-well shape test.
 
     Each trial draws N uniformly from [n_low, n_high] and a random potential;
@@ -152,22 +143,16 @@ def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
     """
     if n_low < 1 or n_high < n_low:
         raise ValueError("need 1 <= n_low <= n_high")
-    params = dict(params or {})
-    bbar = params.get("bbar", 1.0)
-    sigma_b = params.get("sigma_b", 10.0)
-    sigma_a = params.get("sigma_a", 5.0)
-    a_dist = params.get("a_dist", "uniform")
     config = EnsembleConfig(trials=trials, seed=seed,
                             params={"n_low": n_low, "n_high": n_high,
                                     "bbar": bbar, "sigma_b": sigma_b,
-                                    "sigma_a": sigma_a, "a_dist": a_dist,
-                                    "window": window})
+                                    "sigma_a": sigma_a, "a_dist": "uniform",
+                                    "window": CENSUS_WINDOW})
 
     def trial(rng, i):
         n = int(rng.integers(n_low, n_high + 1))
-        terms = _draw_potential(rng, n, bbar, sigma_b / np.sqrt(n), sigma_a,
-                                a_dist)
-        stable = classify_potential_shape(terms, window=window)
+        terms = random_potential(n, bbar, sigma_b / np.sqrt(n), sigma_a, rng)
+        stable = classify_potential_shape(terms)
         return {"trial": i, "N": n, "stable": bool(stable)}
 
     outcomes = run_indexed_trials(trials, seed, trial)
@@ -177,20 +162,26 @@ def stability_census(n_low, n_high, trials, params=None, seed=0, parallel=1,
                           outcomes=outcomes)
 
 
-def draw_mixed_star_terms(rng, N, mix, abar=1.0, bbar=1.0, sigma=0.5, rbar=5.0):
+# The random-star protocol: |a_i| and |b_i| are folded normals around abar
+# and bbar with deviation sigma, and rbar is the slope of the linear term.
+RANDOM_STAR = {"abar": 1.0, "bbar": 1.0, "sigma": 0.5, "rbar": 5.0}
+
+
+def draw_mixed_star_terms(rng, N, mix):
     """Potential terms of a random star with predator-prey pairs partly flipped.
 
-    Magnitudes |a_i|, |b_i| come from folded normals around the given means;
-    with probability ``mix`` a pair is not predator-prey and the sign of b_i
-    flips, turning rho_i = b_i / a_i negative.  All a_i stay positive, so the
-    -rbar q term keeps the left side coercive.
+    Magnitudes |a_i|, |b_i| come from folded normals around the means of
+    ``RANDOM_STAR``; with probability ``mix`` a pair is not predator-prey and
+    the sign of b_i flips, turning rho_i = b_i / a_i negative.  All a_i stay
+    positive, so the -rbar q term keeps the left side coercive.
     """
+    abar, sigma = RANDOM_STAR["abar"], RANDOM_STAR["sigma"]
     a = np.abs(rng.normal(abar, sigma, N))
     a[a == 0] = abar
-    b = np.abs(rng.normal(bbar, sigma, N))
+    b = np.abs(rng.normal(RANDOM_STAR["bbar"], sigma, N))
     flip = rng.random(N) < mix
     b[flip] *= -1.0
-    return PotentialTerms(c=b / a, a=a, slope=rbar)
+    return PotentialTerms(c=b / a, a=a, slope=RANDOM_STAR["rbar"])
 
 
 def _orbit_type_flags(terms):
@@ -205,33 +196,26 @@ def _orbit_type_flags(terms):
     return has_well, soliton
 
 
-def orbit_probability_curve(N, mix_grid, trials, params=None, seed=0,
-                            parallel=1):
+def orbit_probability_curve(N, mix_grid, trials, seed=0, parallel=1):
     """P(periodic well) and P(soliton energy) against the mixing probability.
 
-    Follows the random-star protocol: per mixing value, ``trials`` stars are
-    drawn and classified by their potential profile; a soliton needs a local
-    maximum with a well below it.  Runs on the calling thread: ``parallel``
-    is accepted and ignored (see the module docstring).
+    Follows the random-star protocol (``RANDOM_STAR``): per mixing value,
+    ``trials`` stars are drawn and classified by their potential profile; a
+    soliton needs a local maximum with a well below it.  Runs on the calling
+    thread: ``parallel`` is accepted and ignored (see the module docstring).
     """
-    params = dict(params or {})
-    abar = params.get("abar", 1.0)
-    bbar = params.get("bbar", 1.0)
-    sigma = params.get("sigma", 0.5)
-    rbar = params.get("rbar", 5.0)
     mix_grid = [float(m) for m in mix_grid]
     if any(not 0.0 <= m <= 1.0 for m in mix_grid):
         raise ValueError("mixing probabilities must lie in [0, 1]")
     config = EnsembleConfig(trials=trials, seed=seed,
-                            params={"N": N, "mix_grid": mix_grid, "abar": abar,
-                                    "bbar": bbar, "sigma": sigma, "rbar": rbar})
+                            params={"N": N, "mix_grid": mix_grid,
+                                    **RANDOM_STAR})
 
     cells = {}
     outcomes = []
     for j, mix in enumerate(mix_grid):
         def trial(rng, i, mix=mix):
-            terms = draw_mixed_star_terms(rng, N, mix, abar=abar, bbar=bbar,
-                                          sigma=sigma, rbar=rbar)
+            terms = draw_mixed_star_terms(rng, N, mix)
             well, soliton = _orbit_type_flags(terms)
             return {"mix": mix, "trial": i, "periodic": well, "soliton": soliton}
 

@@ -13,13 +13,12 @@ connectance, hub overlap) are direction-free.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .util import json_fields, read_json, require_finite
+from .util import json_fields, read_json, require_finite, write_json
 
 
 class SignPattern(Enum):
@@ -122,9 +121,7 @@ class InteractionSystem:
         return sys
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):

@@ -139,11 +139,11 @@ class FeasibilityCertificate:
         }
 
 
-def _max_min_entry(A_eq, b_eq, cap=1e4):
+def _max_min_entry(A_eq, b_eq):
     """Maximize s subject to A_eq z = b_eq, z >= s.
 
     Row-normalizes the equalities first, so the answer is invariant under
-    positive row rescaling.  The witness is capped at ``cap`` per entry
+    positive row rescaling.  The witness is capped at 1e4 per entry
     (cones needing components beyond it are treated as degenerate), which
     keeps the polished residual at machine scale.  Returns (s_star, z) or
     (None, None) when the equalities themselves are inconsistent.
@@ -164,7 +164,7 @@ def _max_min_entry(A_eq, b_eq, cap=1e4):
     rows = np.vstack((np.arange(n), np.repeat(n + np.arange(m)[:, None], n,
                                               axis=1)))
     A = _csc_with_ones(values, rows, n)
-    bounds = np.full(n + 1, cap)
+    bounds = np.full(n + 1, 1e4)
     x, _ = linprog(c, A, np.concatenate((np.full(n, -np.inf), b_n)),
                    np.concatenate((np.zeros(n), b_n)), -bounds, bounds)
     if x is None:
@@ -451,19 +451,18 @@ class RandomMatrixModel:
         return A
 
 
-def positive_solution_frequency(N, trials, model=None, seed=0, B=None,
-                                parallel=1):
-    """Monte Carlo frequency of {A Y = B solvable with Y > 0}, Wilson 95% CI.
+def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
+    """Monte Carlo frequency of {A Y = 1 solvable with Y > 0}, Wilson 95% CI.
 
-    B defaults to the all-ones vector; per-trial RNG streams keyed by the
-    master seed make the outcome independent of the worker count.  Trials
+    1 is the all-ones vector; per-trial RNG streams keyed by the master seed
+    make the outcome independent of the worker count.  Trials
     run on the calling thread: the sparse draw and the small solve hold the
     GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     model = RandomMatrixModel() if model is None else model
-    rhs = np.ones(N) if B is None else np.atleast_1d(np.asarray(B, dtype=float))
+    rhs = np.ones(N)
 
     def trial(rng, i):
         A = model.draw(rng, N)

@@ -384,7 +384,7 @@ def _march(terms, profile, level, q_start, side, tol_deg):
     return "unbounded", None
 
 
-def classify_orbit(star, E, q_ref=None, q_window=None, with_period=True):
+def classify_orbit(star, E, q_ref=None, with_period=True):
     """Classify the orbit at energy E in the well containing q_ref.
 
     The turning points solve Phi(q) = E - mu(1 - ln mu).  Two simple roots
@@ -393,7 +393,7 @@ def classify_orbit(star, E, q_ref=None, q_window=None, with_period=True):
     ends give a kink; an open side gives an unbounded escape.  q_ref
     defaults to the deepest minimum of the profile.
     """
-    profile = _profile_of_terms(star.terms(), q_window=q_window)
+    profile = _profile_of_terms(star.terms())
     return _classify(star, E, profile, q_ref, with_period)
 
 
@@ -638,7 +638,7 @@ def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
                       dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep)))
 
 
-def period(star, E, q_ref=None, q_window=None, rtol=1e-6):
+def period(star, E, q_ref=None, rtol=1e-6):
     """Period of the periodic orbit at energy E via two-branch quadrature.
 
     Both momentum branches contribute: dq/dt changes sign over a closed orbit,
@@ -646,8 +646,7 @@ def period(star, E, q_ref=None, q_window=None, rtol=1e-6):
     turning points.  The estimate is refined until two segment resolutions
     agree to rtol.
     """
-    orbit = classify_orbit(star, E, q_ref=q_ref, q_window=q_window,
-                           with_period=False)
+    orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
     if orbit.kind != "periodic":
         raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
     t_prev = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,

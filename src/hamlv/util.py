@@ -1,5 +1,5 @@
 """Shared helpers: the clipped exponential, finiteness checks, seeded streams,
-intervals, CSV."""
+intervals, CSV and JSON files."""
 
 from __future__ import annotations
 
@@ -93,6 +93,17 @@ def write_csv(path, header, *columns):
         fh.write(",".join(header) + "\n")
         for parts in zip(*blocks):
             fh.write(row_format % tuple(np.concatenate(parts).tolist()))
+
+
+def json_bytes(payload):
+    """The one JSON file format of hamlv: two-space indent, sorted keys and
+    a final newline, ASCII-encoded."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def write_json(path, payload):
+    with open(path, "wb") as fh:
+        fh.write(json_bytes(payload))
 
 
 def sha256_file(path):

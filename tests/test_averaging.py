@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamlv
 from hamlv.averaging import (AveragedState, CoefficientPath, OrbitLostError,
                              SlowEnvironment, averaged_rhs, detect_bursts,
                              evolve_averaged, mu_balance, orbit_averages,
@@ -270,6 +274,14 @@ class TestDetectBursts:
         traj = Trajectory(t=t, states=np.sin(t)[:, None], labels=["x"])
         scan = detect_bursts(traj, observable="x", reference_period=6.28)
         assert scan.sampling_warning
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # find_peaks is imported inside detect_bursts
+        src = str(Path(hamlv.__file__).parents[1])
+        code = ("import sys, hamlv; "
+                "sys.exit('scipy.signal' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], cwd=src,
+                              timeout=120).returncode == 0
 
 
 class TestAveragingAccuracy:

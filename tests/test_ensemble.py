@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +48,7 @@ class TestRandomPotential:
 
 class TestStabilityCensus:
     def test_positive_coefficients_rarely_unstable(self):
-        report = stability_census(2, 60, 400, params={"sigma_b": 0.0},
-                                  seed=3)
+        report = stability_census(2, 60, 400, sigma_b=0.0, seed=3)
         assert report.cells["unstable"].frequency < 0.08
 
     def test_small_band_fraction(self):
@@ -127,7 +127,7 @@ class TestConeFeasibilityFrequency:
 
 class TestReports:
     def test_bytes_stable_across_workers(self):
-        kw = dict(seed=5, params={"sigma_b": 4.0})
+        kw = dict(seed=5, sigma_b=4.0)
         a = stability_census(1, 40, 150, parallel=1, **kw)
         b = stability_census(1, 40, 150, parallel=4, **kw)
         assert a.to_json_bytes() == b.to_json_bytes()
@@ -136,6 +136,21 @@ class TestReports:
         report = cone_feasibility_frequency(2, 10, 1.0, 0.3, 50, seed=2)
         cell = report.cells["feasible"]
         assert 0.0 <= cell.ci_low <= cell.frequency <= cell.ci_high <= 1.0
+
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: stability_census(1, 40, 150, sigma_b=4.0, seed=5),
+         "18cf6073061dc4ac3ddf520e97a610d4a5ba50a71b7941be0096aef2b1bf5efa"),
+        (lambda: orbit_probability_curve(10, [0.0, 0.3], 40, seed=6),
+         "3f45f82728f90c30e14961691ba8f5fde094f861410148c382088f444cec5b59"),
+        (lambda: positive_solution_frequency(8, 200, seed=6),
+         "ddc23bfed5590da92859549f17a22887528a81f3d59161fe2416bbd52354a98f"),
+    ], ids=["census", "curve", "positive_frequency"])
+    def test_report_bytes_pinned(self, run, digest):
+        # a drift in a draw, a verdict or a config echo changes the digest
+        report = run()
+        blob = (util.json_bytes(report) if isinstance(report, dict)
+                else report.to_json_bytes())
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_json_round_trip(self, tmp_path):
         report = stability_census(1, 10, 20, seed=4)

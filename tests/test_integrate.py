@@ -10,7 +10,7 @@ from hamlv import integrate
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
                              evolve_averaged)
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
-                             motion_integral, to_canonical)
+                             hamiltonian, motion_integral, to_canonical)
 from hamlv.integrate import (Trajectory, _lv_flow, _operator,
                              _transformed_flow, integrate_lv,
                              integrate_symplectic, integrate_transformed,
@@ -414,6 +414,42 @@ class TestTransformed:
             C = traj.column("C1")
             drifts.append(abs(C[-1] - C[0]) / 5.0)
         assert drifts[0] == pytest.approx(2.0 * drifts[1], rel=0.1)
+
+
+    def test_overflowing_constants_do_not_end_the_run(self):
+        # gamma_bar = 1 makes ln C grow like t, so C passes the largest float
+        # near t = 709, while ln x = ln C + q stays on the periodic orbit
+        csys = canonicalize(PAIR, mu=[2.0])
+        with np.errstate(over="ignore"):
+            traj = integrate_transformed(csys, to_canonical(csys, [2.0], [1.0]),
+                                         800.0)
+        assert not traj.escaped
+        assert traj.column("C1")[-1] == np.inf
+        assert np.all(np.isfinite(traj.energy))
+
+    @pytest.mark.parametrize("case", ["pair", 0, "hub", "hub-limited"])
+    def test_energy_matches_hamiltonian(self, case):
+        # the recorded H against canonical.hamiltonian at every sample, to
+        # 4 eps of the summed magnitudes of its terms
+        if case == "pair":
+            csys, t_end = canonicalize(PAIR, mu=[2.0]), 600.0
+            s0 = to_canonical(csys, [2.0], [1.0])
+        else:
+            system, mu, rng = flow_case(case)
+            csys, t_end = canonicalize(system, mu=mu), 5.0
+            s0 = to_canonical(csys, rng.uniform(0.5, 1.5, system.N),
+                              mu * rng.uniform(0.8, 1.2, system.M))
+        traj = integrate_transformed(csys, s0, t_end)
+        m = csys.base.M
+        sigma, rho = csys.factors.sigma, csys.factors.rho
+        for k in range(traj.t.size):
+            q, p = traj.states[k, :m], traj.states[k, m:2 * m]
+            state = CanonicalState(q=q, p=p, C=traj.states[k, 2 * m:])
+            x, v = from_canonical(csys, state)
+            terms = np.concatenate((sigma * v, rho * x, csys.base.rbar * q,
+                                    sigma * csys.mu * p))
+            assert abs(traj.energy[k] - hamiltonian(csys, state)) <= (
+                4.0 * np.finfo(float).eps * np.sum(np.abs(terms)))
 
 
 class TestAdaptiveRun:
