@@ -455,9 +455,9 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     """Monte Carlo frequency of {A Y = 1 solvable with Y > 0}, Wilson 95% CI.
 
     1 is the all-ones vector; per-trial RNG streams keyed by the master seed
-    make the outcome independent of the worker count.  Trials
-    run on the calling thread: the sparse draw and the small solve hold the
-    GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
+    make the outcome independent of the worker count.  Trials run on the
+    calling thread: the sparse draw and the small solve hold the GIL, so
+    ``parallel`` (an upper limit on worker threads) is ignored.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

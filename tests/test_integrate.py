@@ -415,7 +415,6 @@ class TestTransformed:
             drifts.append(abs(C[-1] - C[0]) / 5.0)
         assert drifts[0] == pytest.approx(2.0 * drifts[1], rel=0.1)
 
-
     def test_overflowing_constants_do_not_end_the_run(self):
         # gamma_bar = 1 makes ln C grow like t, so C passes the largest float
         # near t = 709, while ln x = ln C + q stays on the periodic orbit
