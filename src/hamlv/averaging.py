@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import (Trajectory, _adaptive_run, _ExpSumFlow,
-                        _solve_log_system)
+from .integrate import Trajectory, _adaptive_run, _solve_log_system
 from .star import (StarSystem, _classify, _orbit_quadrature, _OrbitNodes,
                    _profile_of_terms)
-from .util import clipped_exp, libm_exp, write_csv
+from .util import clipped_exp, libm_exp, require_finite, write_csv
 
 
 class CoefficientPath:
@@ -107,6 +106,8 @@ class SlowEnvironment:
     gamma: np.ndarray = None
 
     def __post_init__(self):
+        require_finite(*((name, getattr(self, name))
+                         for name in ("mu", "epsilon", "dbar", "beta")))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.beta < 0:
@@ -116,6 +117,7 @@ class SlowEnvironment:
             val = getattr(self, name)
             arr = (np.zeros(n) if val is None
                    else np.atleast_1d(np.asarray(val, dtype=float)))
+            require_finite((name, arr))
             object.__setattr__(self, name, arr)
 
     def star_at(self, tau, Cbar):
@@ -131,6 +133,7 @@ class AveragedState:
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.Cbar, dtype=float))
+        require_finite(("tau", self.tau), ("E", self.E), ("Cbar", arr))
         if np.any(arr <= 0):
             raise ValueError("Cbar must be strictly positive")
         object.__setattr__(self, "Cbar", arr)
@@ -437,7 +440,7 @@ def _slow_fast_flow(env, n):
         lnx = y[2:] + np.multiply(a_now, q)
         return c, L, np.concatenate((y[1:2], lnx))
 
-    return _ExpSumFlow(terms)
+    return terms
 
 
 def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,

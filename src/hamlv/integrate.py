@@ -9,7 +9,7 @@ the exact flows of Phi and Psi separately.
 
 No integrator raises on an escape: each reports ``escaped``, ``escape_time``
 and meta["escape_reason"], "clamp" (an exponent passed +-EXP_LIMIT),
-"diverged" (the adaptive solver failed after some |z| > 30) or None.
+"diverged" (a finite-time blow-up collapsed the adaptive step) or None.
 """
 
 from __future__ import annotations
@@ -48,28 +48,6 @@ class Trajectory:
         write_csv(path, header, *columns)
 
 
-class _ExpSumFlow:
-    """Right-hand side y' = c + L exp(z) of a flow in log coordinates.
-
-    ``terms(t, y)`` gives the coefficients c, L and the exponents z at
-    (t, y); they are fixed unless the flow's coefficients drift.  L is a
-    dense ndarray or, for a large sparse operator, a CSR array.  Once some
-    |z| > 30 the exponents go through clipped_exp, and the time of the first
-    such evaluation is kept in ``t_diverged``.
-    """
-
-    def __init__(self, terms):
-        self.terms, self.t_diverged = terms, None
-
-    def __call__(self, t, y):
-        c, L, z = self.terms(t, y)
-        if np.maximum.reduce(z) > 30.0 or np.minimum.reduce(z) < -30.0:
-            if self.t_diverged is None:
-                self.t_diverged = t
-            return c + L @ clipped_exp(z)
-        return c + L @ np.exp(z)
-
-
 # CSR pays for operators of at least 256 x 256 entries with at most one in
 # ten nonzero: one BLAS thread, c + L @ e, dense against CSR (CHANGES.md)
 _CSR_MIN_SIZE = 256 * 256
@@ -96,7 +74,7 @@ def _lv_flow(system):
     """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
     c = np.concatenate((-system.r, system.rbar))
     L = _operator([[-system.Gamma, system.A], [-system.B, -system.D]])
-    return _ExpSumFlow(lambda t, y: (c, L, y))
+    return lambda t, y: (c, L, y)
 
 
 def _transformed_flow(csys):
@@ -111,48 +89,58 @@ def _transformed_flow(csys):
                    [np.zeros((n, m)), -base.Gamma]])
     K = _operator([[np.zeros((m, m))], [base.A / sigma]])
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
-    return _ExpSumFlow(lambda t, y: (c, L, y[m:] + K @ y[:m]))
+    return lambda t, y: (c, L, y[m:] + K @ y[:m])
 
 
 def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
-                  t_eval=None):
+                  t_eval=None, blowup=False):
     """Every adaptive run of hamlv: solve_ivp sampled at t_eval (n_samples
     even steps by default) and stopped where stop(t, y) falls through zero.
 
-    A solver failure raises RuntimeError unless rhs recorded a divergence
-    (an _ExpSumFlow's ``t_diverged``), which the caller reports as an escape.
+    A solver failure raises RuntimeError unless ``blowup`` is set and a step
+    was completed: the stop is then (t, None) at the last step completed.
     Returns the solution, the first stop (t, y) or None, and the run's meta.
     """
-    stop.terminal = True
-    stop.direction = -1
+    last = [t_span[0]]
+
+    def event(t, y):
+        last[0] = t
+        return stop(t, y)
+
+    event.terminal, event.direction = True, -1
     if t_eval is None:
         t_eval = np.linspace(*t_span, n_samples)
     sol = solve_ivp(rhs, t_span, y0, method=method, rtol=rtol, atol=atol,
-                    t_eval=t_eval, events=stop)
-    if sol.status == -1 and getattr(rhs, "t_diverged", None) is None:
+                    t_eval=t_eval, events=event)
+    if sol.status == -1 and not (blowup and last[0] != t_span[0]):
         raise RuntimeError(f"integration failed: {sol.message}")
     first = ((float(sol.t_events[0][0]), sol.y_events[0][0])
-             if sol.status == 1 else None)
+             if sol.status == 1 else
+             (float(last[0]), None) if sol.status == -1 else None)
     meta = {"method": method, "rtol": rtol, "atol": atol,
             "nfev": int(sol.nfev), "n_samples": int(sol.t.size)}
     return sol, first, meta
 
 
-def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval):
-    """Integrate an _ExpSumFlow; an exponent reaching +-EXP_LIMIT escapes.
+def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
+    """Integrate y' = c + L exp(z) from a flow's terms(t, y) = (c, L, z).
 
     meta["escape_reason"] is "clamp" (the exponent event), "diverged" (the
-    solver failed after some |z| > 30: superexponential blow-up collapses
-    the step long before an exponent reaches the clamp) or None.
+    clip keeps the right-hand side finite, so a collapse of the step after
+    the first is a finite-time blow-up) or None.
     """
-    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(flow.terms(t, y)[2])))
-    sol, stop, meta = _adaptive_run(flow, (0.0, t_end), y0, escape, "DOP853",
-                                    rtol, atol, n_samples, t_eval)
-    if sol.status == -1:
-        stop = (float(flow.t_diverged), None)
-        meta["escape_reason"] = "diverged"
-    else:
-        meta["escape_reason"] = None if stop is None else "clamp"
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("tolerances must be positive")
+
+    def rhs(t, y):
+        c, L, z = terms(t, y)
+        return c + L @ clipped_exp(z)
+
+    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(terms(t, y)[2])))
+    sol, stop, meta = _adaptive_run(rhs, (0.0, t_end), y0, escape, "DOP853",
+                                    rtol, atol, n_samples, t_eval, blowup=True)
+    meta["escape_reason"] = (None if stop is None else
+                             "diverged" if sol.status == -1 else "clamp")
     return sol, {"meta": meta, "escaped": stop is not None,
                  "escape_time": None if stop is None else stop[0]}
 
@@ -168,8 +156,6 @@ def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if np.any(x0 <= 0) or np.any(v0 <= 0):
         raise ValueError("initial abundances must be strictly positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
     n, m = system.N, system.M
     y0 = np.concatenate((np.log(x0), np.log(v0)))
     sol, run = _solve_log_system(_lv_flow(system), y0, t_end, rtol, atol,
@@ -191,14 +177,14 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
     """
     n, m = csys.base.N, csys.base.M
     y0 = np.concatenate((state0.q, state0.p, np.log(state0.C)))
-    flow = _transformed_flow(csys)
-    sol, run = _solve_log_system(flow, y0, t_end, rtol, atol, n_samples,
+    terms = _transformed_flow(csys)
+    sol, run = _solve_log_system(terms, y0, t_end, rtol, atol, n_samples,
                                  t_eval)
     # one row per sample, summed pairwise along contiguous rows in the
     # grouping of canonical.hamiltonian (BLAS dot products drifted 4.6 eps)
     y = np.ascontiguousarray(sol.y.T)
     q, p = y[:, :m], y[:, m:2 * m]
-    x = clipped_exp(np.ascontiguousarray(flow.terms(None, sol.y)[2][m:].T))
+    x = clipped_exp(np.ascontiguousarray(terms(None, sol.y)[2][m:].T))
     sigma = csys.factors.sigma
     energy = (np.sum(csys.factors.rho * x, axis=1)
               - np.sum(csys.base.rbar * q, axis=1)

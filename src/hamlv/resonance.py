@@ -25,6 +25,7 @@ import numpy as np
 
 from .integrate import _adaptive_run
 from .star import PotentialTerms, StarSystem, analyze_potential
+from .util import require_finite
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class TwoStarSystem:
     d2: float = 0.0
 
     def __post_init__(self):
+        require_finite(*((name, getattr(self, name))
+                         for name in ("kappa", "epsilon", "d1", "d2")))
         if self.kappa <= 0 or self.epsilon < 0:
             raise ValueError("need kappa > 0 and epsilon >= 0")
         for name, size in (("atilde1", self.star1.n_species),
@@ -57,6 +60,7 @@ class TwoStarSystem:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.size != size:
                 raise ValueError(f"{name} must have length {size}")
+            require_finite((name, arr))
             object.__setattr__(self, name, arr)
 
     @property

@@ -114,6 +114,22 @@ class TestAveragedRhs:
                                             Cbar=np.ones(4)))
 
 
+class TestInputs:
+    @pytest.mark.parametrize("field, value", [
+        ("mu", math.nan), ("epsilon", math.nan), ("dbar", math.inf),
+        ("beta", math.nan), ("gamma_hat", [math.nan]), ("gamma", [-math.inf])])
+    def test_environment_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            unit_env(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", math.nan), ("E", math.inf), ("Cbar", [math.nan])])
+    def test_state_rejects_non_finite(self, field, value):
+        kwargs = {"tau": 0.0, "E": 3.0, "Cbar": [1.0], field: value}
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            AveragedState(**kwargs)
+
+
 class TestEvolveAveraged:
     def test_frozen_environment_constant(self):
         env = unit_env()
@@ -354,7 +370,8 @@ class TestSlowFastFlow:
                      * math.exp(p) + np.sum(np.abs(env.b.value(tau)) * x)],
                     eb * (np.abs(env.gamma_hat) + env.gamma * x
                           + np.abs(q * env.a.derivative(tau)))))
-                got, want = flow(t, y), oracle(t, y)
+                c, L, z = flow(t, y)
+                got, want = c + L @ np.exp(z), oracle(t, y)
                 assert np.all(np.abs(got - want) <= 4 * EPS * terms)
 
     @pytest.mark.parametrize("kind", ["table", "analytic"])

@@ -371,6 +371,16 @@ class TestMalformedInput:
                        dict(TWO_STAR, star2=[1.0]))
         assert "star2 must be a JSON object" in err
 
+    def test_resonance_nan_kappa(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "resonance",
+                       dict(TWO_STAR, kappa=float("nan")))
+        assert "kappa contains non-finite" in err
+
+    def test_average_nan_epsilon(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "average",
+                       dict(ENV, epsilon=float("nan")), "--E0", "3")
+        assert "epsilon contains non-finite" in err
+
     def test_simulate_state_of_wrong_type(self, tmp_path, capsys,
                                           system_file):
         state = tmp_path / "state.json"

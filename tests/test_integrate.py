@@ -1,14 +1,17 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from hamlv import integrate
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
-                             evolve_averaged)
+                             evolve_averaged, simulate_slow_fast)
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
                              hamiltonian, motion_integral, to_canonical)
 from hamlv.integrate import (Trajectory, _lv_flow, _operator,
@@ -19,7 +22,7 @@ from hamlv.model import InteractionSystem
 from hamlv.resonance import ResonanceModel, integrate_resonance
 from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
 from oracle import transformed_rhs
-from test_acceptance import REGRESSION_SUITE
+from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -88,6 +91,11 @@ def block_rhs(system):
     return rhs
 
 
+def exp_sum(c, L, z):
+    """The right-hand side c + L exp(z) of a flow's terms."""
+    return c + L @ np.exp(z)
+
+
 def assert_sum_close(got, want, terms, rtol=1e-14):
     """Relative agreement of sums, measured against the summed magnitudes."""
     assert np.all(np.abs(got - want) <= rtol * terms)
@@ -142,6 +150,22 @@ class TestIntegrateLV:
         assert traj.meta["escape_reason"] == "diverged"
         assert traj.escape_time == pytest.approx(math.log(2.0), rel=1e-6)
 
+    @given(r=st.floats(0.0, 2.0), gamma=st.floats(0.1, 10.0),
+           excess=st.floats(0.01, 100.0))
+    @example(r=0.0, gamma=1.0, excess=0.01)  # x' = x^2 from 0.01: T = 100
+    def test_blow_up_diverges_at_closed_form_time(self, r, gamma, excess):
+        # x' = x (-r + gamma x) with gamma x0 > r blows up at
+        # T = ln(gamma x0 / (gamma x0 - r)) / r, T = 1 / (gamma x0) for r = 0
+        x0 = (r + excess) / gamma
+        over = gamma * x0 - r
+        T = math.log1p(r / over) / r if r > 0 else 1.0 / (gamma * x0)
+        system = InteractionSystem(r=[r], rbar=[0.0], A=[[0.0]], B=[[0.0]],
+                                   Gamma=[[-gamma]])
+        traj = integrate_lv(system, [x0], [1.0], 2.0 * T + 1.0)
+        assert traj.escaped
+        assert traj.meta["escape_reason"] == "diverged"
+        assert traj.escape_time == pytest.approx(T, rel=1e-6)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             integrate_lv(PAIR, [0.0], [1.0], 1.0)
@@ -188,7 +212,8 @@ class TestExpSumFlow:
             terms = np.concatenate((
                 system.r + system.A @ v + system.Gamma @ x,
                 system.rbar + system.B @ x + system.D @ v))
-            assert_sum_close(flow(0.0, y), block_rhs(system)(0.0, y), terms)
+            assert_sum_close(exp_sum(*flow(0.0, y)), block_rhs(system)(0.0, y),
+                             terms)
 
     @pytest.mark.parametrize("case", FLOW_CASES)
     def test_transformed_flow_is_transformed_rhs(self, case):
@@ -208,17 +233,17 @@ class TestExpSumFlow:
             terms = np.concatenate((sigma * (v + csys.mu),
                                     base.rbar + base.B @ x + base.D @ v,
                                     np.abs(csys.gamma_bar) + base.Gamma @ x))
-            assert_sum_close(flow(0.0, y),
+            assert_sum_close(exp_sum(*flow(0.0, y)),
                              np.concatenate((dq, dp, dC / state.C)), terms)
 
     @pytest.mark.parametrize("limited", [False, True])
     def test_large_sparse_web_gets_csr(self, limited):
         system, mu, _ = hub_web(limited)
         n, m = system.N, system.M
-        assert sparse.issparse(_lv_flow(system).terms(0.0, np.zeros(n + m))[1])
+        assert sparse.issparse(_lv_flow(system)(0.0, np.zeros(n + m))[1])
         csys = canonicalize(system, mu=mu)
         flow = _transformed_flow(csys)
-        assert sparse.issparse(flow.terms(0.0, np.zeros(n + 2 * m))[1])
+        assert sparse.issparse(flow(0.0, np.zeros(n + 2 * m))[1])
         # the canonical map K = [[0], [A / sigma]] is too small to pay
         K = _operator([[np.zeros((m, m))], [system.A / csys.factors.sigma]])
         assert type(K) is np.ndarray
@@ -227,26 +252,35 @@ class TestExpSumFlow:
         # the tests' own systems and the c10 cases keep the dense operator,
         # and with it the bits they had before CSR
         def lv_operator(system):
-            return _lv_flow(system).terms(0.0, np.zeros(system.N + system.M))[1]
+            return _lv_flow(system)(0.0, np.zeros(system.N + system.M))[1]
 
         for system, mu in [(PAIR, None)] + [damped_factorizable(seed)[:2]
                                             for seed in range(5)]:
             assert type(lv_operator(system)) is np.ndarray
             flow = _transformed_flow(canonicalize(system, mu=mu))
             y = np.zeros(system.N + 2 * system.M)
-            assert type(flow.terms(0.0, y)[1]) is np.ndarray
+            assert type(flow(0.0, y)[1]) is np.ndarray
         for ts, _ in REGRESSION_SUITE:  # c10's systems do not factor
             assert type(lv_operator(ts.to_interaction_system())) is np.ndarray
 
-    def test_exponents_clipped_and_divergence_timed(self):
-        flow = _lv_flow(PAIR)
-        flow(0.5, np.array([29.0, -29.0]))
-        assert flow.t_diverged is None
-        dy = flow(1.5, np.array([800.0, -31.0]))
-        assert flow.t_diverged == 1.5
+    def test_right_hand_side_clips_exponents(self, monkeypatch):
+        # the one right-hand side is c + L exp(z) with bits of np.exp inside
+        # +-EXP_LIMIT, and stays finite where exp(z) overflows
+        seen = []
+
+        def capture(rhs, *args, **kwargs):
+            seen.append(rhs)
+            return solve_ivp(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_ivp", capture)
+        integrate_lv(PAIR, [2.0], [1.0], 1.0)
+        rhs, = seen
+        y = np.array([29.0, -29.0])
+        want = exp_sum(*_lv_flow(PAIR)(0.5, y))
+        assert rhs(0.5, y).tobytes() == want.tobytes()
+        dy = rhs(1.5, np.array([800.0, -31.0]))
         assert np.all(np.isfinite(dy))
-        np.testing.assert_allclose(dy, flow(2.0, np.array([700.0, -31.0])))
-        assert flow.t_diverged == 1.5
+        assert dy.tobytes() == rhs(2.0, np.array([700.0, -31.0])).tobytes()
 
     def test_transformed_exponent_overflow_is_escape(self):
         # x = C exp(100 q) with q' = v - mu = 1: ln x reaches 700 at t = 7
@@ -280,6 +314,32 @@ class TestExpSumFlow:
         assert x[0] == pytest.approx(2e134, rel=0.05)
         np.testing.assert_allclose(np.concatenate((x, v)),
                                    direct.states[-1], rtol=1e-6)
+
+
+class TestTolerances:
+    """The three log-space integrators share one tolerance check."""
+
+    @pytest.mark.parametrize("rtol, atol", [(0.0, 1e-10), (1e-8, 0.0),
+                                            (-1.0, 1e-10)])
+    @pytest.mark.parametrize("run", ["lv", "transformed", "slow_fast"])
+    def test_nonpositive_tolerance_rejected(self, run, rtol, atol):
+        if run == "lv":
+            call = lambda: integrate_lv(PAIR, [2.0], [1.0], 5.0, rtol=rtol,
+                                        atol=atol)
+        elif run == "transformed":
+            csys = canonicalize(PAIR)
+            call = lambda: integrate_transformed(
+                csys, to_canonical(csys, [2.0], [1.0]), 5.0, rtol=rtol,
+                atol=atol)
+        else:
+            env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                                  b=CoefficientPath.constant([1.0]),
+                                  rbar=CoefficientPath.constant(1.0), mu=1.0,
+                                  epsilon=0.01)
+            call = lambda: simulate_slow_fast(env, 0.0, 0.5, [1.0], 5.0,
+                                              rtol=rtol, atol=atol)
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            call()
 
 
 class TestTrajectoryCsv:
@@ -485,3 +545,73 @@ class TestAdaptiveRun:
         avg = evolve_averaged(self.ENV, self.START, 0.5, n_samples=11)
         assert avg.meta["method"] == "RK45"
         assert avg.meta["n_samples"] == avg.tau.size == 11
+
+
+def trajectory_digest(traj):
+    """sha256 of the samples, the states, H when recorded, and nfev."""
+    h = hashlib.sha256()
+    for part in (traj.t, traj.states, traj.energy):
+        if part is not None:
+            h.update(part.tobytes())
+    h.update(str(traj.meta["nfev"]).encode())
+    return h.hexdigest()
+
+
+def resonance_run(index):
+    """A c10 case to t = 300 from the bench's start: v1 off by a factor e^0.01."""
+    ts = REGRESSION_SUITE[index][0]
+    x = np.concatenate((ts.star1.C, ts.star2.C))
+    v = np.array([ts.star1.mu * math.exp(1e-2), ts.star2.mu])
+    return integrate_lv(ts.to_interaction_system(), x, v, 300.0,
+                        n_samples=401)
+
+
+def hub_run(case):
+    system, mu, rng = flow_case(case)
+    csys = canonicalize(system, mu=mu)
+    s0 = to_canonical(csys, rng.uniform(0.5, 1.5, system.N),
+                      mu * rng.uniform(0.8, 1.2, system.M))
+    return integrate_transformed(csys, s0, 20.0)
+
+
+def burst_run():
+    """The c11 burst drive: the double well tilted by rbar = 1.2 tau."""
+    drive = SlowEnvironment(
+        a=CoefficientPath.constant(DOUBLE_WELL.a),
+        b=CoefficientPath.constant(DOUBLE_WELL.b),
+        rbar=CoefficientPath.from_callable(lambda tau: 1.2 * tau,
+                                           lambda tau: 1.2),
+        mu=1.0, epsilon=0.01, dbar=0.0)
+    bottom = (min(e.phi for e in analyze_potential(DOUBLE_WELL).extrema)
+              + DOUBLE_WELL.psi_min())
+    q0 = -math.log(2.0)
+    p0, _ = _psi_roots(1.0, bottom + 0.2 - float(DOUBLE_WELL.terms().phi(q0)))
+    return simulate_slow_fast(drive, q0, p0, np.ones(4), 100.0, rtol=1e-10,
+                              n_samples=10001)
+
+
+class TestPinnedTrajectories:
+    """Log-space runs keep their bytes: a change to the right-hand side, the
+    escape event or the driver that moves one bit or one evaluation fails.
+    The digests hold for numpy 2.4 on x86-64 with AVX-512, whose vectorised
+    exp can differ by one ulp from other builds."""
+
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: resonance_run(4),
+         "597c336ddb62d33f45a5a0aa6088f832be7ce30b764199b1956d4b51b0deabfb"),
+        (lambda: resonance_run(3),
+         "2928ebe52ab2cbf128377d5f43f516ec73dfc966601ffc90501d08880e42350f"),
+        (lambda: resonance_run(8),
+         "0b652b0886fee6f54fd5e044f32bf93aa6e3c4facdfbc12eed39dd4a26e86e55"),
+        (lambda: resonance_run(11),
+         "7b206d80e2470c25799d75ac6ea0eb4af43fc80b12c5931061dbec7b74279cda"),
+        (lambda: hub_run("hub"),
+         "6b6921a3348e476f97eb0eba054c4dbfd6c2141bb154b639a51ef646399b41fa"),
+        (lambda: hub_run("hub-limited"),
+         "b4527ccfcb90a768e80a26609ceddc656eabcb76d49125fb42af6027aafd5dd3"),
+        (burst_run,
+         "386b309162b510697f2ea9674fc031bf71afe4ddf00fe91309d94101244ccf02"),
+    ], ids=["unstable", "stable_two_species", "damped", "damped_two_species",
+            "hub", "hub-limited", "burst"])
+    def test_trajectory_bytes_pinned(self, run, digest):
+        assert trajectory_digest(run()) == digest

@@ -25,6 +25,16 @@ def coupled(btilde1, btilde2, kappa=0.01, epsilon=0.0, d1=0.0, d2=0.0,
                          kappa=kappa, epsilon=epsilon, d1=d1, d2=d2)
 
 
+class TestTwoStarSystem:
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", math.nan), ("epsilon", math.inf), ("d1", math.nan),
+        ("d2", -math.inf), ("btilde1", [math.nan]), ("btilde2", [math.inf])])
+    def test_non_finite_field_names_itself(self, field, value):
+        kwargs = {"btilde1": [0.3], "btilde2": [-0.3], field: value}
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            coupled(**kwargs)
+
+
 class TestLinearize:
     def test_identical_stars_equal_frequencies(self):
         m = linearize(coupled([0.2], [0.2]))
