@@ -150,15 +150,15 @@ class TestIntegrateLV:
         assert traj.meta["escape_reason"] == "diverged"
         assert traj.escape_time == pytest.approx(math.log(2.0), rel=1e-6)
 
-    @given(r=st.floats(0.0, 2.0), gamma=st.floats(0.1, 10.0),
-           excess=st.floats(0.01, 100.0))
+    @given(r=st.just(0.0) | st.floats(1e-6, 2.0),  # no subnormal r / r
+           gamma=st.floats(0.1, 10.0), excess=st.floats(0.01, 100.0))
     @example(r=0.0, gamma=1.0, excess=0.01)  # x' = x^2 from 0.01: T = 100
     def test_blow_up_diverges_at_closed_form_time(self, r, gamma, excess):
         # x' = x (-r + gamma x) with gamma x0 > r blows up at
         # T = ln(gamma x0 / (gamma x0 - r)) / r, T = 1 / (gamma x0) for r = 0
         x0 = (r + excess) / gamma
-        over = gamma * x0 - r
-        T = math.log1p(r / over) / r if r > 0 else 1.0 / (gamma * x0)
+        T = (math.log1p(r / (gamma * x0 - r)) / r if r > 0
+             else 1.0 / (gamma * x0))
         system = InteractionSystem(r=[r], rbar=[0.0], A=[[0.0]], B=[[0.0]],
                                    Gamma=[[-gamma]])
         traj = integrate_lv(system, [x0], [1.0], 2.0 * T + 1.0)
@@ -332,12 +332,8 @@ class TestTolerances:
                 csys, to_canonical(csys, [2.0], [1.0]), 5.0, rtol=rtol,
                 atol=atol)
         else:
-            env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
-                                  b=CoefficientPath.constant([1.0]),
-                                  rbar=CoefficientPath.constant(1.0), mu=1.0,
-                                  epsilon=0.01)
-            call = lambda: simulate_slow_fast(env, 0.0, 0.5, [1.0], 5.0,
-                                              rtol=rtol, atol=atol)
+            call = lambda: simulate_slow_fast(TestAdaptiveRun.ENV, 0.0, 0.5,
+                                              [1.0], 5.0, rtol=rtol, atol=atol)
         with pytest.raises(ValueError, match="tolerances must be positive"):
             call()
 
