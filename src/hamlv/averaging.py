@@ -9,6 +9,7 @@ frozen orbit close the system:
 
 with S1 the self-limitation work -dbar <e^P (e^P - mu)>, S2 = <Phi_tau> the
 explicit slow dependence, S3 = sum_i <Phi_C_i> W_i, and theta_i = <exp(a_i Q)>.
+The frozen orbit and its averaging nodes follow star.classify_orbit's verdict.
 A trajectory leaves this description when E reaches the lowest barrier of its
 well; that crossing is emitted as a regime event, not an error.  The direct
 slow-fast simulation it is checked against runs on the exp-sum flow kernel.
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .canonical import star_equilibrium
 from .integrate import Trajectory, _adaptive_run, _solve_log_system
-from .star import (StarSystem, _classify, _orbit_quadrature, _OrbitNodes,
-                   _profile_of_terms)
+from .star import StarSystem, _classify, _orbit_nodes, _profile_of_terms
 from .util import clipped_exp, libm_exp, require_finite, write_csv
 
 
@@ -143,38 +144,18 @@ class OrbitLostError(RuntimeError):
     """E reached the barrier of the tracked well: regime change, not a bug."""
 
 
-_DEGENERATE_GAP = 1e-10
-
-
-def _orbit_nodes(star, E, profile, q_ref):
-    """Quadrature nodes of the orbit at E in the well nearest q_ref.
-
-    Near the bottom of the well (E - E_min below a tiny threshold) the orbit
-    degenerates to the equilibrium: one node, with the period from the
-    curvature, whose averages are point values.
-    """
-    well = profile.well(q_ref)
-    if well is None:
-        raise ValueError("no potential well: averages undefined")
-    e_min = well.phi + star.psi_min()
-    if E - e_min <= _DEGENERATE_GAP * (1.0 + abs(E)):
-        omega2 = star.mu * float(star.terms().d2phi(well.q))
-        T = 2.0 * math.pi / math.sqrt(omega2) if omega2 > 0 else math.inf
-        return _OrbitNodes(period=T, q=np.array([well.q]),
-                           p=np.array([math.log(star.mu)]))
-    orbit = _classify(star, E, profile, q_ref=well.q, with_period=False)
-    if orbit.kind != "periodic":
-        raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
-    return _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus)
-
-
 def orbit_averages(star, E, observables, q_ref=None):
     """Period T and time averages of observables f(q, p) over the orbit at E.
 
-    Near the bottom of the well (E - E_min below a tiny threshold) the orbit
-    degenerates to the equilibrium and averages reduce to point evaluations.
+    classify_orbit decides the orbit: an equilibrium averages to point values
+    at the well bottom with T = 2 pi / omega, a periodic orbit by quadrature.
+    Other kinds and no well raise ValueError, E below the well
+    EnergyBelowWellError.
     """
-    nodes = _orbit_nodes(star, E, _profile_of_terms(star.terms()), q_ref)
+    profile = _profile_of_terms(star.terms())
+    if profile.well(q_ref) is None:
+        raise ValueError("no potential well: averages undefined")
+    nodes = _orbit_nodes(star, _classify(star, E, profile, q_ref))
     points = list(zip(nodes.q.tolist(), nodes.p.tolist()))
     values = np.array([[f(q, p) for q, p in points] for f in observables],
                       dtype=float).reshape(len(observables), len(points))
@@ -190,22 +171,12 @@ def period_average(star, E, f, q_ref=None):
 def mu_balance(a, b, r, gamma, rbar=0.0):
     """Offset mu making the averaged Cbar equation stationary.
 
-    Solves sum_k b_k (a_k mu - r_k) / gamma_k = rbar, i.e.
-
-        mu = (rbar + sum_k b_k r_k / gamma_k) / (sum_k b_k a_k / gamma_k),
-
-    which equals the hub equilibrium abundance vbar of the star with diagonal
-    self-limitation and d = 0.  With rbar omitted this reduces to the balance
-    of the specialist terms alone.
+    Solves sum_k b_k (a_k mu - r_k) / gamma_k = rbar, which is the hub
+    equilibrium abundance vbar of canonical.star_equilibrium with d = 0.
+    With rbar omitted this reduces to the balance of the specialist terms
+    alone.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    denom = float(np.sum(b * a / gamma))
-    if denom == 0.0:
-        raise ValueError("sum of b a / gamma vanishes: mu undefined")
-    return float((rbar + np.sum(b * r / gamma)) / denom)
+    return star_equilibrium(a, b, r, gamma, 0.0, rbar).vbar
 
 
 def _well_and_barrier(star, profile, q_hint):
@@ -223,11 +194,12 @@ def _averaged_terms(env, tau, E, Cbar, q_hint):
     well, e_barrier = _well_and_barrier(star, profile, q_hint)
     margin = 1e-6 * (1.0 + abs(E))
     e_eff = min(E, e_barrier - margin) if math.isfinite(e_barrier) else E
+    # RK stages can overshoot the bottom of a well the start lies in
     e_eff = max(e_eff, well.phi + star.psi_min())
 
     a = np.atleast_1d(np.asarray(star.a))
     n = a.size
-    nodes = _orbit_nodes(star, e_eff, profile, q_ref=well.q)
+    nodes = _orbit_nodes(star, _classify(star, e_eff, profile, well.q))
     q = nodes.q
     exp_aq = libm_exp(np.multiply.outer(a, q))
     exp_p = libm_exp(nodes.p)
@@ -300,10 +272,15 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     "environment-destabilized" when the explicit slow drive S2 overcomes an
     actual damping term (S1 < 0 and S2 > |S1|), plain "burst" otherwise.  A
     run with no crossing ends with a single "stabilized" event at tau_end.
-    meta["quadrature_nodes_dropped"] counts the quadrature positions left
-    out, over every averaged evaluation, because roundoff put them outside
-    the well.
+    An init.E below the tracked well raises EnergyBelowWellError, by the
+    rule of classify_orbit.  meta["quadrature_nodes_dropped"] counts the
+    quadrature positions left out, over every averaged evaluation, because
+    roundoff put them outside the well.
     """
+    start = env.star_at(init.tau, init.Cbar)
+    profile = _profile_of_terms(start.terms())
+    well, _ = _well_and_barrier(start, profile, q_well)
+    _classify(start, init.E, profile, well.q)  # raises below the well
     hint = {"q": q_well}
     dropped = 0
 

@@ -7,8 +7,8 @@ The population model couples a group of N species x with a group of M species v:
 
 ``A`` and ``B`` carry the between-group interactions, ``Gamma`` and ``D`` the
 self-limitation terms.  The topology helpers treat the web as an undirected
-graph with an optional bipartition; all statistics used here (degree,
-connectance, hub overlap) are direction-free.
+graph; all statistics used here (degree, connectance, hub overlap) are
+direction-free.
 """
 
 from __future__ import annotations
@@ -153,11 +153,10 @@ def classify_signs(system):
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Undirected simple graph with an optional two-group node labeling."""
+    """Undirected simple graph."""
 
     n_nodes: int
     edges: frozenset = field(default_factory=frozenset)
-    bipartition: tuple = None
 
     def __post_init__(self):
         norm = set()

@@ -153,14 +153,12 @@ def linearize(two_star):
     """
     s1, s2 = two_star.star1, two_star.star2
     w1, w2 = two_star.wells()
-    omegas = [math.sqrt(star.mu * float(star.terms().d2phi(well.q)))
-              for star, well in ((s1, w1), (s2, w2))]
     q1, q2 = w1.q, w2.q
     g1, g2 = two_star.couplings()
     g12 = float(g1.dphi(q2))
     g21 = float(g2.dphi(q1))
-    return ResonanceModel(omega1=omegas[0], omega2=omegas[1], g12=g12, g21=g21,
-                          ebar=two_star.ebar, qbar=(q1, q2),
+    return ResonanceModel(omega1=s1.frequency(q1), omega2=s2.frequency(q2),
+                          g12=g12, g21=g21, ebar=two_star.ebar, qbar=(q1, q2),
                           d=(two_star.d1, two_star.d2))
 
 

@@ -15,7 +15,7 @@ unbounded) is read off the potential profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -160,6 +160,10 @@ class StarSystem:
     def psi_min(self):
         """min Psi = mu (1 - ln mu), attained at p = ln mu."""
         return self.mu * (1.0 - math.log(self.mu))
+
+    def frequency(self, q):
+        """Small-oscillation frequency sqrt(mu Phi''(q)) about a well bottom q."""
+        return math.sqrt(self.mu * float(self.terms().d2phi(q)))
 
     def to_interaction_system(self, gamma=None, d=0.0):
         """Embed as an InteractionSystem (optionally with self-limitation)."""
@@ -384,21 +388,25 @@ def _march(terms, profile, level, q_start, side, tol_deg):
     return "unbounded", None
 
 
-def classify_orbit(star, E, q_ref=None, with_period=True):
+def classify_orbit(star, E, q_ref=None):
     """Classify the orbit at energy E in the well containing q_ref.
 
-    The turning points solve Phi(q) = E - mu(1 - ln mu).  Two simple roots
-    bound a periodic orbit; a root degenerate at a local maximum (within
-    1e-9 (1 + |E - mu(1 - ln mu)|)) gives a soliton plateau; two degenerate
-    ends give a kink; an open side gives an unbounded escape.  q_ref
-    defaults to the deepest minimum of the profile.
+    The turning points solve Phi(q) = E - mu(1 - ln mu), to within
+    tol = 1e-9 (1 + |E - mu(1 - ln mu)|).  Within tol of the well bottom
+    the orbit is the equilibrium, and below that EnergyBelowWellError is
+    raised.  Two simple roots bound a periodic orbit with its 8-segment
+    period; a root within tol of a local maximum gives a soliton plateau;
+    two such ends give a kink; an open side gives an unbounded escape.
+    q_ref defaults to the deepest minimum of the profile.
     """
-    profile = _profile_of_terms(star.terms())
-    return _classify(star, E, profile, q_ref, with_period)
+    orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
+    if orbit.kind != "periodic":
+        return orbit
+    return replace(orbit, period=_orbit_nodes(star, orbit).period)
 
 
-def _classify(star, E, profile, q_ref=None, with_period=True):
-    """classify_orbit on a potential profile the caller already has."""
+def _classify(star, E, profile, q_ref=None):
+    """classify_orbit without the period, on a profile the caller has."""
     terms = star.terms()
     psi_min = star.psi_min()
     level = E - psi_min
@@ -436,11 +444,8 @@ def _classify(star, E, profile, q_ref=None, with_period=True):
         plateau = q_plus if right_kind == "degenerate" else q_minus
         return Orbit(kind="soliton", energy=E, level=level,
                      q_minus=q_minus, q_plus=q_plus, q_plateau=plateau)
-    T = None
-    if with_period:
-        T = _orbit_quadrature(star, E, q_minus, q_plus).period
     return Orbit(kind="periodic", energy=E, level=level,
-                 q_minus=q_minus, q_plus=q_plus, period=T)
+                 q_minus=q_minus, q_plus=q_plus)
 
 
 _XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
@@ -638,26 +643,46 @@ def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
                       dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep)))
 
 
+def _orbit_nodes(star, orbit):
+    """Time-weighted nodes of an orbit _classify gave, as _OrbitNodes.
+
+    The equilibrium is one node at the well bottom with the small-oscillation
+    period 2 pi / omega (inf on a flat bottom), so its averages are point
+    values; a periodic orbit gets the 8-segment quadrature.  Any other kind
+    raises ValueError.
+    """
+    if orbit.kind == "equilibrium":
+        omega = star.frequency(orbit.q_minus)
+        T = 2.0 * math.pi / omega if omega > 0 else math.inf
+        return _OrbitNodes(period=T, q=np.array([orbit.q_minus]),
+                           p=np.array([math.log(star.mu)]))
+    if orbit.kind != "periodic":
+        raise ValueError(f"orbit at E = {orbit.energy:g} is {orbit.kind}, "
+                         "not periodic")
+    return _orbit_quadrature(star, orbit.energy, orbit.q_minus, orbit.q_plus)
+
+
 def period(star, E, q_ref=None, rtol=1e-6):
     """Period of the periodic orbit at energy E via two-branch quadrature.
 
     Both momentum branches contribute: dq/dt changes sign over a closed orbit,
     so T = int [ (e^{p_up} - mu)^{-1} + (mu - e^{p_dn})^{-1} ] dq between the
-    turning points.  The estimate is refined until two segment resolutions
-    agree to rtol.
+    turning points.  The 8-segment period of classify_orbit is checked
+    against 6 segments and refined through 12, 18 and 28 until two segment
+    resolutions agree to rtol.
     """
-    orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
+    orbit = classify_orbit(star, E, q_ref=q_ref)
     if orbit.kind != "periodic":
         raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
     t_prev = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
                                n_segments=6).period
-    for n_seg in (8, 12, 18, 28):
-        t_cur = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
-                                  n_segments=n_seg).period
+    t_cur = orbit.period
+    for n_seg in (12, 18, 28):
         if abs(t_cur - t_prev) <= rtol * abs(t_cur):
-            return t_cur
-        t_prev = t_cur
-    return t_prev
+            break
+        t_prev, t_cur = t_cur, _orbit_quadrature(
+            star, E, orbit.q_minus, orbit.q_plus, n_segments=n_seg).period
+    return t_cur
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,16 @@ class TestAverageAndResonance:
         events = json.loads((out / "events.json").read_text())
         assert events[-1]["kind"] == "stabilized"
 
+    def test_average_from_the_well_bottom(self, tmp_path):
+        # 5e-10 above the bottom at E = 2: the equilibrium by classify_orbit
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(ENV))
+        out = tmp_path / "avg"
+        assert main(["average", "--input", str(path), "--E0", "2.0000000005",
+                     "--tau-end", "0.3", "--out", str(out)]) == 0
+        events = json.loads((out / "events.json").read_text())
+        assert [e["kind"] for e in events] == ["stabilized"]
+
     def test_resonance_verdict_schema(self, tmp_path):
         two = {"star1": STAR, "star2": STAR, "atilde1": [0.0],
                "atilde2": [0.0], "btilde1": [0.3], "btilde2": [-0.3],
@@ -375,6 +385,10 @@ class TestMalformedInput:
         err = self.run(tmp_path, capsys, "resonance",
                        dict(TWO_STAR, kappa=float("nan")))
         assert "kappa contains non-finite" in err
+
+    def test_average_below_the_well(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "average", ENV, "--E0", "1.0")
+        assert "below the well bottom" in err
 
     def test_average_nan_epsilon(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "average",

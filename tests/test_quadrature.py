@@ -6,7 +6,10 @@ must reproduce every value bit for bit (==), not within a tolerance.
 """
 
 import dataclasses
+import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hamlv import averaging
+import hamlv
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
                              _averaged_terms, evolve_averaged, orbit_averages)
-from hamlv.star import (StarSystem, _GL_NODES, _GL_WEIGHTS, _orbit_quadrature,
-                        _psi_roots, analyze_potential, classify_orbit, period)
+from hamlv.star import (EnergyBelowWellError, StarSystem, _GL_NODES,
+                        _GL_WEIGHTS, _orbit_quadrature, _psi_roots,
+                        analyze_potential, classify_orbit, period)
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
@@ -91,7 +95,7 @@ def scalar_quadrature(star, E, q_minus, q_plus, n_segments=8):
 
 
 def scalar_period(star, E, q_ref, rtol=1e-6):
-    orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
+    orbit = classify_orbit(star, E, q_ref=q_ref)
     t_prev = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus, 6)[0]
     for n_seg in (8, 12, 18, 28):
         t_cur = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus, n_seg)[0]
@@ -102,15 +106,12 @@ def scalar_period(star, E, q_ref, rtol=1e-6):
 
 
 def scalar_orbit_averages(star, E, observables, q_ref=None):
-    minima = analyze_potential(star).minima()
-    well = (min(minima, key=lambda e: e.phi) if q_ref is None
-            else min(minima, key=lambda e: abs(e.q - q_ref)))
-    if E - (well.phi + star.psi_min()) <= 1e-10 * (1.0 + abs(E)):
-        p_eq = math.log(star.mu)
-        omega2 = star.mu * float(star.terms().d2phi(well.q))
+    orbit = classify_orbit(star, E, q_ref=q_ref)
+    if orbit.kind == "equilibrium":
+        q_eq, p_eq = orbit.q_minus, math.log(star.mu)
+        omega2 = star.mu * float(star.terms().d2phi(q_eq))
         return (2.0 * math.pi / math.sqrt(omega2),
-                [float(f(well.q, p_eq)) for f in observables])
-    orbit = classify_orbit(star, E, q_ref=well.q, with_period=False)
+                [float(f(q_eq, p_eq)) for f in observables])
     T, nodes, _ = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus)
     sums = [0.0] * len(observables)
     for q, p, dt in nodes:
@@ -218,7 +219,7 @@ class TestQuadratureBitIdentity:
     @pytest.mark.parametrize("name,star,q_ref,E", CASES,
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
     def test_nodes_and_period(self, name, star, q_ref, E):
-        orbit = classify_orbit(star, E, q_ref=q_ref, with_period=False)
+        orbit = classify_orbit(star, E, q_ref=q_ref)
         for n_seg in (6, 8, 28):
             nodes = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus, n_seg)
             T, ref, dropped = scalar_quadrature(star, E, orbit.q_minus,
@@ -266,7 +267,7 @@ class TestQuadratureBitIdentity:
 
     def test_dropped_nodes_are_counted(self):
         # turning points pushed outside the well: the outer nodes have no root
-        orbit = classify_orbit(UNIT, 3.0, with_period=False)
+        orbit = classify_orbit(UNIT, 3.0)
         q_minus, q_plus = orbit.q_minus - 1e-3, orbit.q_plus + 1e-3
         nodes = _orbit_quadrature(UNIT, 3.0, q_minus, q_plus)
         T, ref, dropped = scalar_quadrature(UNIT, 3.0, q_minus, q_plus)
@@ -285,7 +286,7 @@ class TestQuadratureBitIdentity:
             return dataclasses.replace(_orbit_quadrature(*args, **kwargs),
                                        dropped=3)
 
-        monkeypatch.setattr(averaging, "_orbit_quadrature", lossy)
+        monkeypatch.setattr("hamlv.star._orbit_quadrature", lossy)
         env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
                               b=CoefficientPath.constant([1.0]),
                               rbar=CoefficientPath.constant(1.0),
@@ -294,3 +295,91 @@ class TestQuadratureBitIdentity:
                               0.05)
         assert avg.meta["quadrature_nodes_dropped"] == 3 * len(calls)
         assert len(calls) == avg.meta["nfev"]
+
+
+# ------------------------------------------------------- one orbit rule
+
+BOTTOMS = [(name, star, well.q, well.phi + star.psi_min(),
+            1e-9 * (1.0 + abs(well.phi)))  # the tolerance of classify_orbit
+           for name, star in (("unit", UNIT), ("double_well", DOUBLE_WELL))
+           for well in analyze_potential(star).minima()]
+
+
+class TestOneOrbitRule:
+    """Averages follow classify_orbit's verdict at the bottom of each well."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.01, 0.5, 2.0])
+    @pytest.mark.parametrize("name,star,q_ref,bottom,tol", BOTTOMS,
+                             ids=[f"{b[0]}-q{b[2]:+.2f}" for b in BOTTOMS])
+    def test_averages_take_the_verdict(self, name, star, q_ref, bottom, tol,
+                                       k):
+        E = bottom + k * tol
+        nodes = []
+        T, _ = orbit_averages(star, E, [lambda q, p: nodes.append(q) or 1.0],
+                              q_ref=q_ref)
+        kind = classify_orbit(star, E, q_ref=q_ref).kind
+        assert kind in ("equilibrium", "periodic")
+        assert (len(nodes) == 1) == (kind == "equilibrium")
+        omega = math.sqrt(star.mu * float(star.terms().d2phi(q_ref)))
+        assert T == pytest.approx(2.0 * math.pi / omega, rel=1e-3)
+
+    @pytest.mark.parametrize("name,star,q_ref,bottom,tol", BOTTOMS,
+                             ids=[f"{b[0]}-q{b[2]:+.2f}" for b in BOTTOMS])
+    def test_below_the_well_raises(self, name, star, q_ref, bottom, tol):
+        with pytest.raises(EnergyBelowWellError):
+            orbit_averages(star, bottom - 1e-6, [lambda q, p: 1.0],
+                           q_ref=q_ref)
+
+    def test_only_star_builds_orbit_nodes(self):
+        src = Path(hamlv.__file__).parent
+        users = [path.name for path in sorted(src.glob("*.py"))
+                 if re.search(r"_orbit_quadrature|_OrbitNodes",
+                              path.read_text())]
+        assert users == ["star.py"]
+
+
+# ------------------------------------------------------------ pinned bytes
+
+def orbit_digest(star):
+    """sha256 of classify_orbit and period across the wells of a star."""
+    h = hashlib.sha256()
+    for q_ref, E in well_energies(star):
+        orbit = classify_orbit(star, E, q_ref=q_ref)
+        h.update(orbit.kind.encode())
+        h.update(np.array([orbit.q_minus, orbit.q_plus, orbit.period,
+                           period(star, E, q_ref=q_ref)]).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOrbits:
+    """Orbit verdicts and the averaged run keep their bytes: a change to the
+    profile, the turning points, the quadrature or the averaged right-hand
+    side that moves one bit or one evaluation fails.  The digests hold for
+    numpy 2.4 on x86-64 with AVX-512, whose vectorised exp can differ by one
+    ulp from other builds."""
+
+    @pytest.mark.parametrize("star, digest", [
+        (UNIT,
+         "38b572f5d7ba8261077815cbc98f87b842e39d8a513a57ecc9a6f1ed679b8094"),
+        # 0.6 e^q + 0.4 e^q: the unit potential split in two, same bits
+        (TWO_SPECIES,
+         "38b572f5d7ba8261077815cbc98f87b842e39d8a513a57ecc9a6f1ed679b8094"),
+        (DOUBLE_WELL,
+         "af364d47d3ee0e06ac67f5664136459aa14e790afec704005b029ce4e1f971f5"),
+    ], ids=["unit", "two_species", "double_well"])
+    def test_classify_and_period_pinned(self, star, digest):
+        assert orbit_digest(star) == digest
+
+    def test_unit_averaged_run_pinned(self):
+        env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                              b=CoefficientPath.constant([1.0]),
+                              rbar=CoefficientPath.constant(1.0),
+                              mu=1.0, epsilon=0.01, dbar=1.0)
+        avg = evolve_averaged(env, AveragedState(tau=0.0, E=3.0, Cbar=[1.0]),
+                              1.0)
+        h = hashlib.sha256()
+        for part in (avg.tau, avg.E, avg.Cbar):
+            h.update(part.tobytes())
+        h.update(str(avg.meta["nfev"]).encode())
+        assert h.hexdigest() == (
+            "1ef4490cda19cca1ffcae507088c41052407e1bd348a0425e638ae8fdd4e8476")

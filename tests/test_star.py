@@ -183,9 +183,9 @@ class TestClassifyOrbit:
 
     def test_convex_star_never_soliton_or_kink(self):
         star = StarSystem(a=[1.0, 2.0], b=[1.0, 1.0], rbar=1.0, mu=1.0)
-        e_min = classify_orbit(star, 1e9, with_period=False)  # probe top
+        e_min = classify_orbit(star, 1e9)  # probe top
         for E in np.linspace(2.6, 40.0, 25):
-            orbit = classify_orbit(star, E, with_period=False)
+            orbit = classify_orbit(star, E)
             assert orbit.kind == "periodic"
         assert e_min.kind == "periodic"
 
