@@ -25,7 +25,7 @@ import numpy as np
 from .canonical import star_equilibrium
 from .integrate import Trajectory, _adaptive_run, _solve_log_system
 from .star import StarSystem, _classify, _orbit_nodes, _profile_of_terms
-from .util import clipped_exp, libm_exp, require_finite, write_csv
+from .util import clipped_exp, libm_exp, set_fields, write_csv
 
 
 class CoefficientPath:
@@ -107,19 +107,16 @@ class SlowEnvironment:
     gamma: np.ndarray = None
 
     def __post_init__(self):
-        require_finite(*((name, getattr(self, name))
-                         for name in ("mu", "epsilon", "dbar", "beta")))
+        set_fields(self, 0, mu=self.mu, epsilon=self.epsilon, dbar=self.dbar,
+                   beta=self.beta)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        n = np.atleast_1d(np.asarray(self.a.value(0.0))).size
-        for name in ("gamma_hat", "gamma"):
-            val = getattr(self, name)
-            arr = (np.zeros(n) if val is None
-                   else np.atleast_1d(np.asarray(val, dtype=float)))
-            require_finite((name, arr))
-            object.__setattr__(self, name, arr)
+        zeros = np.zeros(np.atleast_1d(np.asarray(self.a.value(0.0))).size)
+        set_fields(self, 1,
+                   gamma_hat=zeros if self.gamma_hat is None else self.gamma_hat,
+                   gamma=zeros if self.gamma is None else self.gamma)
 
     def star_at(self, tau, Cbar):
         return StarSystem(a=self.a.value(tau), b=self.b.value(tau),
@@ -133,11 +130,10 @@ class AveragedState:
     Cbar: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.Cbar, dtype=float))
-        require_finite(("tau", self.tau), ("E", self.E), ("Cbar", arr))
-        if np.any(arr <= 0):
+        set_fields(self, 0, tau=self.tau, E=self.E)
+        set_fields(self, 1, Cbar=self.Cbar)
+        if np.any(self.Cbar <= 0):
             raise ValueError("Cbar must be strictly positive")
-        object.__setattr__(self, "Cbar", arr)
 
 
 class OrbitLostError(RuntimeError):

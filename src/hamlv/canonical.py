@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import clipped_exp, require_finite
+from .util import clipped_exp, set_fields
 
 
 class DegenerateFactorizationError(ValueError):
@@ -159,10 +159,7 @@ class CanonicalState:
     C: np.ndarray
 
     def __post_init__(self):
-        for name in ("q", "p", "C"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            require_finite((name, arr))
-            object.__setattr__(self, name, arr)
+        set_fields(self, 1, q=self.q, p=self.p, C=self.C)
         if np.any(self.C <= 0):
             raise ValueError("constants C must be strictly positive")
 
@@ -184,7 +181,7 @@ def to_canonical(csys, x0, v0):
     if np.any(x0 <= 0) or np.any(v0 <= 0):
         raise ValueError("abundances must be strictly positive")
     m = csys.base.M
-    return CanonicalState(q=np.zeros(m), p=np.log(v0), C=x0.copy())
+    return CanonicalState(q=np.zeros(m), p=np.log(v0), C=x0)
 
 
 def from_canonical(csys, state):

@@ -19,6 +19,7 @@ switching; they run on the calling thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for key, value in self.params.items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise ValueError(f"{key} must be finite, got {value!r}")
 
     def to_dict(self):
         return {"trials": self.trials, "seed": self.seed,
@@ -143,6 +148,9 @@ def stability_census(n_low, n_high, trials, bbar=1.0, sigma_b=10.0,
     """
     if n_low < 1 or n_high < n_low:
         raise ValueError("need 1 <= n_low <= n_high")
+    if sigma_b < 0 or sigma_a < 0:
+        raise ValueError(f"sigma_b and sigma_a must be nonnegative, got "
+                         f"sigma_b = {sigma_b}, sigma_a = {sigma_a}")
     config = EnsembleConfig(trials=trials, seed=seed,
                             params={"n_low": n_low, "n_high": n_high,
                                     "bbar": bbar, "sigma_b": sigma_b,
@@ -204,6 +212,8 @@ def orbit_probability_curve(N, mix_grid, trials, seed=0, parallel=1):
     soliton needs a local maximum with a well below it.  Runs on the calling
     thread: ``parallel`` is accepted and ignored (see the module docstring).
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     mix_grid = [float(m) for m in mix_grid]
     if any(not 0.0 <= m <= 1.0 for m in mix_grid):
         raise ValueError("mixing probabilities must lie in [0, 1]")

@@ -99,8 +99,16 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
 
     A solver failure raises RuntimeError unless ``blowup`` is set and a step
     was completed: the stop is then (t, None) at the last step completed.
+    A span end that is not finite, or a tolerance that is not finite and
+    positive, raises ValueError (solve_ivp would run on without end).
     Returns the solution, the first stop (t, y) or None, and the run's meta.
     """
+    if not all(map(math.isfinite, t_span)):
+        raise ValueError(f"the run's end (t_end or tau_end) must be finite, "
+                         f"got the span {t_span}")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"tolerances must be positive and finite, got "
+                         f"rtol = {rtol}, atol = {atol}")
     last = [t_span[0]]
 
     def event(t, y):
@@ -129,9 +137,6 @@ def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
     clip keeps the right-hand side finite, so a collapse of the step after
     the first is a finite-time blow-up) or None.
     """
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-
     def rhs(t, y):
         c, L, z = terms(t, y)
         return c + L @ clipped_exp(z)
@@ -227,6 +232,9 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
     that overflows ends the run at the sample before it as a "clamp" escape,
     timed at the step that overflowed.
     """
+    if not (math.isfinite(h) and math.isfinite(t_end)):
+        raise ValueError(f"h and t_end must be finite, got h = {h}, "
+                         f"t_end = {t_end}")
     if h == 0.0:
         raise ValueError("step h must be nonzero")
     n_steps = int(round(t_end / h))
@@ -279,6 +287,8 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
     """
     from .star import _psi_roots, analyze_potential
 
+    if not math.isfinite(h):
+        raise ValueError(f"h must be finite, got {h}")
     well = analyze_potential(star).well(q_ref)
     if well is None:
         raise ValueError("no potential well to anchor the section")

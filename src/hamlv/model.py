@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .util import json_fields, read_json, require_finite, write_json
+from .util import json_fields, read_json, set_fields, write_json
 
 
 class SignPattern(Enum):
@@ -59,29 +59,16 @@ class InteractionSystem:
     D: np.ndarray = None
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
-        rbar = np.atleast_1d(np.asarray(self.rbar, dtype=float))
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        n, m = r.size, rbar.size
-        if A.shape != (n, m):
-            raise ValueError(f"A must have shape {(n, m)}, got {A.shape}")
-        if B.shape != (m, n):
-            raise ValueError(f"B must have shape {(m, n)}, got {B.shape}")
-        Gamma = np.zeros((n, n)) if self.Gamma is None else np.atleast_2d(
-            np.asarray(self.Gamma, dtype=float))
-        D = np.zeros((m, m)) if self.D is None else np.atleast_2d(
-            np.asarray(self.D, dtype=float))
-        if Gamma.shape != (n, n):
-            raise ValueError(f"Gamma must have shape {(n, n)}, got {Gamma.shape}")
-        if D.shape != (m, m):
-            raise ValueError(f"D must have shape {(m, m)}, got {D.shape}")
-        fields = (("r", r), ("rbar", rbar), ("A", A), ("B", B),
-                  ("Gamma", Gamma), ("D", D))
-        require_finite(*fields)
-        for name, arr in fields:
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+        set_fields(self, 1, r=self.r, rbar=self.rbar)
+        n, m = self.r.size, self.rbar.size
+        set_fields(self, 2, A=self.A, B=self.B,
+                   Gamma=np.zeros((n, n)) if self.Gamma is None else self.Gamma,
+                   D=np.zeros((m, m)) if self.D is None else self.D)
+        for name, shape in (("A", (n, m)), ("B", (m, n)), ("Gamma", (n, n)),
+                            ("D", (m, m))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {got}")
 
     @property
     def N(self):

@@ -459,8 +459,9 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     calling thread: the sparse draw and the small solve hold the GIL, so
     ``parallel`` (an upper limit on worker threads) is ignored.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if N < 1 or trials < 1:
+        raise ValueError(f"N and trials must be >= 1, got N = {N}, "
+                         f"trials = {trials}")
     model = RandomMatrixModel() if model is None else model
     rhs = np.ones(N)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .integrate import _adaptive_run
 from .star import PotentialTerms, StarSystem, analyze_potential
-from .util import require_finite
+from .util import set_fields
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,18 @@ class TwoStarSystem:
     d2: float = 0.0
 
     def __post_init__(self):
-        require_finite(*((name, getattr(self, name))
-                         for name in ("kappa", "epsilon", "d1", "d2")))
+        set_fields(self, 0, kappa=self.kappa, epsilon=self.epsilon, d1=self.d1,
+                   d2=self.d2)
         if self.kappa <= 0 or self.epsilon < 0:
             raise ValueError("need kappa > 0 and epsilon >= 0")
+        set_fields(self, 1, atilde1=self.atilde1, atilde2=self.atilde2,
+                   btilde1=self.btilde1, btilde2=self.btilde2)
         for name, size in (("atilde1", self.star1.n_species),
                            ("btilde2", self.star1.n_species),
                            ("atilde2", self.star2.n_species),
                            ("btilde1", self.star2.n_species)):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if arr.size != size:
+            if getattr(self, name).size != size:
                 raise ValueError(f"{name} must have length {size}")
-            require_finite((name, arr))
-            object.__setattr__(self, name, arr)
 
     @property
     def ebar(self):

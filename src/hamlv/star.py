@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .util import clipped_exp, libm_exp, require_finite
+from .util import clipped_exp, libm_exp, set_fields
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,10 @@ class PotentialTerms:
     slope: float = 0.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if c.shape != a.shape:
+        set_fields(self, 1, c=self.c, a=self.a)
+        set_fields(self, 0, slope=self.slope)
+        if self.c.shape != self.a.shape:
             raise ValueError("coefficients and exponents must have equal length")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "slope", float(self.slope))
 
     @property
     def degenerate(self):
@@ -111,35 +108,26 @@ class StarSystem:
 
     def __post_init__(self):
         # a missing coefficient (None) reads as NaN and is rejected by name
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        rbar = float(np.asarray(self.rbar, dtype=float))
-        mu = float(np.asarray(self.mu, dtype=float))
-        C = np.ones_like(a) if self.C is None else np.atleast_1d(
-            np.asarray(self.C, dtype=float))
-        r = a * mu if self.r is None else np.atleast_1d(
-            np.asarray(self.r, dtype=float))
-        require_finite(("a", a), ("b", b), ("rbar", rbar), ("mu", mu),
-                       ("C", C), ("r", r))
+        set_fields(self, 1, a=self.a, b=self.b)
+        set_fields(self, 0, rbar=self.rbar, mu=self.mu)
+        a, b, mu = self.a, self.b, self.mu
+        set_fields(self, 1, C=np.ones_like(a) if self.C is None else self.C,
+                   r=a * mu if self.r is None else self.r)
         for name, arr in (("a", a), ("b", b)):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional, got shape "
                                  f"{arr.shape}")
         if a.shape != b.shape:
             raise ValueError("a and b must have equal length")
-        if r.shape != a.shape:
+        if self.r.shape != a.shape:
             raise ValueError(f"r must have one entry per species, got shape "
-                             f"{r.shape}")
+                             f"{self.r.shape}")
         if np.any(a == 0):
             raise ValueError("coefficients a must be nonzero")
         if mu <= 0:
             raise ValueError("mu must be positive")
-        if C.shape != a.shape or np.any(C <= 0):
+        if self.C.shape != a.shape or np.any(self.C <= 0):
             raise ValueError("C must be positive, one entry per species")
-        for name, arr in (("a", a), ("b", b), ("C", C), ("r", r)):
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "rbar", rbar)
-        object.__setattr__(self, "mu", mu)
 
     @property
     def n_species(self):
@@ -397,7 +385,8 @@ def classify_orbit(star, E, q_ref=None):
     raised.  Two simple roots bound a periodic orbit with its 8-segment
     period; a root within tol of a local maximum gives a soliton plateau;
     two such ends give a kink; an open side gives an unbounded escape.
-    q_ref defaults to the deepest minimum of the profile.
+    q_ref defaults to the deepest minimum of the profile.  A non-finite E
+    raises ValueError.
     """
     orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
     if orbit.kind != "periodic":
@@ -407,6 +396,8 @@ def classify_orbit(star, E, q_ref=None):
 
 def _classify(star, E, profile, q_ref=None):
     """classify_orbit without the period, on a profile the caller has."""
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
     terms = star.terms()
     psi_min = star.psi_min()
     level = E - psi_min

@@ -1,5 +1,5 @@
-"""Shared helpers: the clipped exponential, finiteness checks, seeded streams,
-intervals, CSV and JSON files."""
+"""Shared helpers: the clipped exponential, the checked fields of the input
+types, seeded streams, intervals, CSV and JSON files."""
 
 from __future__ import annotations
 
@@ -36,13 +36,20 @@ def libm_exp(x):
                        x.size).reshape(x.shape)
 
 
-def require_finite(*fields):
-    """Raise ValueError naming the first (name, value) pair with a non-finite
-    entry; a value is a float or an array."""
-    for name, value in fields:
-        if not (math.isfinite(value) if isinstance(value, float)
-                else np.isfinite(value).all()):
+def set_fields(obj, ndim, **fields):
+    """Store each numeric field of the frozen dataclass obj: an owned,
+    read-only float array of at least ndim dimensions, or a Python float when
+    ndim is 0.  Raises ValueError naming the first field with a non-finite
+    entry (None reads as NaN), or with an array where ndim 0 asks for a
+    number.  A caller's array is never kept or frozen."""
+    for name, value in fields.items():
+        arr = np.array(value, dtype=float, ndmin=ndim)
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} contains non-finite entries")
+        if ndim == 0 and arr.ndim:
+            raise ValueError(f"{name} must be a number, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, float(arr) if ndim == 0 else arr)
 
 
 def wilson_interval(k, n, z=Z95):

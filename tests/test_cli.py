@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamlv
 from hamlv.cli import main
 from hamlv.util import sha256_file
 
@@ -409,3 +414,52 @@ class TestMalformedInput:
         path.write_text(json.dumps(dict(STAR, mu=None, C=None)))
         assert main(["star", "--input", str(path), "--out",
                      str(tmp_path / "o")]) == 0
+
+
+class TestNonFiniteParameters:
+    """A non-finite run end, tolerance or energy, or an ensemble parameter
+    out of range, ends in error: and exit 1 naming the parameter."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--t-end", "nan"], "t_end"),
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--t-end", "inf"], "t_end"),
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--rtol", "nan"], "rtol"),
+        (["resonance", "--input", "{two}", "--tau-end", "nan"], "tau_end"),
+        (["average", "--input", "{env}", "--E0", "3", "--tau-end", "nan"],
+         "tau_end"),
+        (["canonical", "--input", "{system}", "--state", "{state}",
+          "--t-end", "inf"], "t_end"),
+    ])
+    def test_run_fails_in_time(self, tmp_path, inputs, argv, name):
+        # these runs used not to end: each gets its own process and 30 s
+        src = str(Path(hamlv.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamlv.cli",
+             *[a.format(**inputs) for a in argv], "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and name in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["star", "--input", "{star}", "--E", "inf"], "E must be finite"),
+        (["star", "--input", "{star}", "--E", "nan"], "E must be finite"),
+        (["ensemble", "census", "--bbar", "nan", "--trials", "3"],
+         "bbar must be finite"),
+        (["ensemble", "census", "--sigma-b", "-5", "--trials", "3"],
+         "sigma_b and sigma_a must be nonnegative"),
+        (["ensemble", "cone-frequency", "--r0", "nan", "--trials", "3"],
+         "r0 must be finite"),
+        (["ensemble", "positive-frequency", "--N", "0", "--trials", "3"],
+         "N and trials must be >= 1"),
+        (["ensemble", "curve", "--N", "0", "--trials", "3"],
+         "N must be >= 1"),
+    ])
+    def test_parameter_named(self, tmp_path, capsys, inputs, argv, message):
+        assert main([a.format(**inputs) for a in argv]
+                    + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,8 +132,8 @@ class TestIntegrateLV:
         assert traj.meta["escape_reason"] is None
 
     def test_escape_reason_clamp(self):
-        # ln x grows at rate 100 and reaches the clamp 700 at t = 7: the
-        # exponent event stops the run although |ln x| > 30 long before
+        # ln x grows at rate 100 and reaches the clamp 700 at t = 7, where
+        # the exponent event stops the run
         system = InteractionSystem(r=[-100.0], rbar=[0.0], A=[[0.0]],
                                    B=[[0.0]])
         traj = integrate_lv(system, [1.0], [1.0], 50.0)
@@ -141,8 +143,8 @@ class TestIntegrateLV:
 
     def test_escape_reason_diverged(self):
         # x' = x (x - 1) from x = 2 blows up at t = ln 2: the step size
-        # collapses before ln x reaches the clamp, and the escape time is
-        # the first evaluation with |ln x| > 30
+        # collapses before ln x reaches the clamp, and the escape is timed
+        # at the last step the solver completed
         system = InteractionSystem(r=[1.0], rbar=[-1.0], A=[[0.0]], B=[[0.0]],
                                    Gamma=[[-1.0]])
         traj = integrate_lv(system, [2.0], [1.0], 50.0)
@@ -316,26 +318,74 @@ class TestExpSumFlow:
                                    direct.states[-1], rtol=1e-6)
 
 
+@contextmanager
+def deadline(seconds=30):
+    """Raise TimeoutError in a call still running after `seconds`, so a run
+    that never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+RESONANCE = ResonanceModel(omega1=1.0, omega2=1.0, g12=0.3, g21=-0.3,
+                           ebar=0.0, qbar=(0.0, 0.0), d=(0.0, 0.0))
+ADAPTIVE_RUNS = ["lv", "transformed", "slow_fast", "averaged", "resonance"]
+
+
 class TestTolerances:
-    """The three log-space integrators share one tolerance check."""
+    """The five adaptive runs share one check of their span and tolerances."""
+
+    @staticmethod
+    def call(run, t_end=5.0, **tolerances):
+        """One of the five adaptive runs to t_end, as a callable."""
+        env, start = TestAdaptiveRun.ENV, TestAdaptiveRun.START
+        if run == "lv":
+            return lambda: integrate_lv(PAIR, [2.0], [1.0], t_end,
+                                        **tolerances)
+        if run == "transformed":
+            csys = canonicalize(PAIR)
+            return lambda: integrate_transformed(
+                csys, to_canonical(csys, [2.0], [1.0]), t_end, **tolerances)
+        if run == "slow_fast":
+            return lambda: simulate_slow_fast(env, 0.0, 0.5, [1.0], t_end,
+                                              **tolerances)
+        if run == "averaged":
+            return lambda: evolve_averaged(env, start, t_end, **tolerances)
+        return lambda: integrate_resonance(RESONANCE, [1e-3, 1e-3],
+                                           [0.0, 0.5], t_end, **tolerances)
 
     @pytest.mark.parametrize("rtol, atol", [(0.0, 1e-10), (1e-8, 0.0),
-                                            (-1.0, 1e-10)])
-    @pytest.mark.parametrize("run", ["lv", "transformed", "slow_fast"])
+                                            (-1.0, 1e-10), (math.nan, 1e-10),
+                                            (1e-8, math.inf)])
+    @pytest.mark.parametrize("run", ADAPTIVE_RUNS)
     def test_nonpositive_tolerance_rejected(self, run, rtol, atol):
-        if run == "lv":
-            call = lambda: integrate_lv(PAIR, [2.0], [1.0], 5.0, rtol=rtol,
-                                        atol=atol)
-        elif run == "transformed":
-            csys = canonicalize(PAIR)
-            call = lambda: integrate_transformed(
-                csys, to_canonical(csys, [2.0], [1.0]), 5.0, rtol=rtol,
-                atol=atol)
-        else:
-            call = lambda: simulate_slow_fast(TestAdaptiveRun.ENV, 0.0, 0.5,
-                                              [1.0], 5.0, rtol=rtol, atol=atol)
-        with pytest.raises(ValueError, match="tolerances must be positive"):
-            call()
+        with deadline(), pytest.raises(ValueError,
+                                       match="tolerances must be positive"):
+            self.call(run, rtol=rtol, atol=atol)()
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run", ADAPTIVE_RUNS)
+    def test_non_finite_end_rejected(self, run, t_end):
+        with deadline(), pytest.raises(
+                ValueError, match=r"\(t_end or tau_end\) must be finite"):
+            self.call(run, t_end)()
+
+    @pytest.mark.parametrize("h, t_end", [(math.nan, 5.0), (math.inf, 5.0),
+                                          (1e-3, math.inf), (1e-3, math.nan)])
+    def test_symplectic_rejects_non_finite_step_or_end(self, h, t_end):
+        with pytest.raises(ValueError, match="h and t_end must be finite"):
+            integrate_symplectic(UNIT_STAR, 0.0, 0.5, h, t_end)
+
+    def test_first_return_rejects_non_finite_step(self):
+        with pytest.raises(ValueError, match="h must be finite"):
+            poincare_return_time(UNIT_STAR, 3.0, h=math.nan)
 
 
 class TestTrajectoryCsv:

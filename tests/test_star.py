@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from hamlv.averaging import orbit_averages
 from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
                         analyze_potential, classify_orbit, domino_check,
                         period, persistence_criteria)
@@ -135,6 +136,16 @@ class TestClassifyOrbit:
     def test_below_minimum_is_error(self):
         with pytest.raises(EnergyBelowWellError):
             classify_orbit(UNIT, 1.5)
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan])
+    def test_non_finite_energy_is_an_input_error(self, E):
+        # not EnergyBelowWellError: an infinite E used to read as the well
+        # bottom, and the CLI exits 2 on that error but 1 on bad input
+        for call in (lambda: classify_orbit(UNIT, E),
+                     lambda: orbit_averages(UNIT, E, [lambda q, p: q])):
+            with pytest.raises(ValueError, match="^E must be finite") as info:
+                call()
+            assert not isinstance(info.value, EnergyBelowWellError)
 
     def test_periodic_turning_points(self):
         # oracle: bisection on e^q - q - 2 = 0
