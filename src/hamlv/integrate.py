@@ -92,6 +92,13 @@ def _transformed_flow(csys):
     return lambda t, y: (c, L, y[m:] + K @ y[:m])
 
 
+def _check_span(t_span):
+    """Raise ValueError unless the run's span is finite and goes forward."""
+    if not (all(map(math.isfinite, t_span)) and t_span[1] > t_span[0]):
+        raise ValueError(f"the run's end (t_end or tau_end) must be finite "
+                         f"and after its start, got the span {t_span}")
+
+
 def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
                   t_eval=None, blowup=False):
     """Every adaptive run of hamlv: solve_ivp sampled at t_eval (n_samples
@@ -99,13 +106,11 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
 
     A solver failure raises RuntimeError unless ``blowup`` is set and a step
     was completed: the stop is then (t, None) at the last step completed.
-    A span end that is not finite, or a tolerance that is not finite and
-    positive, raises ValueError (solve_ivp would run on without end).
+    A span that is not finite and forward, or a tolerance that is not finite
+    and positive, raises ValueError (solve_ivp would run on without end).
     Returns the solution, the first stop (t, y) or None, and the run's meta.
     """
-    if not all(map(math.isfinite, t_span)):
-        raise ValueError(f"the run's end (t_end or tau_end) must be finite, "
-                         f"got the span {t_span}")
+    _check_span(t_span)
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got "
                          f"rtol = {rtol}, atol = {atol}")
@@ -287,8 +292,8 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
     """
     from .star import _psi_roots, analyze_potential
 
-    if not math.isfinite(h):
-        raise ValueError(f"h must be finite, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
     well = analyze_potential(star).well(q_ref)
     if well is None:
         raise ValueError("no potential well to anchor the section")

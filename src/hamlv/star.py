@@ -40,8 +40,17 @@ class PotentialTerms:
 
     @property
     def degenerate(self):
-        """Constant potential: every exponent and the slope vanish."""
-        return not (np.any(self.a) or self.slope)
+        """Constant potential: no merged exponent but 0, and no slope."""
+        return not (self.slope or any(a for a, _ in self.merged()))
+
+    def merged(self):
+        """[(exponent, coefficient)] by ascending exponent, equal exponents
+        summed in input order and zero sums dropped.  Decisions on the shape
+        of Phi read this; phi, dphi, d2phi and scalar_forces keep the terms."""
+        table = {}
+        for a, c in zip(self.a.tolist(), self.c.tolist()):
+            table[a] = table.get(a, 0.0) + c
+        return sorted((a, c) for a, c in table.items() if c != 0.0)
 
     def _exponentials(self, q):
         """exp(a_k q) for every q and k, exponents clipped to +-EXP_LIMIT."""
@@ -79,17 +88,14 @@ class PotentialTerms:
     def limit_sign(self, direction):
         """Sign of Phi at q -> +inf (direction=+1) or -inf (-1); 0 if bounded.
 
-        The dominant exponent decides; when every exponential decays the
-        linear term does, and a flat tail gives 0.
+        The dominant merged exponent decides; when every exponential decays
+        the linear term does, and a flat tail gives 0.
         """
-        a, c = self.a, self.c
-        live = c != 0.0
-        if np.any(live):
-            extreme = np.max(a[live] * direction)
-            if extreme > 0:
-                coeff = np.sum(c[live][a[live] * direction == extreme])
-                if coeff != 0:
-                    return 1 if coeff > 0 else -1
+        table = self.merged()
+        if table:
+            a, c = table[-1] if direction > 0 else table[0]
+            if a * direction > 0:
+                return 1 if c > 0 else -1
         if self.slope != 0.0:
             return -1 if self.slope * direction > 0 else 1
         return 0
@@ -202,15 +208,14 @@ class PotentialProfile:
 def _sign_changes(terms):
     """Sign changes of the coefficients of Phi', taken in order of exponent.
 
-    Phi'(q) = sum_k c_k a_k exp(a_k q) - slope; terms with equal exponents
-    are merged and the -slope term sits at exponent 0.  By Laguerre's rule
-    of signs for exponential sums (Polya & Szego, Problems and Theorems in
-    Analysis II) the real zeros of Phi', counted with multiplicity, number
-    at most this count and differ from it by an even number.
+    Phi'(q) = sum_k c_k a_k exp(a_k q) - slope over the merged terms, with
+    the -slope term at exponent 0.  By Laguerre's rule of signs for
+    exponential sums (Polya & Szego, Problems and Theorems in Analysis II)
+    the real zeros of Phi', counted with multiplicity, number at most this
+    count and differ from it by an even number.
     """
-    coeffs = {0.0: -terms.slope}
-    for a, ca in zip(terms.a.tolist(), (terms.c * terms.a).tolist()):
-        coeffs[a] = coeffs.get(a, 0.0) + ca
+    coeffs = {a: c * a for a, c in terms.merged()}
+    coeffs[0.0] = -terms.slope
     signs = [v > 0.0 for _, v in sorted(coeffs.items()) if v != 0.0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 

@@ -2,8 +2,10 @@
 
 The right-hand sides are written term by term from the model equations,
 without the exp-sum flow kernel of ``hamlv.integrate``, so a test can compare
-the two; the locked rate matrix gives numeric eigenvalues to hold the closed
-form of ``phase_locked_rates`` to.  The LP certificates are written with
+the two; the polar slow system holds the exact solution of
+``integrate_resonance`` to the amplitude-phase equations, and the locked rate
+matrix gives numeric eigenvalues to hold the closed form of
+``phase_locked_rates`` to.  The LP certificates are written with
 dense constraint blocks and ``scipy.optimize.linprog``, so a test can hold
 the direct HiGHS call of ``hamlv.persistence`` to them bit for bit.
 """
@@ -60,6 +62,30 @@ def slow_fast_rhs(env, n):
             - eps * env.dbar * ep
         dlnC = eps * env.beta * (env.gamma_hat - env.gamma * C * expq - q * da)
         return np.concatenate(([dq, dp], dlnC))
+
+    return rhs
+
+
+def polar_slow_rhs(model):
+    """d(Q1, Q2, phi1, phi2)/dtau of the slow system in amplitude-phase form.
+
+    The phase equations divide by Q, so this holds only while both
+    amplitudes stay away from zero; ``integrate_resonance`` solves the
+    complex linear form exactly instead.
+    """
+    w = model.omega
+    b12, b21 = model.b12, model.b21
+    e1 = model.ebar * model.d[0]
+    e2 = model.ebar * model.d[1]
+
+    def rhs(tau, y):
+        q1, q2, f1, f2 = y
+        s = math.sin(f2 - f1)
+        c = math.cos(f2 - f1)
+        return [(-e1 * w * q1 + b12 * q2 * s) / (2.0 * w),
+                (-e2 * w * q2 + b21 * q1 * s) / (2.0 * w),
+                -b12 * q2 * c / (2.0 * w * q1),
+                b21 * q1 * c / (2.0 * w * q2)]
 
     return rhs
 

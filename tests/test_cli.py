@@ -244,6 +244,18 @@ class TestAverageAndResonance:
         header = (out / "slow_trajectory.csv").read_text().splitlines()[0]
         assert header == "tau,Q1,Q2,phi1,phi2"
 
+    def test_resonance_slow_run_reaches_the_end(self, tmp_path):
+        # a stable pair exchanges energy, so an amplitude passes through zero
+        two = dict(TWO_STAR, kappa=0.02)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(two))
+        out = tmp_path / "res"
+        assert main(["resonance", "--input", str(path), "--tau-end", "100",
+                     "--out", str(out)]) == 0
+        rows = (out / "slow_trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1001
+        assert float(rows[-1].split(",")[0]) == 100.0
+
 
 class TestEnsembleCli:
     def test_census_deterministic_across_workers(self, tmp_path):
@@ -417,8 +429,9 @@ class TestMalformedInput:
 
 
 class TestNonFiniteParameters:
-    """A non-finite run end, tolerance or energy, or an ensemble parameter
-    out of range, ends in error: and exit 1 naming the parameter."""
+    """A non-finite run end, tolerance or energy, a run end not after the
+    start, or an ensemble parameter out of range, ends in error: and exit 1
+    naming the parameter."""
 
     @pytest.mark.parametrize("argv, name", [
         (["simulate", "--input", "{system}", "--state", "{state}",
@@ -463,3 +476,17 @@ class TestNonFiniteParameters:
                     + ["--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("t_end", ["-5", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--input", "{system}", "--state", "{state}", "--t-end"],
+        ["average", "--input", "{env}", "--E0", "3", "--tau-end"],
+        ["resonance", "--input", "{two}", "--tau-end"],
+    ], ids=["simulate", "average", "resonance"])
+    def test_run_goes_forward(self, tmp_path, capsys, inputs, argv, t_end):
+        # a negative end ran backward and exited 0; a zero end raised a
+        # traceback from inside solve_ivp
+        assert main([a.format(**inputs) for a in argv]
+                    + [t_end, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "after its start" in err

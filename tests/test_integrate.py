@@ -337,14 +337,17 @@ def deadline(seconds=30):
 RESONANCE = ResonanceModel(omega1=1.0, omega2=1.0, g12=0.3, g21=-0.3,
                            ebar=0.0, qbar=(0.0, 0.0), d=(0.0, 0.0))
 ADAPTIVE_RUNS = ["lv", "transformed", "slow_fast", "averaged", "resonance"]
+# integrate_resonance solves its linear system exactly and has no tolerances
+TOLERANCE_RUNS = ADAPTIVE_RUNS[:4]
 
 
 class TestTolerances:
-    """The five adaptive runs share one check of their span and tolerances."""
+    """The five runs to a set end share one check of their span; the four
+    adaptive ones also share one check of their tolerances."""
 
     @staticmethod
     def call(run, t_end=5.0, **tolerances):
-        """One of the five adaptive runs to t_end, as a callable."""
+        """One of the five runs to t_end, as a callable."""
         env, start = TestAdaptiveRun.ENV, TestAdaptiveRun.START
         if run == "lv":
             return lambda: integrate_lv(PAIR, [2.0], [1.0], t_end,
@@ -359,12 +362,12 @@ class TestTolerances:
         if run == "averaged":
             return lambda: evolve_averaged(env, start, t_end, **tolerances)
         return lambda: integrate_resonance(RESONANCE, [1e-3, 1e-3],
-                                           [0.0, 0.5], t_end, **tolerances)
+                                           [0.0, 0.5], t_end)
 
     @pytest.mark.parametrize("rtol, atol", [(0.0, 1e-10), (1e-8, 0.0),
                                             (-1.0, 1e-10), (math.nan, 1e-10),
                                             (1e-8, math.inf)])
-    @pytest.mark.parametrize("run", ADAPTIVE_RUNS)
+    @pytest.mark.parametrize("run", TOLERANCE_RUNS)
     def test_nonpositive_tolerance_rejected(self, run, rtol, atol):
         with deadline(), pytest.raises(ValueError,
                                        match="tolerances must be positive"):
@@ -377,6 +380,13 @@ class TestTolerances:
                 ValueError, match=r"\(t_end or tau_end\) must be finite"):
             self.call(run, t_end)()
 
+    @pytest.mark.parametrize("t_end", [0.0, -5.0])
+    @pytest.mark.parametrize("run", ADAPTIVE_RUNS)
+    def test_backward_or_empty_run_rejected(self, run, t_end):
+        with deadline(), pytest.raises(
+                ValueError, match="after its start"):
+            self.call(run, t_end)()
+
     @pytest.mark.parametrize("h, t_end", [(math.nan, 5.0), (math.inf, 5.0),
                                           (1e-3, math.inf), (1e-3, math.nan)])
     def test_symplectic_rejects_non_finite_step_or_end(self, h, t_end):
@@ -386,6 +396,12 @@ class TestTolerances:
     def test_first_return_rejects_non_finite_step(self):
         with pytest.raises(ValueError, match="h must be finite"):
             poincare_return_time(UNIT_STAR, 3.0, h=math.nan)
+
+    @pytest.mark.parametrize("h", [-1e-3, 0.0])
+    def test_first_return_rejects_nonpositive_step(self, h):
+        # a backward step used to spend the whole step budget
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            poincare_return_time(UNIT_STAR, 3.0, h=h)
 
 
 class TestTrajectoryCsv:
@@ -570,20 +586,14 @@ class TestAdaptiveRun:
     def failed_solve(*args, **kwargs):
         return SimpleNamespace(status=-1, message="step size collapsed")
 
-    @pytest.mark.parametrize("run", ["lv", "averaged", "resonance"])
+    @pytest.mark.parametrize("run", ["lv", "averaged"])
     def test_solver_failure_raises(self, monkeypatch, run):
         monkeypatch.setattr(integrate, "solve_ivp", self.failed_solve)
         if run == "lv":
             # the flow never saw a diverged state, so this is no escape
             call = lambda: integrate_lv(PAIR, [2.0], [1.0], 5.0)
-        elif run == "averaged":
-            call = lambda: evolve_averaged(self.ENV, self.START, 1.0)
         else:
-            model = ResonanceModel(omega1=1.0, omega2=1.0, g12=0.3,
-                                   g21=-0.3, ebar=0.0, qbar=(0.0, 0.0),
-                                   d=(0.0, 0.0))
-            call = lambda: integrate_resonance(model, [1e-3, 1e-3],
-                                               [0.0, 0.5], 10.0)
+            call = lambda: evolve_averaged(self.ENV, self.START, 1.0)
         with pytest.raises(RuntimeError, match="step size collapsed"):
             call()
 

@@ -92,6 +92,12 @@ class TestAnalyzePotential:
         assert prof.extrema[0].kind == "min"
         assert prof.coercive_left and prof.coercive_right
 
+    def test_cancelled_exponents_leave_the_decisions(self):
+        # Phi = e^{2q} - e^{2q} + e^q grows like e^q; e^q - e^q is constant
+        assert PotentialTerms(c=[1.0, -1.0, 1.0],
+                              a=[2.0, 2.0, 1.0]).limit_sign(+1) == 1
+        assert PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0]).degenerate
+
     def test_against_dense_grid_oracle(self):
         # Phi(q) = e^q - 3 e^{q/2} - 0.1 q: two extrema
         terms = PotentialTerms(c=[1.0, -3.0], a=[1.0, 0.5], slope=0.1)
@@ -161,6 +167,19 @@ class TestClassifyOrbit:
         orbit = classify_orbit(star, 5.0)
         assert orbit.kind == "unbounded"
         assert orbit.direction == "right"
+
+    def test_cancelling_prey_leave_the_star_unbounded(self):
+        # the two prey at exponent 2 cancel: Phi = 3 e^{-q} - 0.1 e^q + 2 q
+        # falls to -inf on the right, as it does without them
+        star = StarSystem(a=[-1.0, 1.0, 2.0, 2.0], b=[-3.0, -0.1, 2.0, -2.0],
+                          rbar=-2.0)
+        prof = analyze_potential(star)
+        assert prof.coercive_left and not prof.coercive_right
+        E = prof.barrier(prof.well()) + star.psi_min() + 0.5
+        orbit = classify_orbit(star, E)
+        assert orbit.kind == "unbounded" and orbit.direction == "right"
+        plain = StarSystem(a=[-1.0, 1.0], b=[-3.0, -0.1], rbar=-2.0)
+        assert orbit == classify_orbit(plain, E)
 
     def test_soliton_at_barrier_energy(self):
         star = StarSystem(a=[2.0, -2.0, 1.0, -1.0], b=[2.0, -2.0, -5.0, 5.0],
