@@ -122,10 +122,9 @@ def classify_potential_shape(terms):
 
     Checks that Phi' is negative entering, positive leaving, and changes sign
     exactly once on a 401-point grid: a unique minimum with the potential
-    rising toward both window ends.
+    rising toward both window ends.  A constant Phi' has one sign throughout
+    and fails, so a degenerate (flat) potential counts as unstable.
     """
-    if terms.degenerate:
-        return False
     qs = np.linspace(-CENSUS_WINDOW, CENSUS_WINDOW, 401)
     slopes = terms.dphi(qs)
     signs = np.sign(slopes)

@@ -445,9 +445,12 @@ def _classify(star, E, profile, q_ref=None):
 
 
 _XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
+# below this many live entries _brentq goes on one entry at a time: each
+# array iteration costs about 40 numpy calls whatever its size
+_SCALAR_BELOW = 64
 
 
-def _brentq(f, xa, xb, fa, fb):
+def _brentq(f, f1, xa, xb, fa, fb):
     """Roots of f in the brackets [xa, xb], as scipy's brentq finds them.
 
     A step-for-step port of scipy's brentq.c (Brent, *Algorithms for
@@ -455,11 +458,13 @@ def _brentq(f, xa, xb, fa, fb):
     the same choice between interpolation, extrapolation and bisection, and
     the same errors, so each root is bit-identical to
     brentq(f, xa, xb, xtol=1e-15, rtol=8.9e-16) when f is.  f(x, i)
-    evaluates the functions of entries i at x.  The root is NaN where
+    evaluates the functions of entries i at x, and f1(x, i) the function of
+    one entry i at a float x with the same bits.  The root is NaN where
     brentq raises ValueError (a NaN value, no sign change); RuntimeError is
     raised where it would fail to converge.  Converged entries leave the
-    working arrays each iteration.  fa and fb are f(xa) and f(xb), which
-    the caller has from bracketing the roots.
+    working arrays each iteration.  Once fewer than _SCALAR_BELOW are live,
+    each goes on in _brent_tail with the iterations left.  fa and fb are
+    f(xa) and f(xb), which the caller has from bracketing the roots.
     """
     root = np.full(xa.shape, np.nan)
     idx = np.arange(xa.size)
@@ -472,8 +477,25 @@ def _brentq(f, xa, xb, fa, fb):
     live = (valid & ~at_a & ~at_b
             & (np.signbit(fpre) != np.signbit(fcur)))
     xpre, xcur, fpre, fcur, idx = (v[live] for v in (xpre, xcur, fpre, fcur, idx))
-    xblk = fblk = spre = scur = np.zeros(idx.size)
-    for _ in range(_MAXITER):
+    zeros = np.zeros(idx.size)
+    return _brent_steps(f, f1, root, idx,
+                        (xpre, xcur, zeros, fpre, fcur, zeros, zeros, zeros))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _brent_steps(f, f1, root, idx, state):
+    """The brentq.c iterations of _brentq from the state of entries idx.
+
+    state is (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur), one array
+    each, at the top of the first iteration; roots land in root[idx].
+    """
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    for it in range(_MAXITER):
+        if idx.size < _SCALAR_BELOW:
+            for i, *entry in zip(idx.tolist(), *(v.tolist() for v in (
+                    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))):
+                root[i] = _brent_tail(f1, i, *entry, _MAXITER - it)
+            return root
         nan = np.isnan(fcur)  # brentq raises on a NaN value
         flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(flip, xpre, xblk)
@@ -496,13 +518,12 @@ def _brentq(f, xa, xb, fa, fb):
                                        scur, delta, sbis, idx))
         if not idx.size:
             return root
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        stry = np.where(
+            xpre == xblk,
+            -fcur * (xcur - xpre) / (fcur - fpre),
+            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
         # MIN(a, b) of brentq.c is a < b ? a : b, which matters for NaN
         cap_a, cap_b = np.abs(spre), 3 * np.abs(sbis) - delta
         short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
@@ -517,6 +538,57 @@ def _brentq(f, xa, xb, fa, fb):
     return root
 
 
+def _div(a, b):
+    """a / b for floats, with numpy's IEEE inf or NaN where b is zero."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brent_tail(f1, i, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, budget):
+    """One entry of _brent_steps in plain floats, with budget iterations left.
+
+    The same brentq.c steps in the same order of operations, so the root has
+    the same bits; a zero denominator gives inf or NaN as in numpy.
+    """
+    for _ in range(budget):
+        if fcur != fcur:
+            return math.nan
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
+            cap_a, cap_b = abs(spre), 3 * abs(sbis) - delta
+            short = 2 * abs(stry) < (cap_a if cap_a < cap_b else cap_b)
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f1(xcur, i)
+    if fcur != fcur:
+        return math.nan
+    raise RuntimeError(f"brentq failed to converge after {_MAXITER} iterations")
+
+
 def _psi_roots(mu, w):
     """Both solutions (p_up, p_dn) of exp(p) - mu p = w around the minimum at ln mu.
 
@@ -526,6 +598,7 @@ def _psi_roots(mu, w):
     and doubles until it holds the root; both branches are solved in one
     _brentq pass, with exp from the C library.
     """
+    mu = float(mu)
     pmin = math.log(mu)
     wmin = mu * (1.0 - pmin)
     ws = np.atleast_1d(np.asarray(w, dtype=float))
@@ -534,9 +607,13 @@ def _psi_roots(mu, w):
     todo = np.flatnonzero(ws > wmin)
     if todo.size:
         level = np.tile(ws[todo], 2)
+        levels = level.tolist()
 
         def f(p, i):
             return libm_exp(p) - mu * p - level[i]
+
+        def f1(p, i):
+            return math.exp(p) - mu * p - levels[i]
 
         edge = pmin + np.repeat([1.0, -1.0], todo.size)
         f_edge = np.empty(edge.size)
@@ -549,7 +626,7 @@ def _psi_roots(mu, w):
         f_start = (math.exp(pmin) - mu * pmin) - level
         up = np.arange(edge.size) < todo.size
         roots[:, todo] = _brentq(
-            f, np.where(up, start, edge), np.where(up, edge, start),
+            f, f1, np.where(up, start, edge), np.where(up, edge, start),
             np.where(up, f_start, f_edge),
             np.where(up, f_edge, f_start)).reshape(2, -1)
     if np.ndim(w):
@@ -599,25 +676,38 @@ _GL_NODES, _GL_WEIGHTS = leggauss(80)
 
 
 def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
-    """Time-weighted quadrature nodes along one closed orbit, as _OrbitNodes.
+    """Time-weighted quadrature nodes along one closed orbit, as _OrbitNodes."""
+    return _orbit_quadratures(star, E, q_minus, q_plus, (n_segments,))[0]
+
+
+def _orbit_quadratures(star, E, q_minus, q_plus, counts):
+    """_OrbitNodes of one closed orbit for each segment count in counts.
 
     The turning-point singularity is removed with the substitution
     q = q_end -/+ u^2 on the outer halves; interior pieces integrate directly.
     Each half is split geometrically toward its turning point, with 80
-    Gauss-Legendre nodes per piece.  All nodes are evaluated at once, and
-    every value is bit-identical to evaluating the nodes one at a time with
-    Phi, _psi_roots and math.exp and summing in node order.
+    Gauss-Legendre nodes per piece.  The cuts umax 2^-k are the same floats
+    for every count, so the union of the pieces of all counts is evaluated
+    at once, in one _psi_roots call; each count then takes its own pieces in
+    its own order.  Every value is bit-identical to evaluating the nodes one
+    at a time with Phi, _psi_roots and math.exp and summing in node order.
     """
     terms = star.terms()
     mu = star.mu
     qm = 0.5 * (q_minus + q_plus)
-    cuts = [np.concatenate(([0.0], umax * 2.0 ** np.arange(1 - n_segments, 0.0),
-                            [umax]))
-            for umax in (math.sqrt(abs(qm - q_minus)), math.sqrt(abs(qm - q_plus)))]
-    lo = np.concatenate([c[:-1] for c in cuts])[:, None]
-    hi = np.concatenate([c[1:] for c in cuts])[:, None]
-    q_end = np.repeat([q_minus, q_plus], n_segments)[:, None]
-    sgn = np.repeat([1.0, -1.0], n_segments)[:, None]
+    umaxes = (math.sqrt(abs(qm - q_minus)), math.sqrt(abs(qm - q_plus)))
+    pieces = {}  # (half, lo, hi) -> row of the union
+    rows = []
+    for n in counts:
+        row = []
+        for half, umax in enumerate(umaxes):
+            cuts = [0.0, *(umax * 2.0 ** np.arange(1 - n, 0.0)).tolist(), umax]
+            row += [pieces.setdefault(piece, len(pieces))
+                    for piece in zip([half] * n, cuts[:-1], cuts[1:])]
+        rows.append(row)
+    half, lo, hi = (np.array(v)[:, None] for v in zip(*pieces))
+    q_end = np.where(half == 0, q_minus, q_plus)
+    sgn = np.where(half == 0, 1.0, -1.0)
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = mid + rad * _GL_NODES
     q = (q_end + sgn * u * u).ravel()
@@ -630,13 +720,20 @@ def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
     p_up, p_dn = _psi_roots(mu, E - phi)
     vel_up = libm_exp(p_up) - mu
     vel_dn = mu - libm_exp(p_dn)
-    # roundoff can place a node a hair outside the well (NaN roots fail too)
-    keep = (vel_up > 0.0) & (vel_dn > 0.0)
-    dt = np.column_stack((jac[keep] / vel_up[keep], jac[keep] / vel_dn[keep]))
-    return _OrbitNodes(period=float(_running_sum(dt[:, 0] + dt[:, 1])),
-                      q=np.repeat(q[keep], 2),
-                      p=np.column_stack((p_up[keep], p_dn[keep])).ravel(),
-                      dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep)))
+    nodes = np.stack((q, jac, p_up, p_dn, vel_up, vel_dn)).reshape(
+        6, len(pieces), -1)
+    out = []
+    for row in rows:
+        q, jac, p_up, p_dn, vel_up, vel_dn = nodes[:, row].reshape(6, -1)
+        # roundoff can place a node a hair outside the well (NaN roots fail too)
+        keep = (vel_up > 0.0) & (vel_dn > 0.0)
+        dt = np.column_stack((jac[keep] / vel_up[keep], jac[keep] / vel_dn[keep]))
+        out.append(_OrbitNodes(
+            period=float(_running_sum(dt[:, 0] + dt[:, 1])),
+            q=np.repeat(q[keep], 2),
+            p=np.column_stack((p_up[keep], p_dn[keep])).ravel(),
+            dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep))))
+    return out
 
 
 def _orbit_nodes(star, orbit):
@@ -664,20 +761,24 @@ def period(star, E, q_ref=None, rtol=1e-6):
     Both momentum branches contribute: dq/dt changes sign over a closed orbit,
     so T = int [ (e^{p_up} - mu)^{-1} + (mu - e^{p_dn})^{-1} ] dq between the
     turning points.  The 8-segment period of classify_orbit is checked
-    against 6 segments and refined through 12, 18 and 28 until two segment
-    resolutions agree to rtol.
+    against 6 segments, both from one node evaluation, and refined through
+    12, 18 and 28 until two segment resolutions agree to rtol.  RuntimeError
+    is raised, naming E and the gap, when 28 and 18 segments still do not.
     """
-    orbit = classify_orbit(star, E, q_ref=q_ref)
+    orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
     if orbit.kind != "periodic":
         raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
-    t_prev = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus,
-                               n_segments=6).period
-    t_cur = orbit.period
-    for n_seg in (12, 18, 28):
-        if abs(t_cur - t_prev) <= rtol * abs(t_cur):
-            break
-        t_prev, t_cur = t_cur, _orbit_quadrature(
-            star, E, orbit.q_minus, orbit.q_plus, n_segments=n_seg).period
+    ends = (star, E, orbit.q_minus, orbit.q_plus)
+    t_prev, t_cur = (n.period for n in _orbit_quadratures(*ends, (6, 8)))
+    refine = iter((12, 18, 28))
+    while not abs(t_cur - t_prev) <= rtol * abs(t_cur):
+        n_seg = next(refine, None)
+        if n_seg is None:
+            raise RuntimeError(
+                f"period at E = {E!r} did not converge to rtol = {rtol:g}: "
+                f"28 segments give {t_cur!r} and 18 give {t_prev!r}, a gap "
+                f"of {abs(t_cur - t_prev):.3g}")
+        t_prev, t_cur = t_cur, _orbit_quadrature(*ends, n_seg).period
     return t_cur
 
 

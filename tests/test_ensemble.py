@@ -11,7 +11,7 @@ from hamlv.ensemble import (classify_potential_shape, draw_mixed_star_terms,
                             orbit_probability_curve, random_potential,
                             stability_census, cone_feasibility_frequency)
 from hamlv.persistence import positive_solution_frequency
-from hamlv.star import analyze_potential
+from hamlv.star import PotentialTerms, analyze_potential
 from hamlv.util import run_indexed_trials, wilson_interval
 
 
@@ -47,6 +47,15 @@ class TestRandomPotential:
 
 
 class TestStabilityCensus:
+    def test_constant_slope_is_unstable(self):
+        # sigma_a = 0 puts every exponent at 0; e^q - e^q cancels exactly
+        assert not classify_potential_shape(
+            random_potential(5, 1.0, 2.0, 0.0, seed=3))
+        assert not classify_potential_shape(
+            PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0]))
+        report = stability_census(1, 10, 40, sigma_a=0.0, seed=4)
+        assert report.cells["unstable"].frequency == 1.0
+
     def test_positive_coefficients_rarely_unstable(self):
         report = stability_census(2, 60, 400, sigma_b=0.0, seed=3)
         assert report.cells["unstable"].frequency < 0.08

@@ -21,8 +21,9 @@ import hamlv
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
                              _averaged_terms, evolve_averaged, orbit_averages)
 from hamlv.star import (EnergyBelowWellError, StarSystem, _GL_NODES,
-                        _GL_WEIGHTS, _orbit_quadrature, _psi_roots,
-                        analyze_potential, classify_orbit, period)
+                        _GL_WEIGHTS, _MAXITER, _brent_steps, _brent_tail, _div,
+                        _orbit_quadrature, _psi_roots, analyze_potential,
+                        classify_orbit, period)
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
@@ -191,6 +192,98 @@ class TestPsiRoots:
         with pytest.raises(ValueError):
             _psi_roots(1.0, float("nan"))
 
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["arrays", "scalar"])
+    def test_scalar_tail_moves_no_bit(self, monkeypatch, cutoff):
+        # all entries on the array path, or all on the scalar one from the
+        # first iteration, against the default hand-over
+        levels = list(draw_levels(np.random.default_rng(20)))
+        want = [np.array(_psi_roots(mu, w)).tobytes() for mu, w in levels]
+        monkeypatch.setattr("hamlv.star._SCALAR_BELOW", cutoff)
+        assert [np.array(_psi_roots(mu, w)).tobytes()
+                for mu, w in levels] == want
+
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["arrays", "scalar"])
+    def test_numpy_scalar_mu(self, monkeypatch, cutoff):
+        monkeypatch.setattr("hamlv.star._SCALAR_BELOW", cutoff)
+        for mu, w in draw_levels(np.random.default_rng(21)):
+            assert (np.array(_psi_roots(np.float64(mu), w)).tobytes()
+                    == np.array(_psi_roots(float(mu), w)).tobytes())
+
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["arrays", "scalar"])
+    def test_iterations_run_out(self, monkeypatch, cutoff):
+        monkeypatch.setattr("hamlv.star._SCALAR_BELOW", cutoff)
+        monkeypatch.setattr("hamlv.star._MAXITER", 3)
+        with pytest.raises(RuntimeError,
+                           match="brentq failed to converge after 3 iterations"):
+            _psi_roots(1.0, np.array([2.0, 3.0, 5.0]))
+
+    @pytest.mark.parametrize("cutoff", [0, 10**9], ids=["arrays", "scalar"])
+    def test_last_step_of_the_budget(self, monkeypatch, cutoff):
+        # x^2 - 0.09 on [0, 1] takes 9 steps; with 3 allowed both paths stop
+        # after the third value.  brentq raises ValueError on a NaN value
+        # before it reports that its iterations ran out: a NaN third value
+        # leaves the root NaN
+        monkeypatch.setattr("hamlv.star._MAXITER", 3)
+        monkeypatch.setattr("hamlv.star._SCALAR_BELOW", cutoff)
+        calls = []
+
+        def f1(x, i):
+            calls.append(x)
+            return x * x - 0.09 if len(calls) < nan_at else math.nan
+
+        def f(x, i):
+            return np.array([f1(v, i) for v in x.tolist()])
+
+        start = tuple(np.array([v])
+                      for v in (0.0, 1.0, 0.0, -0.09, 0.91, 0.0, 0.0, 0.0))
+        nan_at = 4
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            _brent_steps(f, f1, np.full(1, np.nan), np.arange(1), start)
+        assert len(calls) == 3
+        calls.clear()
+        nan_at = 3
+        root = _brent_steps(f, f1, np.full(1, np.nan), np.arange(1), start)
+        assert np.isnan(root[0]) and len(calls) == 3
+
+    def test_division_by_zero_as_numpy(self):
+        specials = [1.5, -1.5, 0.0, -0.0, math.inf, -math.inf, math.nan]
+        for a in specials:
+            for b in specials:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want = float(np.float64(a) / np.float64(b))
+                got = _div(a, b)
+                assert (math.isnan(got) and math.isnan(want)
+                        or (got, math.copysign(1.0, got))
+                        == (want, math.copysign(1.0, want))), (a, b)
+
+    # (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur) that make a brentq.c
+    # denominator zero: xpre == xcur, fcur == fpre, both, and dblk * dpre
+    # underflowing to zero
+    @pytest.mark.parametrize("state", [
+        (1.0, 1.0, 0.0, 2.0, 0.8, -1.0, 1.0, 1.0),
+        (2.0, 1.0, 0.0, 0.8, 0.8, -1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.0, 0.8, 0.8, -1.0, 1.0, 1.0),
+        (2.0, 1.0, 0.0, 2e-200, 1e-200, -1e-200, 1.0, 1.0),
+    ], ids=["xpre-is-xcur", "fcur-is-fpre", "both", "underflow"])
+    def test_tail_follows_the_array_steps(self, monkeypatch, state):
+        # the function after the hand-made state: x^2 - 0.09
+        calls = {"arrays": [], "scalar": []}
+
+        def f(x, i):
+            calls["arrays"] += x.tolist()
+            return x * x - 0.09
+
+        def f1(x, i):
+            calls["scalar"].append(x)
+            return x * x - 0.09
+
+        monkeypatch.setattr("hamlv.star._SCALAR_BELOW", 0)
+        root = _brent_steps(f, f1, np.full(1, np.nan), np.arange(1),
+                            tuple(np.array([v]) for v in state))
+        tail = _brent_tail(f1, 0, *state, _MAXITER)
+        assert calls["scalar"] == calls["arrays"]
+        assert math.isnan(tail) and math.isnan(root[0]) or tail == root[0]
+
     @given(mu=st.floats(1e-3, 50.0),
            gap=st.one_of(st.just(0.0), st.floats(1e-17, 1e3)))
     def test_roots_solve_the_kinetic_equation(self, mu, gap):
@@ -230,13 +323,32 @@ class TestQuadratureBitIdentity:
             assert nodes.p.tolist() == [n[1] for n in ref]
             assert nodes.dt.tolist() == [n[2] for n in ref]
 
-    @pytest.mark.parametrize("name,star,q_ref,E", CASES[::2],
-                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES[::2])])
+    @pytest.mark.parametrize("name,star,q_ref,E", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
     def test_period_and_classify(self, name, star, q_ref, E):
         assert period(star, E, q_ref=q_ref) == scalar_period(star, E, q_ref)
         orbit = classify_orbit(star, E, q_ref=q_ref)
         T_ref = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus)[0]
         assert orbit.period == T_ref
+
+    # 6 against 8 and 8 against 12 segments differ by more than rtol; 12
+    # and 18 agree in the first case, 18 and 28 in the second
+    @pytest.mark.parametrize("k,rtol,refined", [(9, 4e-8, [12, 18]),
+                                                (8, 7e-9, [12, 18, 28])],
+                             ids=["to-18", "to-28"])
+    def test_period_refines(self, monkeypatch, k, rtol, refined):
+        _, star, q_ref, E = CASES[k]
+        counts = []
+
+        def spy(*args):
+            counts.append(args[4])
+            return _orbit_quadrature(*args)
+
+        monkeypatch.setattr("hamlv.star._orbit_quadrature", spy)
+        T = period(star, E, q_ref=q_ref, rtol=rtol)
+        assert counts == refined
+        monkeypatch.undo()
+        assert T == scalar_period(star, E, q_ref, rtol=rtol)
 
     @pytest.mark.parametrize("name,star,q_ref,E", CASES,
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])

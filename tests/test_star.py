@@ -244,6 +244,24 @@ class TestPeriod:
         E_deep = barrier.phi + star.psi_min() - 1e-1
         assert period(star, E_near) > 2.0 * period(star, E_deep)
 
+    def test_unresolved_period_raises(self):
+        # 2.2e-7 below the barrier of the left well: 28 and 18 segments give
+        # 6.9560771 and 6.9560528, 3.5e-6 apart relative
+        star = StarSystem(a=[2.0, -2.0, 1.0, -1.0],
+                          b=[8.0, -8.0, -20.0, 20.0], rbar=0.0, mu=1.0)
+        q_well = -math.log(2.0)
+        prof = analyze_potential(star)
+        well = prof.well(q_well)
+        bottom = well.phi + star.psi_min()
+        top = prof.barrier(well) + star.psi_min()
+        E = bottom + (top - bottom) * 0.9999997754
+        assert classify_orbit(star, E, q_ref=q_well).kind == "periodic"
+        with pytest.raises(RuntimeError,
+                           match=r"E = -31\.0000002246 .*gap of 2\.44e-05"):
+            period(star, E, q_ref=q_well)
+        assert period(star, E, q_ref=q_well, rtol=1e-5) == pytest.approx(
+            6.9560528, rel=1e-7)
+
 
 class TestPersistence:
     def test_pi(self):
