@@ -216,14 +216,15 @@ def _cmd_canonical(args):
 
 def _cmd_star(args):
     from .star import (EnergyBelowWellError, analyze_potential, classify_orbit,
-                       persistence_criteria)
+                       period, persistence_criteria)
     star = _load_star(_load_json(args.input, "star"), f"star file {args.input}")
     out = _out_dir(args)
     profile = analyze_potential(star)
     verdict = persistence_criteria(star)
     report = {
         "persistence": {"rule": verdict.rule, "passed": verdict.passed,
-                        "i_plus": verdict.i_plus, "i_minus": verdict.i_minus},
+                        "i_plus": verdict.i_plus, "i_minus": verdict.i_minus,
+                        "tied": verdict.tied},
         "extrema": [{"q": e.q, "phi": e.phi, "kind": e.kind}
                     for e in profile.extrema],
         "coercive_left": profile.coercive_left,
@@ -243,12 +244,18 @@ def _cmd_star(args):
     code = 0 if verdict.passed else 2
     if args.E is not None:
         try:
-            orbit = classify_orbit(star, args.E)
-            write_json(out / "orbit.json", orbit.to_dict())
+            orbit = classify_orbit(star, args.E).to_dict()
         except EnergyBelowWellError as exc:
-            write_json(out / "orbit.json", {"class": "error",
-                                            "message": str(exc)})
+            orbit = {"class": "error", "message": str(exc)}
             code = 2
+        if orbit["class"] == "periodic":
+            # the checked period, not classify_orbit's 8-segment value
+            try:
+                orbit["period"] = period(star, args.E)
+            except RuntimeError as exc:
+                orbit.update(period=None, period_error=str(exc))
+                code = 2
+        write_json(out / "orbit.json", orbit)
         outputs.append("orbit.json")
     return _finish(args, outputs, exit_code=code)
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.special import inv_boxcox
 
 # exp() overflows a little above 709; clamp below that with margin.
 EXP_LIMIT = 700.0
@@ -29,11 +29,17 @@ def libm_exp(x):
 
     numpy's vectorised exp can differ from the C library's by one ulp, which
     would break the bit identity of the array quadrature with its scalar
-    reference.  Raises OverflowError where math.exp does.
+    reference.  scipy's Box-Cox inverse at lambda 0 is one compiled loop that
+    calls the C library's exp on each entry, as math.exp does.  The result
+    has the shape of x (a numpy scalar for a 0-d x).  Raises OverflowError
+    where math.exp does: an infinite result from a finite entry.
     """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    y = inv_boxcox(x, 0.0)
+    inf = np.isinf(y)
+    if inf.any() and np.isfinite(x[inf]).any():
+        raise OverflowError("math range error")
+    return y
 
 
 def set_fields(obj, ndim, **fields):

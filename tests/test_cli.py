@@ -9,6 +9,7 @@ import pytest
 
 import hamlv
 from hamlv.cli import main
+from hamlv.star import StarSystem, classify_orbit, period
 from hamlv.util import sha256_file
 
 STAR = {"a": [1.0], "b": [1.0], "rbar": 1.0, "mu": 1.0}
@@ -181,12 +182,37 @@ class TestStar:
         assert orbit["class"] == "periodic"
         assert orbit["q_minus"] == pytest.approx(-1.8414056604, abs=1e-6)
         assert orbit["q_plus"] == pytest.approx(1.1461932206, abs=1e-6)
-        assert orbit["period"] > 0
+        # the checked period, here the 8-segment value classify_orbit gives
+        star = StarSystem(**STAR)
+        assert orbit["period"] == period(star, 3.0) == classify_orbit(
+            star, 3.0).period
         profile = (out / "profile.csv").read_text().splitlines()
         assert profile[0] == "q,phi"
         report = json.loads((out / "report.json").read_text())
         assert report["window"] == [-50.0, 50.0]
         assert report["window_warning"] is False
+
+    def test_unresolved_period_is_null(self, tmp_path):
+        # 2.2e-7 below the barrier of the double well's left well, 28 and 18
+        # segments still differ by 3.5e-6 relative; the unchecked 8-segment
+        # value there is 6.95596884
+        path = tmp_path / "double_well.json"
+        path.write_text(json.dumps({"a": [2.0, -2.0, 1.0, -1.0],
+                                    "b": [8.0, -8.0, -20.0, 20.0],
+                                    "rbar": 0.0}))
+        out = tmp_path / "o"
+        assert main(["star", "--input", str(path), "--E", "-31.0000002246",
+                     "--out", str(out)]) == 2
+        orbit = json.loads((out / "orbit.json").read_text())
+        assert orbit["class"] == "periodic" and orbit["period"] is None
+        assert orbit["period_error"].startswith(
+            "period at E = -31.0000002246 did not converge to rtol = 1e-06")
+        assert orbit["q_minus"] == pytest.approx(-0.96242363, abs=1e-8)
+        assert orbit["q_plus"] == pytest.approx(-0.00023696, abs=1e-8)
+        report = json.loads((out / "report.json").read_text())
+        assert report["persistence"] == {"rule": "PIII", "passed": True,
+                                         "i_plus": 0, "i_minus": 1,
+                                         "tied": False}
 
     def test_failing_star_exit_two(self, tmp_path):
         path = tmp_path / "bad_star.json"

@@ -495,3 +495,25 @@ class TestPinnedOrbits:
         h.update(str(avg.meta["nfev"]).encode())
         assert h.hexdigest() == (
             "1ef4490cda19cca1ffcae507088c41052407e1bd348a0425e638ae8fdd4e8476")
+
+    def test_burst_averaged_run_pinned(self):
+        # the bench's four-species run: the double well tilted by
+        # rbar = 1.2 tau, from 0.2 above its bottom in the left well, bursts
+        env = SlowEnvironment(a=CoefficientPath.constant(DOUBLE_WELL.a),
+                              b=CoefficientPath.constant(DOUBLE_WELL.b),
+                              rbar=CoefficientPath.from_callable(
+                                  lambda tau: 1.2 * tau, lambda tau: 1.2),
+                              mu=1.0, epsilon=0.01, dbar=0.0)
+        bottom = (min(e.phi for e in analyze_potential(DOUBLE_WELL).minima())
+                  + DOUBLE_WELL.psi_min())
+        avg = evolve_averaged(env, AveragedState(tau=0.0, E=bottom + 0.2,
+                                                 Cbar=np.ones(4)),
+                              3.0, q_well=-0.7)
+        h = hashlib.sha256()
+        for part in (avg.tau, avg.E, avg.Cbar):
+            h.update(part.tobytes())
+        h.update(str(avg.meta["nfev"]).encode())
+        h.update(" ".join(e.kind for e in avg.events).encode())
+        h.update(np.array([e.tau for e in avg.events]).tobytes())
+        assert h.hexdigest() == (
+            "63acd635ec663c3838eaf6fb89104fdd2a2f1e4da7866e40e597d4229ba6ec44")

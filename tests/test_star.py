@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from hamlv.averaging import orbit_averages
@@ -278,7 +281,7 @@ class TestPersistence:
     def test_fails_when_top_predator_coefficient_negative(self):
         star = StarSystem(a=[1.0, 2.0], b=[3.0, -1.0], rbar=1.0, mu=1.0)
         v = persistence_criteria(star)
-        assert v.rule == "fails"
+        assert v.rule == "PI" and not v.passed and v.i_plus == 1
         orbit = classify_orbit(star, 50.0)
         assert orbit.kind == "unbounded"
 
@@ -305,6 +308,43 @@ class TestPersistence:
             v = persistence_criteria(star)
             prof = analyze_potential(star)
             assert v.passed == (prof.coercive_left and prof.coercive_right)
+
+    # exponents and couplings from small sets, so that ties, cancelling
+    # couplings and b = 0 at an extreme exponent come up often
+    @given(st.lists(st.tuples(
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])), min_size=1, max_size=5),
+           st.sampled_from([-1.0, 0.0, 1.0]))
+    @example([(-1.0, -3.0), (1.0, -0.1), (2.0, 2.0), (2.0, -2.0)], -2.0)
+    @example([(-0.491, -0.240), (-1.107, 0.0)], -0.943)
+    def test_verdict_is_two_sided_coercivity(self, species, rbar):
+        a, b = (list(v) for v in zip(*species))
+        star = StarSystem(a=a, b=b, rbar=rbar)
+        v = persistence_criteria(star)
+        assert v.rule == ("PI" if min(a) > 0 else "PII" if max(a) < 0
+                          else "PIII")
+        # Phi at q = +-60 in 80 digits, so that no term is lost to the
+        # rounding of a larger one: a growing exponential gives e^30 or more,
+        # the -rbar q term 60 |rbar|, and a flat side stays near 0
+        terms = star.terms()
+        with mpmath.workdps(80):
+            far = {d: float(mpmath.fsum(
+                c * mpmath.exp(k * 60 * d) for c, k in zip(
+                    terms.c.tolist(), terms.a.tolist())) - rbar * 60 * d)
+                for d in (1, -1)}
+        assert v.passed == (far[1] > 10.0 and far[-1] > 10.0)
+        tied = False
+        for i, d in ((v.i_plus, 1), (v.i_minus, -1)):
+            growth = math.log(abs(far[d]) or 1e-300) / 60.0
+            if i is None:  # the -rbar q term decides
+                assert growth < 0.25
+                continue
+            # the species' exponent is the growth rate of Phi on that side
+            assert b[i] != 0.0 and a[i] * d == pytest.approx(growth, abs=0.06)
+            there = [j for j in range(len(a)) if a[j] == a[i] and b[j] != 0.0]
+            assert there[0] == i
+            tied = tied or len(there) > 1
+        assert v.tied == tied
 
 
 class TestDomino:
