@@ -249,7 +249,6 @@ def _cmd_star(args):
             orbit = {"class": "error", "message": str(exc)}
             code = 2
         if orbit["class"] == "periodic":
-            # the checked period, not classify_orbit's 8-segment value
             try:
                 orbit["period"] = period(star, args.E)
             except RuntimeError as exc:

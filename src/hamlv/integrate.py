@@ -288,15 +288,18 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
     branch and integrates with the symplectic stepper until the next upward
     crossing, locating it by linear interpolation within the step.  Raises
     RuntimeError when no return comes within the step budget or the orbit
-    escapes first.
+    escapes first.  E is checked by classify_orbit's rule: a non-finite E
+    raises ValueError, and one below the well EnergyBelowWellError.
     """
-    from .star import _psi_roots, analyze_potential
+    from .star import _classify, _psi_roots, analyze_potential
 
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and positive, got {h}")
-    well = analyze_potential(star).well(q_ref)
+    profile = analyze_potential(star)
+    well = profile.well(q_ref)
     if well is None:
         raise ValueError("no potential well to anchor the section")
+    _classify(star, E, profile, q_ref)
     q_star = well.q
     p_up, _ = _psi_roots(star.mu, E - well.phi)
 

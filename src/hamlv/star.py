@@ -15,7 +15,7 @@ unbounded) is read off the potential profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -307,21 +307,20 @@ def analyze_potential(star, q_window=None, n_grid=2001):
 
 @dataclass(frozen=True)
 class Orbit:
-    """Classified level set of the star Hamiltonian at energy E."""
+    """Classified level set of the star Hamiltonian at energy E; no period."""
 
     kind: str  # equilibrium | periodic | soliton | kink | unbounded
     energy: float
     level: float
     q_minus: float = None
     q_plus: float = None
-    period: float = None
     q_plateau: float = None
     direction: str = None
 
     def to_dict(self):
         out = {"class": self.kind, "E": self.energy}
         if self.kind == "periodic":
-            out.update(q_minus=self.q_minus, q_plus=self.q_plus, period=self.period)
+            out.update(q_minus=self.q_minus, q_plus=self.q_plus)
         elif self.kind == "soliton":
             out.update(q_plateau=self.q_plateau, q_minus=self.q_minus,
                        q_plus=self.q_plus)
@@ -396,20 +395,17 @@ def classify_orbit(star, E, q_ref=None):
     The turning points solve Phi(q) = E - mu(1 - ln mu), to within
     tol = 1e-9 (1 + |E - mu(1 - ln mu)|).  Within tol of the well bottom
     the orbit is the equilibrium, and below that EnergyBelowWellError is
-    raised.  Two simple roots bound a periodic orbit with its 8-segment
-    period; a root within tol of a local maximum gives a soliton plateau;
-    two such ends give a kink; an open side gives an unbounded escape.
-    q_ref defaults to the deepest minimum of the profile.  A non-finite E
-    raises ValueError.
+    raised.  Two simple roots bound a periodic orbit; a root within tol of
+    a local maximum gives a soliton plateau; two such ends give a kink; an
+    open side gives an unbounded escape.  q_ref defaults to the deepest
+    minimum of the profile.  A non-finite E raises ValueError.  No
+    quadrature runs: the period of a periodic orbit is period(star, E).
     """
-    orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
-    if orbit.kind != "periodic":
-        return orbit
-    return replace(orbit, period=_orbit_nodes(star, orbit).period)
+    return _classify(star, E, _profile_of_terms(star.terms()), q_ref)
 
 
 def _classify(star, E, profile, q_ref=None):
-    """classify_orbit without the period, on a profile the caller has."""
+    """classify_orbit on a profile the caller has."""
     if not math.isfinite(E):
         raise ValueError(f"E must be finite, got {E}")
     terms = star.terms()
@@ -748,12 +744,12 @@ def _orbit_quadratures(star, E, q_minus, q_plus, counts):
 
 
 def _orbit_nodes(star, orbit):
-    """Time-weighted nodes of an orbit _classify gave, as _OrbitNodes.
+    """Averaging nodes of an orbit _classify gave, as _OrbitNodes.
 
     The equilibrium is one node at the well bottom with the small-oscillation
     period 2 pi / omega (inf on a flat bottom), so its averages are point
-    values; a periodic orbit gets the 8-segment quadrature.  Any other kind
-    raises ValueError.
+    values; a periodic orbit gets the 8-segment quadrature, whose unchecked
+    period weights the averages.  Any other kind raises ValueError.
     """
     if orbit.kind == "equilibrium":
         omega = star.frequency(orbit.q_minus)
@@ -771,10 +767,11 @@ def period(star, E, q_ref=None, rtol=1e-6):
 
     Both momentum branches contribute: dq/dt changes sign over a closed orbit,
     so T = int [ (e^{p_up} - mu)^{-1} + (mu - e^{p_dn})^{-1} ] dq between the
-    turning points.  The 8-segment period of classify_orbit is checked
-    against 6 segments, both from one node evaluation, and refined through
-    12, 18 and 28 until two segment resolutions agree to rtol.  RuntimeError
-    is raised, naming E and the gap, when 28 and 18 segments still do not.
+    turning points of classify_orbit.  The one period of an orbit: 8
+    segments are checked against 6, both from one node evaluation, and
+    refined through 12, 18 and 28 until two resolutions agree to rtol.
+    RuntimeError is raised, naming E and the gap, when 28 and 18 segments
+    still do not; a non-periodic orbit raises ValueError.
     """
     orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
     if orbit.kind != "periodic":

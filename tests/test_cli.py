@@ -9,7 +9,7 @@ import pytest
 
 import hamlv
 from hamlv.cli import main
-from hamlv.star import StarSystem, classify_orbit, period
+from hamlv.star import StarSystem, period
 from hamlv.util import sha256_file
 
 STAR = {"a": [1.0], "b": [1.0], "rbar": 1.0, "mu": 1.0}
@@ -182,10 +182,7 @@ class TestStar:
         assert orbit["class"] == "periodic"
         assert orbit["q_minus"] == pytest.approx(-1.8414056604, abs=1e-6)
         assert orbit["q_plus"] == pytest.approx(1.1461932206, abs=1e-6)
-        # the checked period, here the 8-segment value classify_orbit gives
-        star = StarSystem(**STAR)
-        assert orbit["period"] == period(star, 3.0) == classify_orbit(
-            star, 3.0).period
+        assert orbit["period"] == period(StarSystem(**STAR), 3.0)
         profile = (out / "profile.csv").read_text().splitlines()
         assert profile[0] == "q,phi"
         report = json.loads((out / "report.json").read_text())
@@ -213,6 +210,28 @@ class TestStar:
         assert report["persistence"] == {"rule": "PIII", "passed": True,
                                          "i_plus": 0, "i_minus": 1,
                                          "tied": False}
+
+    @pytest.mark.parametrize("star,E,code,digest", [
+        (STAR, "3", 0,
+         "f5f147cea38f2c5baab48f556dd1e9b41eb618ff922323adb257b2e7bb95fc11"),
+        # the unresolved period of test_unresolved_period_is_null
+        ({"a": [2.0, -2.0, 1.0, -1.0], "b": [8.0, -8.0, -20.0, 20.0],
+          "rbar": 0.0}, "-31.0000002246", 2,
+         "5fc713b58250726acb98dba0058448c0905870f7a191b89527d3322e168970e2"),
+        (STAR, "2", 0,
+         "eac0fe99c6c8f28900fb240f3e11bef3f34413c193c90027c5143be3ea1d411c"),
+        (STAR, "1.5", 2,
+         "7f7008190cd663b989e9aa89cb6e5e8a52dd57ba05dab7207fa5567d11f09319"),
+    ], ids=["periodic", "unresolved", "equilibrium", "below-well"])
+    def test_orbit_report_bytes(self, tmp_path, star, E, code, digest):
+        # each verdict the report can give: a checked period, an unresolved
+        # one, the equilibrium and an energy below the well
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star))
+        out = tmp_path / "o"
+        assert main(["star", "--input", str(path), "--E", E, "--out",
+                     str(out)]) == code
+        assert sha256_file(out / "orbit.json") == digest
 
     def test_failing_star_exit_two(self, tmp_path):
         path = tmp_path / "bad_star.json"

@@ -22,7 +22,8 @@ from hamlv.integrate import (Trajectory, _lv_flow, _operator,
                              poincare_return_time)
 from hamlv.model import InteractionSystem
 from hamlv.resonance import ResonanceModel, integrate_resonance
-from hamlv.star import StarSystem, _psi_roots, analyze_potential, period
+from hamlv.star import (EnergyBelowWellError, StarSystem, _psi_roots,
+                        analyze_potential, period)
 from oracle import transformed_rhs
 from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE
 
@@ -402,6 +403,16 @@ class TestTolerances:
         # a backward step used to spend the whole step budget
         with pytest.raises(ValueError, match="h must be finite and positive"):
             poincare_return_time(UNIT_STAR, 3.0, h=h)
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan])
+    def test_first_return_rejects_non_finite_energy(self, E):
+        with pytest.raises(ValueError, match="E must be finite"):
+            poincare_return_time(UNIT_STAR, E)
+
+    def test_first_return_below_the_well(self):
+        # the bottom of the unit star is E = 2
+        with pytest.raises(EnergyBelowWellError, match="below the well bottom"):
+            poincare_return_time(UNIT_STAR, 1.5)
 
 
 class TestTrajectoryCsv:

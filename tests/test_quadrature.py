@@ -326,10 +326,8 @@ class TestQuadratureBitIdentity:
     @pytest.mark.parametrize("name,star,q_ref,E", CASES,
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
     def test_period_and_classify(self, name, star, q_ref, E):
+        # scalar_period refines on classify_orbit's turning points
         assert period(star, E, q_ref=q_ref) == scalar_period(star, E, q_ref)
-        orbit = classify_orbit(star, E, q_ref=q_ref)
-        T_ref = scalar_quadrature(star, E, orbit.q_minus, orbit.q_plus)[0]
-        assert orbit.period == T_ref
 
     # 6 against 8 and 8 against 12 segments differ by more than rtol; 12
     # and 18 agree in the first case, 18 and 28 in the second
@@ -442,6 +440,19 @@ class TestOneOrbitRule:
             orbit_averages(star, bottom - 1e-6, [lambda q, p: 1.0],
                            q_ref=q_ref)
 
+    def test_verdict_runs_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("classify_orbit ran a quadrature")
+
+        verdicts = [classify_orbit(star, E, q_ref=q_ref)
+                    for _, star, q_ref, E in CASES]
+        monkeypatch.setattr("hamlv.star._psi_roots", no_quadrature)
+        monkeypatch.setattr("hamlv.star._orbit_quadratures", no_quadrature)
+        for (_, star, q_ref, E), ref in zip(CASES, verdicts):
+            orbit = classify_orbit(star, E, q_ref=q_ref)
+            assert (orbit.kind, orbit.q_minus, orbit.q_plus) == (
+                ref.kind, ref.q_minus, ref.q_plus)
+
     def test_only_star_builds_orbit_nodes(self):
         src = Path(hamlv.__file__).parent
         users = [path.name for path in sorted(src.glob("*.py"))
@@ -453,13 +464,18 @@ class TestOneOrbitRule:
 # ------------------------------------------------------------ pinned bytes
 
 def orbit_digest(star):
-    """sha256 of classify_orbit and period across the wells of a star."""
+    """sha256 of classify_orbit and period across the wells of a star.
+
+    The period enters twice: the digests were taken when classify_orbit
+    also returned an unchecked period, equal to period's at every energy
+    here.
+    """
     h = hashlib.sha256()
     for q_ref, E in well_energies(star):
         orbit = classify_orbit(star, E, q_ref=q_ref)
+        T = period(star, E, q_ref=q_ref)
         h.update(orbit.kind.encode())
-        h.update(np.array([orbit.q_minus, orbit.q_plus, orbit.period,
-                           period(star, E, q_ref=q_ref)]).tobytes())
+        h.update(np.array([orbit.q_minus, orbit.q_plus, T, T]).tobytes())
     return h.hexdigest()
 
 

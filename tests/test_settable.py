@@ -96,7 +96,6 @@ SETTABLE = [
     "resonance.TwoStarSystem.d2",
     "resonance.integrate_resonance(n_samples=)",
     "star.Orbit.direction",
-    "star.Orbit.period",
     "star.Orbit.q_minus",
     "star.Orbit.q_plateau",
     "star.Orbit.q_plus",
