@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragedState, CoefficientPath, SlowEnvironment,
                         detect_bursts, evolve_averaged, mu_balance,
-                        period_average, simulate_slow_fast)
+                        simulate_slow_fast)
 from .canonical import (CanonicalState, CanonicalSystem, HamiltonianFactors,
                         canonicalize, find_factors, from_canonical,
                         hamiltonian, lyapunov_weights, motion_integral,

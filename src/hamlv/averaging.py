@@ -24,7 +24,7 @@ import numpy as np
 
 from .canonical import star_equilibrium
 from .integrate import Trajectory, _adaptive_run, _solve_log_system
-from .star import StarSystem, _classify, _orbit_nodes, _profile_of_terms
+from .star import StarSystem, _classify, _orbit_nodes, analyze_potential
 from .util import clipped_exp, libm_exp, set_fields, write_csv
 
 
@@ -141,27 +141,19 @@ class OrbitLostError(RuntimeError):
 
 
 def orbit_averages(star, E, observables, q_ref=None):
-    """Period T and time averages of observables f(q, p) over the orbit at E.
+    """Time averages of observables f(q, p) over the orbit at E, as a list.
 
-    classify_orbit decides the orbit: an equilibrium averages to point values
-    at the well bottom with T = 2 pi / omega, a periodic orbit by quadrature.
-    Other kinds and no well raise ValueError, E below the well
-    EnergyBelowWellError.
+    classify_orbit's verdict decides: an equilibrium averages to point
+    values at the well bottom, a periodic orbit by the 8-segment quadrature.
+    Every other kind, no well included, raises ValueError, and E below the
+    well EnergyBelowWellError.  The period is star.period's to give.
     """
-    profile = _profile_of_terms(star.terms())
-    if profile.well(q_ref) is None:
-        raise ValueError("no potential well: averages undefined")
-    nodes = _orbit_nodes(star, _classify(star, E, profile, q_ref))
+    nodes = _orbit_nodes(star, _classify(star, E, analyze_potential(star),
+                                         q_ref))
     points = list(zip(nodes.q.tolist(), nodes.p.tolist()))
     values = np.array([[f(q, p) for q, p in points] for f in observables],
                       dtype=float).reshape(len(observables), len(points))
-    return nodes.period, nodes.averages(values)
-
-
-def period_average(star, E, f, q_ref=None):
-    """Average of f(q, p) over one period of the orbit at energy E."""
-    _, (avg,) = orbit_averages(star, E, [f], q_ref=q_ref)
-    return avg
+    return nodes.averages(values)
 
 
 def mu_balance(a, b, r, gamma, rbar=0.0):
@@ -186,7 +178,7 @@ def _well_and_barrier(star, profile, q_hint):
 def _averaged_terms(env, tau, E, Cbar, q_hint):
     """All averaged quantities at (tau, E, Cbar); clamps E inside the well."""
     star = env.star_at(tau, Cbar)
-    profile = _profile_of_terms(star.terms())
+    profile = analyze_potential(star)
     well, e_barrier = _well_and_barrier(star, profile, q_hint)
     margin = 1e-6 * (1.0 + abs(E))
     e_eff = min(E, e_barrier - margin) if math.isfinite(e_barrier) else E
@@ -201,7 +193,6 @@ def _averaged_terms(env, tau, E, Cbar, q_hint):
     exp_p = libm_exp(nodes.p)
     avgs = nodes.averages(np.vstack((exp_aq, q, exp_p * (exp_p - env.mu),
                                      q * exp_aq)))
-    T = nodes.period
     theta = np.array(avgs[:n])
     q_avg = avgs[n]
     work = avgs[n + 1]
@@ -219,7 +210,7 @@ def _averaged_terms(env, tau, E, Cbar, q_hint):
     drho = (db * a - b * da) / (a * a)
     S2 = float(np.sum(Cbar * (drho * theta + rho * da * q_exp)) - drbar * q_avg)
     S3 = float(np.sum(rho * theta * W))
-    return {"well": well, "T": T, "theta": theta, "q_avg": q_avg,
+    return {"well": well, "theta": theta, "q_avg": q_avg,
             "S1": S1, "S2": S2, "S3": S3, "W": W, "e_barrier": e_barrier,
             "dropped": nodes.dropped}
 
@@ -269,14 +260,17 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     actual damping term (S1 < 0 and S2 > |S1|), plain "burst" otherwise.  A
     run with no crossing ends with a single "stabilized" event at tau_end.
     An init.E below the tracked well raises EnergyBelowWellError, by the
-    rule of classify_orbit.  meta["quadrature_nodes_dropped"] counts the
+    rule of classify_orbit, and one at or above its barrier OrbitLostError,
+    by the rule of averaged_rhs.  meta["quadrature_nodes_dropped"] counts the
     quadrature positions left out, over every averaged evaluation, because
     roundoff put them outside the well.
     """
     start = env.star_at(init.tau, init.Cbar)
-    profile = _profile_of_terms(start.terms())
-    well, _ = _well_and_barrier(start, profile, q_well)
+    profile = analyze_potential(start)
+    well, e_barrier = _well_and_barrier(start, profile, q_well)
     _classify(start, init.E, profile, well.q)  # raises below the well
+    if init.E >= e_barrier:
+        raise OrbitLostError(f"E = {init.E:g} reached the barrier {e_barrier:g}")
     hint = {"q": q_well}
     dropped = 0
 
@@ -295,8 +289,8 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
     def barrier_margin(tau, y):
         E, Cbar = unpack(y)
         star = env.star_at(tau, Cbar)
-        _, e_barrier = _well_and_barrier(
-            star, _profile_of_terms(star.terms()), hint["q"])
+        _, e_barrier = _well_and_barrier(star, analyze_potential(star),
+                                         hint["q"])
         if not math.isfinite(e_barrier):
             return 1.0 + abs(E)
         return e_barrier - E

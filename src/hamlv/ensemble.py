@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .persistence import cone_condition
-from .star import PotentialTerms, _profile_of_terms
+from .star import PotentialTerms, analyze_potential
 from .util import (json_bytes, run_indexed_trials, wilson_interval,
                    write_csv, write_json)
 
@@ -98,8 +98,8 @@ def random_potential(N, bbar, sigma_b, sigma_a, seed):
     Coefficients b_k ~ Normal(bbar, sigma_b^2) i.i.d.; exponents a_k are
     zero-mean with standard deviation exactly sigma_a, drawn uniform on
     [-sqrt(3) sigma_a, sqrt(3) sigma_a] (bounded, which keeps the exponentials
-    tame).  ``seed`` may be an integer or a Generator.  Degenerate (constant)
-    draws are detectable through the returned terms.
+    tame).  ``seed`` may be an integer or a Generator.  With sigma_a = 0
+    every exponent is 0 and the draw is a constant potential.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -193,7 +193,7 @@ def draw_mixed_star_terms(rng, N, mix):
 
 def _orbit_type_flags(terms):
     """(has periodic well, admits a soliton energy) for a star potential."""
-    profile = _profile_of_terms(terms)
+    profile = analyze_potential(terms)
     minima = profile.minima()
     maxima = profile.maxima()
     has_well = bool(minima)

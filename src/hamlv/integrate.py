@@ -286,20 +286,19 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
 
     Starts on the section at the well bottom q* with the upward momentum
     branch and integrates with the symplectic stepper until the next upward
-    crossing, locating it by linear interpolation within the step.  Raises
-    RuntimeError when no return comes within the step budget or the orbit
-    escapes first.  E is checked by classify_orbit's rule: a non-finite E
-    raises ValueError, and one below the well EnergyBelowWellError.
+    crossing, locating it by linear interpolation within the step.  Before
+    the first step classify_orbit's verdict is checked: a non-finite E and
+    every class but periodic raise ValueError, E below the well
+    EnergyBelowWellError.  Raises RuntimeError when no return comes within
+    the step budget or the orbit escapes first (a step h too large can).
     """
-    from .star import _classify, _psi_roots, analyze_potential
+    from .star import _classify, _periodic, _psi_roots, analyze_potential
 
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and positive, got {h}")
     profile = analyze_potential(star)
+    _periodic(_classify(star, E, profile, q_ref))
     well = profile.well(q_ref)
-    if well is None:
-        raise ValueError("no potential well to anchor the section")
-    _classify(star, E, profile, q_ref)
     q_star = well.q
     p_up, _ = _psi_roots(star.mu, E - well.phi)
 

@@ -38,11 +38,6 @@ class PotentialTerms:
         if self.c.shape != self.a.shape:
             raise ValueError("coefficients and exponents must have equal length")
 
-    @property
-    def degenerate(self):
-        """Constant potential: no merged exponent but 0, and no slope."""
-        return not (self.slope or any(a for a, _ in self.merged()))
-
     def merged(self):
         """[(exponent, coefficient)] by ascending exponent, equal exponents
         summed in input order and zero sums dropped.  Decisions on the shape
@@ -229,7 +224,20 @@ def _sign_changes(terms):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _profile_of_terms(terms, q_window=None, n_grid=2001):
+def analyze_potential(star, q_window=None, n_grid=2001):
+    """Locate the extrema of Phi and settle coercivity on both sides.
+
+    star is a StarSystem or its PotentialTerms.  Sign changes of Phi' on a
+    refined grid are bracketed and bisected to machine precision, then
+    polished with one Newton step.  Coercivity comes from the dominant
+    exponent (the -rbar q term decides when every exponential decays).  A
+    window_warning is raised, not an error, when an extremum sits against
+    the window edge, or when the extrema found do not fit the sign changes
+    of the coefficients of Phi' (Laguerre's rule of signs): more extrema
+    than sign changes, or a count of different parity, which means an
+    extremum outside the window or one the grid did not resolve.
+    """
+    terms = star.terms() if hasattr(star, "terms") else star
     if q_window is None:
         amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
         half = 50.0 / amax
@@ -287,22 +295,9 @@ def _profile_of_terms(terms, q_window=None, n_grid=2001):
     )
 
 
-def analyze_potential(star, q_window=None, n_grid=2001):
-    """Locate the extrema of Phi and settle coercivity on both sides.
-
-    Sign changes of Phi' on a refined grid are bracketed and bisected to
-    machine precision, then polished with one Newton step.  Coercivity comes
-    from the dominant exponent (the -rbar q term decides when every
-    exponential decays).  A window_warning is raised, not an error, when an
-    extremum sits against the window edge, or when the extrema found do not
-    fit the sign changes of the coefficients of Phi' (Laguerre's rule of
-    signs): more extrema than sign changes, or a count of different parity,
-    which means an extremum outside the window or one the grid did not
-    resolve.
-    """
-    if hasattr(star, "terms"):
-        star = star.terms()
-    return _profile_of_terms(star, q_window=q_window, n_grid=n_grid)
+# analyze_potential under the name bench/workloads.py and
+# tests/test_acceptance.py import; both stay fixed as references.
+_profile_of_terms = analyze_potential
 
 
 @dataclass(frozen=True)
@@ -401,7 +396,7 @@ def classify_orbit(star, E, q_ref=None):
     minimum of the profile.  A non-finite E raises ValueError.  No
     quadrature runs: the period of a periodic orbit is period(star, E).
     """
-    return _classify(star, E, _profile_of_terms(star.terms()), q_ref)
+    return _classify(star, E, analyze_potential(star), q_ref)
 
 
 def _classify(star, E, profile, q_ref=None):
@@ -447,6 +442,14 @@ def _classify(star, E, profile, q_ref=None):
                      q_minus=q_minus, q_plus=q_plus, q_plateau=plateau)
     return Orbit(kind="periodic", energy=E, level=level,
                  q_minus=q_minus, q_plus=q_plus)
+
+
+def _periodic(orbit):
+    """orbit if it is periodic; else ValueError naming the kind it is."""
+    if orbit.kind != "periodic":
+        raise ValueError(f"orbit at E = {orbit.energy:g} is {orbit.kind}, "
+                         "not periodic")
+    return orbit
 
 
 _XTOL, _RTOL, _MAXITER = 1e-15, 8.9e-16, 100
@@ -603,11 +606,14 @@ def _psi_roots(mu, w):
     roundoff leaves no sign change in the bracket.  A scalar w gives floats
     and raises ValueError there.  Each bracket starts one unit from ln mu
     and doubles until it holds the root; both branches are solved in one
-    _brentq pass, with exp from the C library.
+    _brentq pass, with exp from the C library.  A bracket stops where
+    exp(p) - mu p would overflow; a level beyond it has no root in doubles.
     """
     mu = float(mu)
     pmin = math.log(mu)
     wmin = mu * (1.0 - pmin)
+    top = np.finfo(float).max
+    caps = (-top / (2.0 * max(mu, 1.0)), math.log(top))
     ws = np.atleast_1d(np.asarray(w, dtype=float))
     roots = np.full((2, ws.size), np.nan)
     roots[:, ws == wmin] = pmin
@@ -627,8 +633,9 @@ def _psi_roots(mu, w):
         grow = np.arange(edge.size)
         while grow.size:
             f_edge[grow] = f(edge[grow], grow)
-            grow = grow[f_edge[grow] < 0]
-            edge[grow] = pmin + 2.0 * (edge[grow] - pmin)
+            grow = grow[(f_edge[grow] < 0) & (caps[0] < edge[grow])
+                        & (edge[grow] < caps[1])]
+            edge[grow] = np.clip(pmin + 2.0 * (edge[grow] - pmin), *caps)
         start = np.full(edge.size, pmin)
         f_start = (math.exp(pmin) - mu * pmin) - level
         up = np.arange(edge.size) < todo.size
@@ -660,23 +667,27 @@ class _OrbitNodes:
     """Time-weighted quadrature nodes of one closed orbit.
 
     q, p and dt hold one entry per node, the upper and lower momentum
-    branches interleaved at each position q.  dt None marks the degenerate
-    orbit at the bottom of a well: the single point (q[0], p[0]).  dropped
+    branches interleaved at each position q.  dt None marks the equilibrium
+    at a well bottom: the single point (q[0], p[0]), with no period.  dropped
     counts positions left out because roundoff put them outside the well.
     """
 
-    period: float
     q: np.ndarray
     p: np.ndarray
     dt: np.ndarray = None
     dropped: int = 0
+
+    @property
+    def period(self):
+        """Sum of dt, up plus down at each position; period() checks it."""
+        return float(_running_sum(self.dt[0::2] + self.dt[1::2]))
 
     def averages(self, values):
         """Time averages sum(dt f) / T of node values, one row per observable."""
         values = np.asarray(values, dtype=float)
         if self.dt is None:
             return values[:, 0].tolist()
-        return [s / self.period for s in _running_sum(values * self.dt).tolist()]
+        return (_running_sum(values * self.dt) / self.period).tolist()
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(80)
@@ -736,7 +747,6 @@ def _orbit_quadratures(star, E, q_minus, q_plus, counts):
         keep = (vel_up > 0.0) & (vel_dn > 0.0)
         dt = np.column_stack((jac[keep] / vel_up[keep], jac[keep] / vel_dn[keep]))
         out.append(_OrbitNodes(
-            period=float(_running_sum(dt[:, 0] + dt[:, 1])),
             q=np.repeat(q[keep], 2),
             p=np.column_stack((p_up[keep], p_dn[keep])).ravel(),
             dt=dt.ravel(), dropped=int(keep.size - np.count_nonzero(keep))))
@@ -746,19 +756,15 @@ def _orbit_quadratures(star, E, q_minus, q_plus, counts):
 def _orbit_nodes(star, orbit):
     """Averaging nodes of an orbit _classify gave, as _OrbitNodes.
 
-    The equilibrium is one node at the well bottom with the small-oscillation
-    period 2 pi / omega (inf on a flat bottom), so its averages are point
-    values; a periodic orbit gets the 8-segment quadrature, whose unchecked
-    period weights the averages.  Any other kind raises ValueError.
+    The equilibrium is one node at the well bottom, with no period, so its
+    averages are point values; a periodic orbit gets the 8-segment
+    quadrature, whose time weights give the averages.  Any other kind raises
+    _periodic's ValueError.
     """
     if orbit.kind == "equilibrium":
-        omega = star.frequency(orbit.q_minus)
-        T = 2.0 * math.pi / omega if omega > 0 else math.inf
-        return _OrbitNodes(period=T, q=np.array([orbit.q_minus]),
+        return _OrbitNodes(q=np.array([orbit.q_minus]),
                            p=np.array([math.log(star.mu)]))
-    if orbit.kind != "periodic":
-        raise ValueError(f"orbit at E = {orbit.energy:g} is {orbit.kind}, "
-                         "not periodic")
+    _periodic(orbit)
     return _orbit_quadrature(star, orbit.energy, orbit.q_minus, orbit.q_plus)
 
 
@@ -773,9 +779,7 @@ def period(star, E, q_ref=None, rtol=1e-6):
     RuntimeError is raised, naming E and the gap, when 28 and 18 segments
     still do not; a non-periodic orbit raises ValueError.
     """
-    orbit = _classify(star, E, _profile_of_terms(star.terms()), q_ref)
-    if orbit.kind != "periodic":
-        raise ValueError(f"orbit at E = {E:g} is {orbit.kind}, not periodic")
+    orbit = _periodic(_classify(star, E, analyze_potential(star), q_ref))
     ends = (star, E, orbit.q_minus, orbit.q_plus)
     t_prev, t_cur = (n.period for n in _orbit_quadratures(*ends, (6, 8)))
     refine = iter((12, 18, 28))

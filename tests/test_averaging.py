@@ -11,7 +11,7 @@ import hamlv
 from hamlv.averaging import (AveragedState, CoefficientPath, OrbitLostError,
                              SlowEnvironment, averaged_rhs, detect_bursts,
                              evolve_averaged, mu_balance, orbit_averages,
-                             period_average, simulate_slow_fast)
+                             simulate_slow_fast)
 from hamlv.averaging import _slow_fast_flow
 from hamlv.canonical import star_equilibrium
 from hamlv.integrate import Trajectory, integrate_lv, integrate_symplectic
@@ -35,17 +35,18 @@ def unit_env(**kw):
 
 class TestPeriodAverage:
     def test_average_of_one(self):
-        assert period_average(UNIT, 3.0, lambda q, p: 1.0) == pytest.approx(1.0)
+        assert orbit_averages(UNIT, 3.0, [lambda q, p: 1.0])[0] == pytest.approx(1.0)
 
     def test_degenerate_orbit_point_evaluation(self):
-        val = period_average(UNIT, 2.0, lambda q, p: math.exp(q))
+        val = orbit_averages(UNIT, 2.0, [lambda q, p: math.exp(q)])[0]
         assert val == pytest.approx(1.0)
 
     def test_linearity(self):
         f = lambda q, p: math.exp(q)
         g = lambda q, p: q * q
-        lhs = period_average(UNIT, 3.0, lambda q, p: 2.5 * f(q, p) + g(q, p))
-        rhs = 2.5 * period_average(UNIT, 3.0, f) + period_average(UNIT, 3.0, g)
+        lhs = orbit_averages(UNIT, 3.0, [lambda q, p: 2.5 * f(q, p) + g(q, p)])[0]
+        avg_f, avg_g = orbit_averages(UNIT, 3.0, [f, g])
+        rhs = 2.5 * avg_f + avg_g
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_matches_time_average_along_trajectory(self):
@@ -56,14 +57,10 @@ class TestPeriodAverage:
         traj = integrate_symplectic(UNIT, 0.0, p0, 1e-3, 50.0 * T,
                                     n_samples=200001)
         for f in (lambda q, p: math.exp(q), lambda q, p: q):
-            quad = period_average(UNIT, E, f)
+            quad = orbit_averages(UNIT, E, [f])[0]
             vals = [f(q, p) for q, p in traj.states]
             time_avg = np.trapezoid(vals, traj.t) / (traj.t[-1] - traj.t[0])
             assert quad == pytest.approx(time_avg, abs=1e-4 * max(1, abs(quad)))
-
-    def test_consistent_period(self):
-        T_avg, _ = orbit_averages(UNIT, 3.0, [])
-        assert T_avg == pytest.approx(period(UNIT, 3.0), rel=1e-8)
 
 
 class TestAveragedRhs:
@@ -152,6 +149,20 @@ class TestEvolveAveraged:
         with pytest.raises(EnergyBelowWellError):
             evolve_averaged(unit_env(dbar=1.0),
                             AveragedState(tau=0.0, E=1.0, Cbar=[1.0]), 1.0)
+
+    @pytest.mark.parametrize("E0", [-30.999, -30.0])
+    def test_start_above_the_barrier_raises(self, E0):
+        # the double well's barrier is at E = -31.  Each evaluation clamps E
+        # below it and the barrier event sees no crossing, so only the start
+        # check stops a run that classify_orbit puts over both wells
+        star = StarSystem(a=[2.0, -2.0, 1.0, -1.0], b=[8.0, -8.0, -20.0, 20.0],
+                          rbar=0.0, mu=1.0)
+        env = unit_env(a=CoefficientPath.constant(star.a),
+                       b=CoefficientPath.constant(star.b),
+                       rbar=CoefficientPath.constant(0.0))
+        with pytest.raises(OrbitLostError, match="reached the barrier -31"):
+            evolve_averaged(env, AveragedState(tau=0.0, E=E0, Cbar=np.ones(4)),
+                            0.5, q_well=-0.7)
 
     def test_rising_rbar_drives_burst(self):
         # double well whose barrier the energy crosses as rbar(tau) tilts Phi
@@ -324,7 +335,7 @@ class TestAveragingAccuracy:
         # gamma_hat / (gamma theta) is the stationary point of the drift
         env = unit_env(beta=5.0, gamma_hat=[0.4], gamma=[0.4])
         E = 2.2
-        theta = period_average(UNIT, E, lambda q, p: math.exp(q))
+        theta = orbit_averages(UNIT, E, [lambda q, p: math.exp(q)])[0]
         c_star = 0.4 / (0.4 * theta)
         state = AveragedState(tau=0.0, E=E, Cbar=[c_star])
         _, dC = averaged_rhs(env, state)

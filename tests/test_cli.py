@@ -233,6 +233,19 @@ class TestStar:
                      str(out)]) == code
         assert sha256_file(out / "orbit.json") == digest
 
+    def test_energy_past_exp_overflow(self, tmp_path, capsys):
+        # Phi = 2 cosh q: at E = 1e250 the upper kinetic roots sit near
+        # p = 575, where a doubling bracket passes ln(DBL_MAX)
+        path = tmp_path / "cosh.json"
+        path.write_text(json.dumps({"a": [1.0, -1.0], "b": [1.0, -1.0],
+                                    "rbar": 0.0}))
+        out = tmp_path / "o"
+        assert main(["star", "--input", str(path), "--E", "1e250", "--out",
+                     str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        orbit = json.loads((out / "orbit.json").read_text())
+        assert orbit["class"] == "periodic" and orbit["period"] > 0.0
+
     def test_failing_star_exit_two(self, tmp_path):
         path = tmp_path / "bad_star.json"
         path.write_text(json.dumps({"a": [1.0], "b": [-1.0], "rbar": 1.0}))
@@ -451,6 +464,14 @@ class TestMalformedInput:
     def test_average_below_the_well(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "average", ENV, "--E0", "1.0")
         assert "below the well bottom" in err
+
+    def test_average_above_the_barrier(self, tmp_path, capsys):
+        # the double well's barrier is at E = -31
+        star = {"a": [2.0, -2.0, 1.0, -1.0], "b": [8.0, -8.0, -20.0, 20.0],
+                "rbar": 0.0}
+        err = self.run(tmp_path, capsys, "average", dict(ENV, star=star),
+                       "--E0", "-30")
+        assert "reached the barrier" in err
 
     def test_average_nan_epsilon(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "average",

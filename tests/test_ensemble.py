@@ -18,7 +18,7 @@ from hamlv.util import run_indexed_trials, wilson_interval
 class TestRandomPotential:
     def test_degenerate_when_spread_vanishes(self):
         terms = random_potential(4, 1.0, 0.0, 0.0, seed=0)
-        assert terms.degenerate
+        assert terms.a.tolist() == [0.0] * 4
         assert float(terms.phi(0.3)) == pytest.approx(4.0)
 
     def test_moments_match_request(self):

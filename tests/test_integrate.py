@@ -23,9 +23,9 @@ from hamlv.integrate import (Trajectory, _lv_flow, _operator,
 from hamlv.model import InteractionSystem
 from hamlv.resonance import ResonanceModel, integrate_resonance
 from hamlv.star import (EnergyBelowWellError, StarSystem, _psi_roots,
-                        analyze_potential, period)
+                        analyze_potential, classify_orbit, period)
 from oracle import transformed_rhs
-from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE
+from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE, TWO_SPECIES
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -485,12 +485,59 @@ class TestSymplectic:
 
     def test_first_return_escape_raises_no_return(self):
         # Phi = e^q - 0.1 e^{2q} - q: a well below a barrier, then a fall to
-        # -inf; above the barrier the orbit leaves over it and overflows
+        # -inf.  Just below the barrier the orbit is periodic, but a step
+        # this large carries it over the barrier, and it overflows
         star = StarSystem(a=[1.0, 2.0], b=[1.0, -0.2], rbar=1.0, mu=1.0)
         profile = analyze_potential(star)
         barrier = profile.barrier(profile.well()) + star.psi_min()
         assert poincare_return_time(star, barrier - 0.1) > 0.0
+        assert classify_orbit(star, barrier - 1e-3).kind == "periodic"
         with pytest.raises(RuntimeError, match="no return.*escaped"):
+            poincare_return_time(star, barrier - 1e-3, h=0.5)
+
+
+def no_step(*args):
+    raise AssertionError("the first return took a step")
+
+
+# (star, well bottom q, bottom energy, barrier energy) of every well; the
+# unit star's well has no barrier, and 2 above its bottom stands in for one
+FIRST_RETURN_WELLS = [
+    (star, well.q, bottom, min(profile.barrier(well) + star.psi_min(),
+                               bottom + 2.0))
+    for star in (UNIT_STAR, TWO_SPECIES, DOUBLE_WELL)
+    for profile in [analyze_potential(star)] for well in profile.minima()
+    for bottom in [well.phi + star.psi_min()]]
+
+
+class TestFirstReturnVerdict:
+    """poincare_return_time runs only on the orbits period accepts."""
+
+    @given(well=st.sampled_from(FIRST_RETURN_WELLS),
+           frac=st.floats(0.05, 0.9))
+    def test_first_return_is_the_period(self, well, frac):
+        # c04's cross-check, 5% to 90% of the way up every well
+        star, q_ref, bottom, top = well
+        E = bottom + frac * (top - bottom)
+        T = period(star, E, q_ref=q_ref)
+        T_section = poincare_return_time(star, E, h=1e-3, q_ref=q_ref)
+        assert abs(T_section - T) <= 1e-4 * T
+
+    @pytest.mark.parametrize("E", [2.0, 2.0 - 1e-10])
+    def test_equilibrium_takes_no_step(self, monkeypatch, E):
+        # the unit star's bottom; both energies are within classify_orbit's
+        # tolerance of it
+        monkeypatch.setattr(integrate, "_verlet", no_step)
+        with pytest.raises(ValueError, match="is equilibrium, not periodic"):
+            poincare_return_time(UNIT_STAR, E)
+
+    def test_unbounded_takes_no_step(self, monkeypatch):
+        # Phi = e^q - 0.1 e^{2q} - q above its barrier
+        star = StarSystem(a=[1.0, 2.0], b=[1.0, -0.2], rbar=1.0, mu=1.0)
+        profile = analyze_potential(star)
+        barrier = profile.barrier(profile.well()) + star.psi_min()
+        monkeypatch.setattr(integrate, "_verlet", no_step)
+        with pytest.raises(ValueError, match="is unbounded, not periodic"):
             poincare_return_time(star, barrier + 0.5)
 
 

@@ -30,7 +30,6 @@ SETTABLE = [
     "averaging.evolve_averaged(rtol=)",
     "averaging.mu_balance(rbar=)",
     "averaging.orbit_averages(q_ref=)",
-    "averaging.period_average(q_ref=)",
     "averaging.simulate_slow_fast(atol=)",
     "averaging.simulate_slow_fast(n_samples=)",
     "averaging.simulate_slow_fast(rtol=)",
@@ -115,8 +114,6 @@ SETTABLE = [
     "star._OrbitNodes.dt",
     "star._classify(q_ref=)",
     "star._orbit_quadrature(n_segments=)",
-    "star._profile_of_terms(n_grid=)",
-    "star._profile_of_terms(q_window=)",
     "star.analyze_potential(n_grid=)",
     "star.analyze_potential(q_window=)",
     "star.classify_orbit(q_ref=)",

@@ -99,7 +99,9 @@ class TestAnalyzePotential:
         # Phi = e^{2q} - e^{2q} + e^q grows like e^q; e^q - e^q is constant
         assert PotentialTerms(c=[1.0, -1.0, 1.0],
                               a=[2.0, 2.0, 1.0]).limit_sign(+1) == 1
-        assert PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0]).degenerate
+        flat = PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0])
+        assert flat.merged() == []
+        assert flat.limit_sign(+1) == flat.limit_sign(-1) == 0
 
     def test_against_dense_grid_oracle(self):
         # Phi(q) = e^q - 3 e^{q/2} - 0.1 q: two extrema
