@@ -207,13 +207,19 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
 
 
 def _verlet(dphi, mu, h, q, p, n_steps):
-    """n_steps Stormer-Verlet (kick-drift-kick) steps of size h from (q, p)."""
+    """n_steps Stormer-Verlet (kick-drift-kick) steps of size h from (q, p).
+
+    A step's closing half-kick and the next step's opening one act at the
+    same q, so the force is evaluated once per step plus once per call.
+    """
     h_half = 0.5 * h
     exp_ = math.exp
+    force = dphi(q)
     for _ in range(n_steps):
-        p -= h_half * dphi(q)
+        p -= h_half * force
         q += h * (exp_(p) - mu)
-        p -= h_half * dphi(q)
+        force = dphi(q)
+        p -= h_half * force
     return q, p
 
 

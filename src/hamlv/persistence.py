@@ -10,6 +10,7 @@ witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,6 +391,91 @@ def _sample_indices(rng, m, take):
     return picks
 
 
+class _Pcg64Draws:
+    """``Generator.integers(low, high)`` and ``Generator.uniform(low, high,
+    size)`` of a PCG64 Generator, read from its words: the same values in the
+    same order, without a Generator call per value.
+
+    numpy draws an integer in a range of at most 2**32 values by Lemire's
+    method (Lemire 2019) on 32-bit halves of the 64-bit PCG64 words, the low
+    half first and the high half kept for the next such draw; a range of one
+    value draws nothing.  A uniform double takes the top 53 bits of a whole
+    word and leaves a kept half where it is.  Words come in blocks from
+    ``random_raw``, which run past the last one used, so ``close`` restores
+    the generator, advances it by the words used and sets the kept half: the
+    state the Generator calls would have left.
+    """
+
+    def __init__(self, bit_generator, block):
+        self._bitgen, self._block = bit_generator, block
+        self._start = bit_generator.state
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+        self._words = []     # the unused words of the last block, next last
+        self._fetched = 0
+
+    def _refill(self, size):
+        """Fetch a block of at least size words behind the unused ones."""
+        fresh = self._bitgen.random_raw(max(size, self._block)).tolist()
+        fresh.reverse()
+        self._fetched += len(fresh)
+        self._words = fresh + self._words
+
+    def integers(self, low, high):
+        """numpy's ``buffered_bounded_lemire_uint32`` for high - low values."""
+        span = high - low
+        if span == 1:
+            return low
+        threshold = (0x100000000 - span) % span
+        while True:
+            if self._has_half:
+                self._has_half = 0
+                m = self._half * span
+            else:
+                try:
+                    word = self._words.pop()
+                except IndexError:
+                    self._refill(1)
+                    word = self._words.pop()
+                self._has_half, self._half = 1, word >> 32
+                m = (word & 0xFFFFFFFF) * span
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
+
+    def uniform(self, low, high, size):
+        """numpy's ``random_uniform``: low + (high - low) times the double of
+        a word's top 53 bits, as a list."""
+        if len(self._words) < size:
+            self._refill(size)
+        low = float(low)
+        span = float(high) - low
+        pop = self._words.pop
+        return [low + span * ((pop() >> 11) * 2.0 ** -53) for _ in range(size)]
+
+    def close(self):
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        bitgen.advance(self._fetched - len(self._words))
+        state = bitgen.state  # advance clears the kept half
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bitgen.state = state
+
+
+def _reads_pcg64(rng, n, max_row):
+    """Whether the sparse draw may read rng's words with ``_Pcg64Draws``.
+
+    Only a plain PCG64 Generator, and only integer ranges of at most 2**32
+    values: n bounds the sampled ranges, max_row the row draw.  Past 10000
+    open columns numpy's ``choice`` samples more than m // 50 picks without
+    Floyd's algorithm; a row takes at most max_row - 1 <= 200 picks unless
+    n > 10000, so the draw never meets that case.
+    """
+    return (type(rng) is np.random.Generator
+            and type(rng.bit_generator) is np.random.PCG64
+            and type(max_row) is int and 0 < max_row <= 2 ** 32
+            and (n <= 10000 or max_row <= 201))
+
+
 @dataclass(frozen=True)
 class RandomMatrixModel:
     """Ensemble for the positive-solution frequency experiment.
@@ -401,10 +487,13 @@ class RandomMatrixModel:
 
     The sparse draw consumes the generator exactly as picking each row's
     extra columns with ``Generator.choice(open_cols, take, replace=False)``
-    does: it makes the same bounded-integer draws in the same order, so a
-    seed gives the same matrix bytes.  ``tests/oracle.py`` keeps the
-    ``choice`` draw, and the test comparing the two catches a numpy release
-    that samples differently.
+    does: it makes the same bounded-integer and uniform draws in the same
+    order, so a seed gives the same matrix bytes and leaves the generator in
+    the same state.  After the permutation and the base entries, a plain
+    PCG64 Generator is read word by word (``_Pcg64Draws``); any other
+    generator gets one ``integers`` or ``uniform`` call per value.
+    ``tests/oracle.py`` keeps the ``choice`` draw, and the test comparing the
+    two catches a numpy release that samples differently.
     """
 
     kind: str = "sparse_uniform"
@@ -417,37 +506,49 @@ class RandomMatrixModel:
             return rng.standard_normal((n, n))
         if self.kind != "sparse_uniform":
             raise ValueError(f"unknown matrix model {self.kind!r}")
-        K, cap = self.K, self.max_col_nonzero
+        K, cap, max_row = self.K, self.max_col_nonzero, self.max_row_nonzero
         perm = rng.permutation(n)
         base = rng.uniform(-K, K, n)
+        draws = (_Pcg64Draws(rng.bit_generator, 3 * n + 8)
+                 if _reads_pcg64(rng, n, max_row) else rng)
         counts = [1] * n
         below_cap = list(range(n)) if cap > 1 else []  # ascending
         rows, cols, vals = [], [], []
-        for i, (col, value) in enumerate(zip(perm.tolist(), base.tolist())):
-            # entries beyond the base one
-            extra = int(rng.integers(0, self.max_row_nonzero))
-            if extra <= 0:
-                continue
-            # the row's open columns: those below the cap, less the base
-            # column unless its entry was drawn as exactly zero
-            open_cols = (below_cap if value == 0.0
-                         else [j for j in below_cap if j != col])
-            if not open_cols:
-                continue
-            take = min(extra, len(open_cols))
-            picks = _sample_indices(rng, len(open_cols), take)
-            chosen = [open_cols[k] for k in picks]
-            rows += [i] * take
-            cols += chosen
-            vals.append(rng.uniform(-K, K, take))
-            for j in chosen:
-                counts[j] += 1
-                if counts[j] == cap:
-                    below_cap.remove(j)
+        try:
+            for i, (col, value) in enumerate(zip(perm.tolist(),
+                                                 base.tolist())):
+                # entries beyond the base one
+                extra = int(draws.integers(0, max_row))
+                if extra <= 0:
+                    continue
+                # the row's open columns: those below the cap, less the
+                # base column unless its entry was drawn as exactly zero; an
+                # index at or past the base column's place maps one further
+                m = skip = len(below_cap)
+                if value != 0.0:
+                    at = bisect_left(below_cap, col)
+                    if at < m and below_cap[at] == col:
+                        skip = at
+                        m -= 1
+                if not m:
+                    continue
+                take = min(extra, m)
+                chosen = [below_cap[k + (k >= skip)]
+                          for k in _sample_indices(draws, m, take)]
+                rows += [i] * take
+                cols += chosen
+                vals.extend(draws.uniform(-K, K, take))
+                for j in chosen:
+                    counts[j] += 1
+                    if counts[j] == cap:
+                        below_cap.remove(j)
+        finally:
+            if draws is not rng:
+                draws.close()
         A = np.zeros((n, n))
         A[np.arange(n), perm] = base
         if rows:  # after the base entries: an extra may fill a zero base slot
-            A[rows, cols] = np.concatenate(vals)
+            A[rows, cols] = vals
         return A
 
 
@@ -455,9 +556,11 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     """Monte Carlo frequency of {A Y = 1 solvable with Y > 0}, Wilson 95% CI.
 
     1 is the all-ones vector; per-trial RNG streams keyed by the master seed
-    make the outcome independent of the worker count.  Trials run on the
-    calling thread: the sparse draw and the small solve hold the GIL, so
-    ``parallel`` (an upper limit on worker threads) is ignored.
+    make the outcome independent of the worker count.  A trial draws its
+    matrix from its PCG64 stream word by word (``RandomMatrixModel``), the
+    same matrix the Generator calls give, and then makes one small dense
+    solve.  Trials run on the calling thread: the draw and the solve hold
+    the GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
     if N < 1 or trials < 1:
         raise ValueError(f"N and trials must be >= 1, got N = {N}, "

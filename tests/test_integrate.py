@@ -22,8 +22,8 @@ from hamlv.integrate import (Trajectory, _lv_flow, _operator,
                              poincare_return_time)
 from hamlv.model import InteractionSystem
 from hamlv.resonance import ResonanceModel, integrate_resonance
-from hamlv.star import (EnergyBelowWellError, StarSystem, _psi_roots,
-                        analyze_potential, classify_orbit, period)
+from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
+                        _psi_roots, analyze_potential, classify_orbit, period)
 from oracle import transformed_rhs
 from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE, TWO_SPECIES
 
@@ -451,6 +451,33 @@ class TestSymplectic:
         assert abs(back.states[-1, 0] - q0) < 1e-9
         assert abs(back.states[-1, 1] - p0) < 1e-9
 
+    def test_long_run_bytes_pinned(self):
+        # the benchmark's 10^6-step run on the unit star at E = 3
+        traj = integrate_symplectic(UNIT_STAR, *unit_orbit_start(3.0), 1e-3,
+                                    1000.0, n_samples=10001)
+        digest = hashlib.sha256()
+        for part in (traj.t, traj.states, traj.energy):
+            digest.update(part.tobytes())
+        assert digest.hexdigest() == (
+            "7c41867c8e19790cabf752ffcda45afedffd359479bba0eef676face7690475c")
+
+    @pytest.mark.parametrize("n_samples", (101, 7, 2))
+    def test_one_force_per_step_and_block(self, monkeypatch, n_samples):
+        # a step's closing half-kick and the next opening one share q
+        calls = []
+        scalar_forces = PotentialTerms.scalar_forces
+
+        def counted(terms):
+            dphi, phi = scalar_forces(terms)
+            return (lambda q: calls.append(q) or dphi(q)), phi
+
+        monkeypatch.setattr(PotentialTerms, "scalar_forces", counted)
+        traj = integrate_symplectic(UNIT_STAR, *unit_orbit_start(3.0), 1e-3,
+                                    10.0, n_samples=n_samples)
+        n_steps, stride = traj.meta["n_steps"], traj.meta["stride"]
+        n_blocks = -(-n_steps // stride)
+        assert len(calls) == n_steps + n_blocks
+
     def test_first_return_matches_quadrature(self):
         T_section = poincare_return_time(UNIT_STAR, 3.0, h=1e-3)
         T_quad = period(UNIT_STAR, 3.0)
@@ -468,6 +495,7 @@ class TestSymplectic:
         h = 1e-3
         traj = integrate_symplectic(star, 0.0, 0.0, h, 20.0)
         assert traj.escaped
+        assert traj.escape_time == 967 * h  # the step that overflowed
         assert traj.meta["escape_reason"] == "clamp"
         assert np.all(np.isfinite(traj.states))
         assert np.all(np.isfinite(traj.energy))

@@ -349,6 +349,85 @@ class TestSparseDrawStream:
         assert positive_solution_frequency(N, 300, model=model, seed=21) == res
 
 
+def reader_and_calls(seed, block):
+    """A PCG64 Generator read by _Pcg64Draws and a twin that makes the calls;
+    odd seeds start with a 32-bit half kept from an earlier draw."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:
+        rng.integers(0, 3)
+        ref.integers(0, 3)
+    return rng, persistence._Pcg64Draws(rng.bit_generator, block), ref
+
+
+class TestPcg64Draws:
+    """The word reader gives Generator.integers' and Generator.uniform's
+    values and leaves the generator where the calls leave it."""
+
+    # 2**31 + 1 rejects about half of the 32-bit draws; 2**32 takes them
+    # whole.  A uniform takes a whole word, so a kept half crosses it
+    @pytest.mark.parametrize("high", (1, 2, 3, 41, 2**31 + 1, 2**32))
+    @pytest.mark.parametrize("block", (1, 3, 64))
+    def test_same_values_and_state_as_the_calls(self, high, block):
+        for seed in range(10):
+            rng, draws, ref = reader_and_calls(seed, block)
+            got, want = [], []
+            for k in range(60):
+                got.append(draws.integers(0, high))
+                want.append(int(ref.integers(0, high)))
+                if k % 3:
+                    got += draws.uniform(-2.5, 2.5, k % 4)
+                    want += ref.uniform(-2.5, 2.5, k % 4).tolist()
+            draws.close()
+            assert got == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    def test_reader_only_for_plain_pcg64(self):
+        pcg = np.random.default_rng(0)
+        assert persistence._reads_pcg64(pcg, 40, 3)
+        assert persistence._reads_pcg64(pcg, 40, 2**32)
+        for other in (np.random.Generator(np.random.MT19937(0)),
+                      np.random.Generator(np.random.Philox(0)),
+                      np.random.Generator(np.random.SFC64(0)),
+                      ZeroingGenerator(pcg, 0.1)):
+            assert not persistence._reads_pcg64(other, 40, 3)
+        # ranges past 2**32 values, and the row draw's own errors and casts
+        for max_row in (0, 2**32 + 1, 3.0, np.int64(3)):
+            assert not persistence._reads_pcg64(pcg, 40, max_row)
+        # past 10000 open columns numpy's choice leaves Floyd's algorithm
+        # for more than m // 50 = 200 picks; a row takes max_row - 1
+        assert persistence._reads_pcg64(pcg, 10001, 201)
+        assert not persistence._reads_pcg64(pcg, 10001, 202)
+
+    @pytest.mark.parametrize("make", (
+        lambda seed: np.random.Generator(np.random.MT19937(seed)),
+        lambda seed: np.random.Generator(np.random.Philox(seed)),
+        lambda seed: np.random.Generator(np.random.SFC64(seed)),
+        lambda seed: ZeroingGenerator(np.random.default_rng(seed), 1.0 / 3.0),
+    ), ids=("MT19937", "Philox", "SFC64", "ZeroingGenerator"))
+    def test_other_generators_make_the_calls(self, monkeypatch, make):
+        monkeypatch.setattr(persistence, "_Pcg64Draws", None)
+        for caps in CAPS:
+            model = RandomMatrixModel(max_row_nonzero=caps[0],
+                                      max_col_nonzero=caps[1])
+            for n in (1, 10, 40):
+                for seed in range(4):
+                    assert_draws_match(model, n, lambda: make(seed))
+
+    def test_pcg64_draw_reads_words(self, monkeypatch):
+        opened = []
+
+        class Spy(persistence._Pcg64Draws):
+            def close(self):
+                opened.append(self)
+                super().close()
+
+        monkeypatch.setattr(persistence, "_Pcg64Draws", Spy)
+        assert_draws_match(RandomMatrixModel(), 40,
+                           lambda: np.random.default_rng(3))
+        assert len(opened) == 1
+
+
 def factorizable_web(rng, n, m, limitation=0.0):
     """Web with positive factors (sigma_l b_lk = rho_k a_kl) and a positive
     equilibrium, with Gamma = D = limitation * I."""
