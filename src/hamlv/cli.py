@@ -454,9 +454,9 @@ def _build_parser():
     p = sub.add_parser("ensemble", help="seeded Monte Carlo experiments")
     modes = p.add_subparsers(dest="mode", required=True)
 
-    serial_workers = ("upper limit on worker threads; this ensemble holds "
-                      "the GIL, so it runs on one thread and the report is "
-                      "the same for any value")
+    serial_workers = ("upper limit on worker threads; every ensemble runs "
+                      "on one thread, so the report is the same for any "
+                      "value")
 
     pc = modes.add_parser("census", help="random-potential stability census")
     pc.add_argument("--n-low", type=int, default=1, dest="n_low")
@@ -487,8 +487,7 @@ def _build_parser():
     p2.add_argument("--sigma", type=float, default=0.3)
     p2.add_argument("--trials", type=int, default=200)
     p2.add_argument("--workers", type=int, default=1,
-                    help="worker threads for the trials (the LP solver "
-                    "releases the GIL); the report is the same for any value")
+                    help=serial_workers)
     common(p2)
     p2.set_defaults(func=_cmd_ensemble)
 

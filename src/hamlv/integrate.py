@@ -310,10 +310,16 @@ def poincare_return_time(star, E, h=1e-3, q_ref=None):
 
     mu, ln_mu = star.mu, math.log(star.mu)
     dphi, _ = star.terms().scalar_forces()
+    h_half, exp_ = 0.5 * h, math.exp
     q, p, t, prev_rel = q_star, p_up, 0.0, 0.0
     try:
+        # _verlet's steps, one at a time: the force is carried across steps
+        force = dphi(q)
         for _ in range(_RETURN_STEPS):
-            q, p = _verlet(dphi, mu, h, q, p, 1)
+            p -= h_half * force
+            q += h * (exp_(p) - mu)
+            force = dphi(q)
+            p -= h_half * force
             t += h
             rel = q - q_star
             if prev_rel < 0.0 <= rel and p > ln_mu:

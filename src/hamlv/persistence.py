@@ -184,16 +184,26 @@ def _rank_ok(mat, rank, tol):
     return bool(0 < rank <= svals.size and svals[-1] > tol * svals[0])
 
 
+def _positivity_threshold(mat, rhs):
+    """The minimum entry a witness of mat z = rhs must exceed to count as
+    strictly positive: 1e-9 |rhs| / |mat|."""
+    return 1e-9 * (np.linalg.norm(rhs) / max(np.linalg.norm(mat), 1e-300))
+
+
+def _relative_residual(mat, rhs, z):
+    return float(np.linalg.norm(rhs - mat @ z) /
+                 max(np.linalg.norm(rhs), 1e-300))
+
+
 def _certificate(mat, rhs, rank_ok):
     """Certificate that {z > 0 : mat z = rhs} is nonempty: feasible when the
-    largest minimum entry s* exceeds 1e-9 |rhs| / |mat|.  The slack is s*, or
-    0.0 for inconsistent equalities; only a feasible verdict carries the
-    witness z and its relative residual."""
+    largest minimum entry s* exceeds ``_positivity_threshold``.  The slack is
+    s*, or 0.0 for inconsistent equalities; only a feasible verdict carries
+    the witness z and its relative residual."""
     s_star, z = _max_min_entry(mat, rhs)
-    threshold = 1e-9 * (np.linalg.norm(rhs) / max(np.linalg.norm(mat), 1e-300))
-    feasible = bool(s_star is not None and s_star > threshold)
-    residual = (float(np.linalg.norm(rhs - mat @ z) /
-                      max(np.linalg.norm(rhs), 1e-300)) if feasible else np.inf)
+    feasible = bool(s_star is not None
+                    and s_star > _positivity_threshold(mat, rhs))
+    residual = _relative_residual(mat, rhs, z) if feasible else np.inf
     return FeasibilityCertificate(
         feasible=feasible, witness=z if feasible else None,
         slack=0.0 if s_star is None else s_star, rank_ok=rank_ok,
@@ -214,6 +224,85 @@ def cone_condition(B, rbar, tol=1e-9):
     if m > n:
         raise ValueError("cone condition requires M <= N")
     return _certificate(B, rbar, _rank_ok(B, m, tol))
+
+
+# What a positive-basis witness must meet: the relative residual a polished
+# LP witness meets, and the LP's box on every entry (``_max_min_entry``).
+_WITNESS_RESIDUAL = 1e-9
+_WITNESS_CAP = 1e4
+# Blocks per batched solve: at M = 3 one block in eight is a positive basis,
+# so the first solve mostly decides, and a miss costs little more than one
+# solve of every block.
+_BLOCKS_PER_SOLVE = 8
+
+
+def _positive_basis_witness(B, rbar):
+    """A z >= 1 with B z = rbar read off a positive basis among fixed blocks
+    of B's columns, or None.
+
+    Block k holds the M+1 columns (M+1)k .. (M+1)k+M.  If lam > 0 solves
+    G lam = [0; 1] for G = [B_S; 1^T], the block S is a positive basis of
+    R^M (C. Davis, Amer. J. Math. 76, 1954), and every rbar is then a
+    strictly positive combination of B's columns: z_j = 1 off S and
+    z_S = 1 + y + t lam, where G y = [rbar - B 1; 0] and t lifts the least
+    entry on S to 2.  Each batched solve against [I | rhs] takes
+    ``_BLOCKS_PER_SOLVE`` blocks and gives each its G^-1, lam (the last
+    column of G^-1) and y.  A block counts only when
+    - min lam exceeds 3 n^3 eps kappa_inf(G) |lam|_inf with n = M+1: a
+      first-order bound on the forward error of an LU solve with partial
+      pivoting, the growth factor taken as n (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., Thm 9.4), and
+    - its witness meets what the LP path asks of one: the relative
+      residual of B z = rbar within ``_WITNESS_RESIDUAL``, min z >= 1 and
+      above ``_positivity_threshold``, every entry within ``_WITNESS_CAP``.
+
+    A miss proves nothing: a spanning set may need up to 2M columns.  A
+    singular block passes over the blocks solved with it, N < M+1 gives
+    None, and nothing raises.  No value is drawn at random.
+    """
+    M, N = B.shape
+    n = M + 1
+    rhs = np.zeros((n, n + 1))
+    rhs[:, :n] = np.eye(n)
+    rhs[:M, n] = rbar - B.sum(axis=1)
+    roundoff = 3 * n ** 3 * np.finfo(float).eps
+    threshold = _positivity_threshold(B, rbar)
+    end = N - N % n
+    for first in range(0, end, _BLOCKS_PER_SOLVE * n):
+        cols = B[:, first:min(first + _BLOCKS_PER_SOLVE * n, end)]
+        G = np.ones((cols.shape[1] // n, n, n))
+        G[:, :M] = cols.reshape(M, -1, n).transpose(1, 0, 2)
+        try:
+            solved = np.linalg.solve(G, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        lam, y = solved[:, :, M], solved[:, :, n]
+        with np.errstate(all="ignore"):
+            kappa = (np.abs(G).sum(axis=2).max(axis=1)
+                     * np.abs(solved[:, :, :n]).sum(axis=2).max(axis=1))
+            basis = (lam.min(axis=1)
+                     > roundoff * kappa * np.abs(lam).max(axis=1))
+            lam, y = lam[basis], y[basis]
+            t = ((1.0 - y) / lam).max(axis=1)
+            z_blocks = 1.0 + y + t[:, None] * lam
+            fits = ((z_blocks.min(axis=1) >= 1.0)
+                    & (z_blocks.max(axis=1) <= _WITNESS_CAP))
+        for k, z_block in zip(np.flatnonzero(basis)[fits], z_blocks[fits]):
+            z = np.ones(N)
+            z[first + k * n:first + (k + 1) * n] = z_block
+            if (z.min() > threshold and _relative_residual(B, rbar, z)
+                    <= _WITNESS_RESIDUAL):
+                return z
+    return None
+
+
+def _cone_verdict(B, rbar):
+    """``cone_condition(B, rbar)``'s verdict ``feasible and rank_ok``, with
+    no LP when ``_positive_basis_witness`` decides feasibility."""
+    if _positive_basis_witness(B, rbar) is None:
+        cert = cone_condition(B, rbar)
+        return bool(cert.feasible and cert.rank_ok)
+    return _rank_ok(B, B.shape[0], 1e-9)  # cone_condition's default tol
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import inv_boxcox
@@ -78,20 +77,13 @@ def run_indexed_trials(n_trials, seed, trial_fn, parallel=1):
     """Run trial_fn(rng, i) for i in range(n_trials); results ordered by index.
 
     Each trial gets its own RNG stream keyed by (seed, i), so the outcome list
-    is byte-identical for any worker count.  With ``parallel`` > 1 the trials
-    run on that many threads, which pays only when trial_fn releases the GIL
-    (an LP solve, a large BLAS call); an exception in a trial propagates.
+    is reproducible from the seed alone.  The trials run one after another on
+    the calling thread; an exception in a trial propagates.  ``parallel`` is
+    the documented upper limit on worker threads and starts none: no
+    ensemble's trials release the GIL for long enough to pay for a thread
+    (see ``hamlv.ensemble``).
     """
-    results = [None] * n_trials
-    if parallel <= 1:
-        for i in range(n_trials):
-            results[i] = trial_fn(trial_rng(seed, i), i)
-        return results
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = {pool.submit(trial_fn, trial_rng(seed, i), i): i for i in range(n_trials)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+    return [trial_fn(trial_rng(seed, i), i) for i in range(n_trials)]
 
 
 def write_csv(path, header, *columns):

@@ -1,7 +1,7 @@
 import hashlib
 import json
+import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +129,25 @@ class TestConeFeasibilityFrequency:
         cell = report.cells["feasible"]
         assert cell.ci_low < 1.0 - 2.0 ** -3 < cell.ci_high
 
+    @pytest.mark.parametrize("M, N", [(3, 6), (3, 8)])
+    def test_frequency_at_zero_mean_is_wendels(self, M, N):
+        """At r0 = 0 rbar is symmetric like the columns, and rbar is a
+        strictly positive combination of b_1..b_N iff b_1..b_N, -rbar lie
+        in no half-space.  By Wendel's theorem (Math. Scand. 11, 1962)
+        P(feasible) = 1 - 2^-N sum_{k<M} C(N, k): 0.65625 and 0.85547.
+
+        The interval is Wilson's at z = 4, which misses a true p with
+        probability about 6e-5 per check (normal approximation).  At
+        z = 1.96 the 2000 trials of seed 7 at (3, 8) read 0.8710 and miss
+        0.85547; here that reading passes, as a sampling error must.
+        """
+        trials = 2000
+        cell = cone_feasibility_frequency(M, N, 0.0, 1.0, trials,
+                                          seed=7).cells["feasible"]
+        p = 1.0 - sum(math.comb(N, k) for k in range(M)) / 2.0 ** N
+        lo, hi = wilson_interval(cell.hits, trials, z=4.0)
+        assert lo <= p <= hi
+
     def test_large_n_nearly_certain(self):
         report = cone_feasibility_frequency(3, 300, 1.0, 0.3, 100, seed=32)
         assert report.cells["feasible"].frequency >= 0.95
@@ -186,35 +205,25 @@ def positive_bytes(parallel):
     return json.dumps(result, sort_keys=True).encode()
 
 
+def cone_bytes(parallel):
+    return cone_feasibility_frequency(2, 20, 1.0, 0.3, 30, seed=6,
+                                      parallel=parallel).to_json_bytes()
+
+
 class TestThreadPolicy:
-    """Only the LP ensemble, whose trials release the GIL, uses the pool."""
+    """Every ensemble runs on the calling thread, whatever ``parallel``."""
 
     @pytest.mark.parametrize(
-        "run", [census_bytes, curve_bytes, positive_bytes],
-        ids=["census", "curve", "positive_frequency"])
+        "run", [census_bytes, curve_bytes, positive_bytes, cone_bytes],
+        ids=["census", "curve", "positive_frequency", "cone_frequency"])
     def test_gil_bound_ensembles_stay_on_one_thread(self, run, monkeypatch):
         serial = run(1)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(util, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert run(4) == serial
-
-    def test_cone_frequency_uses_the_pool(self, monkeypatch):
-        started = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        serial = cone_feasibility_frequency(2, 20, 1.0, 0.3, 30, seed=6)
-        monkeypatch.setattr(util, "ThreadPoolExecutor", Recording)
-        pooled = cone_feasibility_frequency(2, 20, 1.0, 0.3, 30, seed=6,
-                                            parallel=2)
-        assert started == [2]
-        assert pooled.to_json_bytes() == serial.to_json_bytes()
 
 
 class TestRunIndexedTrials:

@@ -483,6 +483,23 @@ class TestSymplectic:
         T_quad = period(UNIT_STAR, 3.0)
         assert T_section == pytest.approx(T_quad, rel=1e-4)
 
+    def test_first_return_takes_one_force_per_step(self, monkeypatch):
+        # c04's first return: the force of a step's closing half-kick opens
+        # the next step, so the count is one per step plus the first
+        calls = []
+        scalar_forces = PotentialTerms.scalar_forces
+
+        def counted(terms):
+            dphi, phi = scalar_forces(terms)
+            return (lambda q: calls.append(q) or dphi(q)), phi
+
+        monkeypatch.setattr(PotentialTerms, "scalar_forces", counted)
+        h = 1e-3
+        T_section = poincare_return_time(UNIT_STAR, 3.0, h=h)
+        steps = math.ceil(T_section / h)  # the return lies in the last step
+        assert steps == 7369
+        assert len(calls) == steps + 1
+
     def test_oversized_step_aborts(self):
         q0, p0 = unit_orbit_start(3.0)
         with pytest.raises(RuntimeError):
@@ -525,7 +542,7 @@ class TestSymplectic:
 
 
 def no_step(*args):
-    raise AssertionError("the first return took a step")
+    raise AssertionError("the first return set up its stepper")
 
 
 # (star, well bottom q, bottom energy, barrier energy) of every well; the
@@ -555,7 +572,7 @@ class TestFirstReturnVerdict:
     def test_equilibrium_takes_no_step(self, monkeypatch, E):
         # the unit star's bottom; both energies are within classify_orbit's
         # tolerance of it
-        monkeypatch.setattr(integrate, "_verlet", no_step)
+        monkeypatch.setattr(PotentialTerms, "scalar_forces", no_step)
         with pytest.raises(ValueError, match="is equilibrium, not periodic"):
             poincare_return_time(UNIT_STAR, E)
 
@@ -564,7 +581,7 @@ class TestFirstReturnVerdict:
         star = StarSystem(a=[1.0, 2.0], b=[1.0, -0.2], rbar=1.0, mu=1.0)
         profile = analyze_potential(star)
         barrier = profile.barrier(profile.well()) + star.psi_min()
-        monkeypatch.setattr(integrate, "_verlet", no_step)
+        monkeypatch.setattr(PotentialTerms, "scalar_forces", no_step)
         with pytest.raises(ValueError, match="is unbounded, not periodic"):
             poincare_return_time(star, barrier + 0.5)
 

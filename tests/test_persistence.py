@@ -3,20 +3,22 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize._linprog_highs as linprog_highs
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._linprog_util import _check_result
 
 from hamlv import persistence
 from hamlv.canonical import find_factors
 from hamlv.model import InteractionSystem
-from hamlv.persistence import (RandomMatrixModel, _max_min_entry,
+from hamlv.persistence import (RandomMatrixModel, _cone_verdict,
+                               _max_min_entry, _positive_basis_witness,
                                _sample_indices, adaptive_solve,
                                cone_condition, permanence,
                                positive_solution_frequency,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
 from hamlv.ensemble import cone_feasibility_frequency
+from hamlv.util import trial_rng
 from oracle import (choice_sparse_draw, dense_max_min_entry,
                     linprog_adaptive_solve)
 
@@ -66,6 +68,76 @@ class TestConeCondition:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             cone_condition([[1.0], [2.0]], [1.0, 2.0])
+
+
+def structured_cone(M, N, r0, seed, shape):
+    """B (M x N) and rbar drawn as in the cone ensemble, then bent into a
+    shape: "duplicate" opens every block with column 0, "rank" makes the
+    last row a multiple of the first (M > 1; M = 1 zeroes B), and "facet"
+    puts every column in {x_0 >= 0}, every other one on x_0 = 0, and rbar
+    on that face of their cone: no strictly positive combination."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((M, N))
+    rbar = rng.normal(r0, 1.0, M)
+    if shape == "duplicate":
+        B[:, M + 1::M + 1] = B[:, :1]
+    elif shape == "rank":
+        B[-1] = 2.0 * B[0] if M > 1 else 0.0
+    elif shape == "facet":
+        B[0] = np.abs(B[0])
+        B[0, ::2] = 0.0
+        rbar = B[:, ::2] @ rng.uniform(0.5, 2.0, B[:, ::2].shape[1])
+    return B, rbar
+
+
+class TestPositiveBasisShortcut:
+    """The cone ensemble's verdict without an LP must be the LP's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=st.integers(1, 4), extra=st.integers(0, 9),
+           r0=st.sampled_from([0.0, 0.5, 2.0, -1.0]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["gaussian", "duplicate", "rank", "facet"]))
+    @example(M=3, extra=0, r0=1.0, seed=0, shape="gaussian")   # N = M
+    @example(M=3, extra=1, r0=1.0, seed=0, shape="gaussian")   # N = M+1
+    @example(M=2, extra=7, r0=0.0, seed=3, shape="duplicate")
+    @example(M=2, extra=7, r0=0.5, seed=4, shape="rank")
+    @example(M=2, extra=7, r0=0.5, seed=5, shape="facet")
+    def test_verdict_is_the_lp_verdict(self, M, extra, r0, seed, shape):
+        B, rbar = structured_cone(M, M + extra, r0, seed, shape)
+        cert = cone_condition(B, rbar)
+        assert _cone_verdict(B, rbar) == (cert.feasible and cert.rank_ok)
+        z = _positive_basis_witness(B, rbar)
+        if z is not None:
+            assert cert.feasible and z.min() >= 1.0 and z.max() <= 1e4
+            assert (np.linalg.norm(rbar - B @ z)
+                    <= 1e-9 * np.linalg.norm(rbar))
+        if shape == "facet" and B.shape[1] > 1:  # a column off the face
+            assert z is None and not cert.feasible
+
+    def test_certifies_where_geometry_decides(self):
+        # one block in eight is a positive basis at M = 3, so a trial
+        # misses all 75 blocks with probability (7/8)^75 = 4.5e-5
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            B, rbar = rng.standard_normal((3, 300)), rng.normal(1.0, 0.3, 3)
+            z = _positive_basis_witness(B, rbar)
+            assert z is not None and np.count_nonzero(z != 1.0) <= 4
+
+    def test_no_block_no_certificate(self):
+        # N < M+1 leaves no block, and a singular one raises nothing
+        assert _positive_basis_witness(np.eye(3), np.ones(3)) is None
+        assert _positive_basis_witness(np.ones((2, 3)), np.ones(2)) is None
+
+    def test_block_that_is_no_positive_basis_certifies_nothing(self):
+        # b_3 = 3 (b_1 + b_2), so lam = (0.6, 0.6, -0.2) is not positive.
+        # Lifting the least entry gives z = (13, 13, 2), which does solve
+        # B z = rbar; but the block spans only a quadrant and proves nothing
+        # for other rbar, so only the positivity test of lam rejects it
+        B = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 3.0]])
+        rbar = np.array([19.0, 19.0])
+        assert _positive_basis_witness(B, rbar) is None
+        assert _cone_verdict(B, rbar) and cone_condition(B, rbar).feasible
 
 
 class TestStrongPersistence:
@@ -678,7 +750,7 @@ class TestLpCount:
         made, solve = [], persistence.linprog
 
         def counted(*args):
-            made.append(1)  # list.append is atomic, so threads may share it
+            made.append(1)
             return solve(*args)
 
         monkeypatch.setattr(persistence, "linprog", counted)
@@ -700,7 +772,18 @@ class TestLpCount:
             assert len(calls) == count
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    def test_one_per_cone_trial(self, calls, parallel):
+    def test_one_per_uncertified_cone_trial(self, calls, parallel):
+        # the LP runs only where no positive basis decides the trial
         cone_feasibility_frequency(3, 12, 1.0, 0.5, 9, seed=2,
                                    parallel=parallel)
-        assert len(calls) == 9
+        missed = 0
+        for i in range(9):
+            rng = trial_rng(2, i)
+            B, rbar = rng.standard_normal((3, 12)), rng.normal(1.0, 0.5, 3)
+            missed += _positive_basis_witness(B, rbar) is None
+        assert 0 < missed < 9
+        assert len(calls) == missed
+
+    def test_readme_size_makes_no_lp(self, calls):
+        cone_feasibility_frequency(3, 300, 1.0, 0.3, 20, seed=0)
+        assert calls == []
