@@ -6,6 +6,12 @@ under self-limitation follows from positive definiteness of a scaled block
 matrix.  Strict positivity is decided by maximizing the minimum entry subject
 to the equality constraints, so every certificate carries an auditable
 witness.
+
+Every LP is one call of ``scipy.optimize.linprog(method="highs")``, the
+HiGHS dual simplex, made through the module name ``linprog``: the benchmark
+and the tests count a run's LPs by wrapping ``hamlv.persistence.linprog``.
+An LP whose result is not ``success`` (infeasible, unbounded, or an optimum
+that fails linprog's own check of bounds and rows) gives no witness.
 """
 
 from __future__ import annotations
@@ -14,112 +20,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-# scipy's build of HiGHS, the solver behind linprog(method="highs"); the
-# module ships with scipy 1.15 and later
-import scipy.optimize._highspy._core as _highs
+from scipy.optimize import linprog
 
 from .util import run_indexed_trials, wilson_interval
-
-
-# The options linprog(method="highs") passes: presolve on, the dual simplex,
-# no debugging and no output.  Built once and never changed; each solve
-# copies them.
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = 1
-_HIGHS_OPTIONS.highs_debug_level = 0
-_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
-# linprog's acceptance tolerance, sqrt(tol) * 10 at its default tol = 1e-9
-_LP_TOL = np.sqrt(1e-9) * 10
-
-
-def _lp_violation(x, objective, activity, lb, ub, row_lower, row_upper):
-    """Why an optimum fails linprog's acceptance check, or None if it holds.
-
-    The check of ``scipy.optimize.linprog``: no NaN in x, the objective or
-    the row slacks, every bound held within ``_LP_TOL``, and every row within
-    ``_LP_TOL`` of its sides (an inequality row has an infinite lower side,
-    an equality row equal sides).
-    """
-    above = row_upper - activity    # linprog's slack and equality residual
-    below = row_lower - activity
-    if np.isnan(x).any() or np.isnan(objective) or np.isnan(above).any():
-        return "the solution contains NaN"
-    if not np.all((x >= lb - _LP_TOL) & (x <= ub + _LP_TOL)):
-        return f"a variable leaves its bounds by more than {_LP_TOL:.2e}"
-    if np.any(above < -_LP_TOL):
-        return f"a row exceeds its upper side by more than {_LP_TOL:.2e}"
-    if np.any(below > _LP_TOL):
-        return f"a row falls below its lower side by more than {_LP_TOL:.2e}"
-    return None
-
-
-def linprog(c, A, row_lower, row_upper, lb, ub):
-    """Minimize c x subject to row_lower <= A x <= row_upper, lb <= x <= ub.
-
-    ``A`` is the tuple (indptr, indices, data) of a CSC matrix.  The model
-    goes straight to HiGHS with the options of
-    ``scipy.optimize.linprog(method="highs")``, and the optimum must pass
-    the same acceptance check (``_lp_violation``), so x is bit for bit what
-    linprog returns for the same model, without its per-call input cleaning
-    and conversions.  Returns (x, message): x is None unless HiGHS reports
-    an optimum that passes the check; the message names the HiGHS model
-    status and, for a rejected optimum, what failed.
-
-    The name is kept on purpose: it is the one LP entry point of the
-    package, and the benchmark counts a run's LPs by wrapping
-    ``hamlv.persistence.linprog``.
-    """
-    indptr, indices, data = A
-    n_col, n_row = c.size, row_upper.size
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n_col, n_row
-    matrix = lp.a_matrix_
-    matrix.num_col_, matrix.num_row_ = n_col, n_row
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    # lists convert to HiGHS vectors several times faster than arrays
-    matrix.start_ = indptr.tolist()
-    matrix.index_ = indices.tolist()
-    matrix.value_ = data.tolist()
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_, lp.col_upper_ = lb.tolist(), ub.tolist()
-    lp.row_lower_, lp.row_upper_ = row_lower.tolist(), row_upper.tolist()
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        return None, highs.modelStatusToString(
-            _highs.HighsModelStatus.kModelError)
-    run_status = highs.run()
-    status = highs.getModelStatus()
-    text = highs.modelStatusToString(status)
-    if (run_status == _highs.HighsStatus.kError
-            or status != _highs.HighsModelStatus.kOptimal):
-        return None, text
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    reason = _lp_violation(x, highs.getInfo().objective_function_value,
-                           np.array(solution.row_value), lb, ub, row_lower,
-                           row_upper)
-    if reason is not None:
-        return None, f"{text}, but {reason}"
-    return x, text
-
-
-def _csc_with_ones(values, rows, n_ones):
-    """CSC arrays (indptr, indices, data) of a matrix given by columns.
-
-    Column j holds the nonzero entries of values[:, j] at rows[:, j], which
-    ascend down the column; a last column holds ones in rows 0..n_ones-1.
-    These are the arrays ``scipy.sparse.csc_array`` makes of the same dense
-    matrix (exact zeros dropped, rows sorted within each column).
-    """
-    keep = (values != 0.0).T
-    indptr = np.zeros(values.shape[1] + 2, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:-1])
-    indptr[-1] = indptr[-2] + n_ones
-    indices = np.concatenate((rows.T[keep], np.arange(n_ones)))
-    data = np.concatenate((values.T[keep], np.ones(n_ones)))
-    return indptr, indices, data
 
 
 @dataclass(frozen=True)
@@ -146,8 +49,9 @@ def _max_min_entry(A_eq, b_eq):
     Row-normalizes the equalities first, so the answer is invariant under
     positive row rescaling.  The witness is capped at 1e4 per entry
     (cones needing components beyond it are treated as degenerate), which
-    keeps the polished residual at machine scale.  Returns (s_star, z) or
-    (None, None) when the equalities themselves are inconsistent.
+    keeps the polished residual at machine scale.  Returns (s_star, z), or
+    (None, None) when the LP has no accepted optimum, as when the
+    equalities themselves are inconsistent.
     """
     A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
     b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
@@ -156,21 +60,16 @@ def _max_min_entry(A_eq, b_eq):
     row_scale[row_scale == 0.0] = 1.0
     A_n = A_eq / row_scale[:, None]
     b_n = b_eq / row_scale
-    # variables (z_1..z_n, s); minimize -s.  Rows 0..n-1 are s - z_i <= 0,
-    # rows n..n+m-1 the equalities: column j < n is -1 in row j and then
-    # A_n[:, j] below, column n is ones in the first n rows
+    # variables (z_1..z_n, s); minimize -s subject to s - z_i <= 0 and
+    # A_n z = b_n
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    values = np.vstack((np.full(n, -1.0), A_n))
-    rows = np.vstack((np.arange(n), np.repeat(n + np.arange(m)[:, None], n,
-                                              axis=1)))
-    A = _csc_with_ones(values, rows, n)
-    bounds = np.full(n + 1, 1e4)
-    x, _ = linprog(c, A, np.concatenate((np.full(n, -np.inf), b_n)),
-                   np.concatenate((np.zeros(n), b_n)), -bounds, bounds)
-    if x is None:
+    res = linprog(c, A_ub=np.hstack((-np.eye(n), np.ones((n, 1)))),
+                  b_ub=np.zeros(n), A_eq=np.hstack((A_n, np.zeros((m, 1)))),
+                  b_eq=b_n, bounds=(-1e4, 1e4), method="highs")
+    if not res.success:
         return None, None
-    z = x[:n]
+    z = res.x[:n]
     # polish: the LP meets the equalities only to solver tolerance; the
     # minimum-norm correction restores them to machine precision
     correction, *_ = np.linalg.lstsq(A_n, b_n - A_n @ z, rcond=None)
@@ -415,7 +314,8 @@ def adaptive_solve(B, r, rho_signs=None):
     by maximizing the minimum signed margin (an LP; w is capped at 1 since
     the cone is scale-free).  Then rho_i = (B^T w)_i / r_i has the requested
     sign.  On failure the indices violated at the best compromise are
-    reported.
+    reported.  The LP always has a solution (w = 0, s = 0); a solve without
+    ``success`` raises RuntimeError with linprog's message.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -432,18 +332,13 @@ def adaptive_solve(B, r, rho_signs=None):
     G = target[:, None] * B.T        # (n, m)
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    # rows 0..n-1 are s - target_i (B^T w)_i <= 0, rows n..n+m-1 s - w_k <= 0:
-    # column k < m is -G[:, k] and then -1 in row n + k, column m is ones
-    values = np.vstack((-G, np.full(m, -1.0)))
-    rows = np.vstack((np.repeat(np.arange(n)[:, None], m, axis=1),
-                      n + np.arange(m)))
-    A = _csc_with_ones(values, rows, n + m)
-    x, message = linprog(c, A, np.full(n + m, -np.inf), np.zeros(n + m),
-                         np.full(m + 1, -np.inf), np.ones(m + 1))
-    if x is None:
-        raise RuntimeError(f"LP solver failed: {message}")
-    s_star = float(x[-1])
-    w = x[:m]
+    A_ub = np.vstack((np.hstack((-G, np.ones((n, 1)))),
+                      np.hstack((-np.eye(m), np.ones((m, 1))))))
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n + m), bounds=(None, 1.0),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    s_star, w = float(res.x[-1]), res.x[:m]
     margins = G @ w
     if s_star <= 1e-9:
         # rows no positive w can satisfy even alone; if the failure is a joint

@@ -73,15 +73,14 @@ def trial_rng(master_seed, index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def run_indexed_trials(n_trials, seed, trial_fn, parallel=1):
+def run_indexed_trials(n_trials, seed, trial_fn):
     """Run trial_fn(rng, i) for i in range(n_trials); results ordered by index.
 
     Each trial gets its own RNG stream keyed by (seed, i), so the outcome list
     is reproducible from the seed alone.  The trials run one after another on
-    the calling thread; an exception in a trial propagates.  ``parallel`` is
-    the documented upper limit on worker threads and starts none: no
-    ensemble's trials release the GIL for long enough to pay for a thread
-    (see ``hamlv.ensemble``).
+    the calling thread, since no ensemble's trials release the GIL for long
+    enough to pay for a thread (see ``hamlv.ensemble``); an exception in a
+    trial propagates.
     """
     return [trial_fn(trial_rng(seed, i), i) for i in range(n_trials)]
 

@@ -5,9 +5,9 @@ without the exp-sum flow kernel of ``hamlv.integrate``, so a test can compare
 the two; the polar slow system holds the exact solution of
 ``integrate_resonance`` to the amplitude-phase equations, and the locked rate
 matrix gives numeric eigenvalues to hold the closed form of
-``phase_locked_rates`` to.  The LP certificates are written with
-dense constraint blocks and ``scipy.optimize.linprog``, so a test can hold
-the direct HiGHS call of ``hamlv.persistence`` to them bit for bit.
+``phase_locked_rates`` to.  The LP certificates are written out separately
+with ``scipy.optimize.linprog``, so a test can hold the certificates of
+``hamlv.persistence`` to them bit for bit.
 """
 
 import math

@@ -231,24 +231,21 @@ class TestRunIndexedTrials:
     def trial(rng, i):
         return (i, float(rng.random()), threading.get_ident())
 
-    def test_results_in_index_order_for_any_worker_count(self):
-        serial = run_indexed_trials(40, 11, self.trial)
-        pooled = run_indexed_trials(40, 11, self.trial, parallel=3)
-        assert [r[0] for r in serial] == list(range(40))
-        assert [r[:2] for r in pooled] == [r[:2] for r in serial]
-        assert {r[2] for r in serial} == {threading.get_ident()}
+    def test_results_in_index_order(self):
+        results = run_indexed_trials(40, 11, self.trial)
+        assert [r[0] for r in results] == list(range(40))
+        assert {r[2] for r in results} == {threading.get_ident()}
 
     def test_streams_are_keyed_by_seed_and_index(self):
         draws = run_indexed_trials(3, 11, self.trial)
         assert [d[1] for d in draws] == [
             float(util.trial_rng(11, i).random()) for i in range(3)]
 
-    @pytest.mark.parametrize("parallel", [1, 3])
-    def test_trial_exception_propagates(self, parallel):
+    def test_trial_exception_propagates(self):
         def trial(rng, i):
             if i == 5:
                 raise ValueError("trial 5 failed")
             return i
 
         with pytest.raises(ValueError, match="trial 5 failed"):
-            run_indexed_trials(10, 0, trial, parallel=parallel)
+            run_indexed_trials(10, 0, trial)

@@ -122,7 +122,6 @@ SETTABLE = [
     "util.json_fields(arrays=)",
     "util.json_fields(numbers=)",
     "util.json_fields(required=)",
-    "util.run_indexed_trials(parallel=)",
     "util.wilson_interval(z=)",
 ]
 
