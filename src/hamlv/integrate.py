@@ -70,6 +70,12 @@ def _operator(blocks):
     return np.block(blocks)
 
 
+def _product(op):
+    """x -> op @ x with its bits: ndarray.dot for a dense op, which skips the
+    dispatch of @ (1.0 against 1.9 us at 6 x 6), and @ for CSR."""
+    return op.dot if isinstance(op, np.ndarray) else op.__matmul__
+
+
 def _lv_flow(system):
     """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
     c = np.concatenate((-system.r, system.rbar))
@@ -87,9 +93,9 @@ def _transformed_flow(csys):
     n, m = base.N, base.M
     L = _operator([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
                    [np.zeros((n, m)), -base.Gamma]])
-    K = _operator([[np.zeros((m, m))], [base.A / sigma]])
+    K = _product(_operator([[np.zeros((m, m))], [base.A / sigma]]))
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
-    return lambda t, y: (c, L, y[m:] + K @ y[:m])
+    return lambda t, y: (c, L, y[m:] + K(y[:m]))
 
 
 def _check_span(t_span):
@@ -107,7 +113,8 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
     A solver failure raises RuntimeError unless ``blowup`` is set and a step
     was completed: the stop is then (t, None) at the last step completed.
     A span that is not finite and forward, or a tolerance that is not finite
-    and positive, raises ValueError (solve_ivp would run on without end).
+    and positive, raises ValueError (solve_ivp would run on without end), as
+    do n_samples < 2 for the default grid and an empty t_eval.
     Returns the solution, the first stop (t, y) or None, and the run's meta.
     """
     _check_span(t_span)
@@ -122,7 +129,12 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
 
     event.terminal, event.direction = True, -1
     if t_eval is None:
+        if n_samples < 2:
+            raise ValueError(f"n_samples must be at least 2 (the start and "
+                             f"the end), got {n_samples}")
         t_eval = np.linspace(*t_span, n_samples)
+    elif np.size(t_eval) == 0:
+        raise ValueError("t_eval must hold at least one time")
     sol = solve_ivp(rhs, t_span, y0, method=method, rtol=rtol, atol=atol,
                     t_eval=t_eval, events=event)
     if sol.status == -1 and not (blowup and last[0] != t_span[0]):
@@ -138,15 +150,19 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
 def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
     """Integrate y' = c + L exp(z) from a flow's terms(t, y) = (c, L, z).
 
+    L is one object for the whole run (a flow may update its entries in
+    place), so its product is picked once, from the terms at the start.
     meta["escape_reason"] is "clamp" (the exponent event), "diverged" (the
     clip keeps the right-hand side finite, so a collapse of the step after
     the first is a finite-time blow-up) or None.
     """
-    def rhs(t, y):
-        c, L, z = terms(t, y)
-        return c + L @ clipped_exp(z)
+    product = _product(terms(0.0, y0)[1])
 
-    escape = lambda t, y: EXP_LIMIT - float(np.max(np.abs(terms(t, y)[2])))
+    def rhs(t, y):
+        c, _, z = terms(t, y)
+        return c + product(clipped_exp(z))
+
+    escape = lambda t, y: EXP_LIMIT - float(np.abs(terms(t, y)[2]).max())
     sol, stop, meta = _adaptive_run(rhs, (0.0, t_end), y0, escape, "DOP853",
                                     rtol, atol, n_samples, t_eval, blowup=True)
     meta["escape_reason"] = (None if stop is None else

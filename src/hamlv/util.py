@@ -15,12 +15,18 @@ EXP_LIMIT = 700.0
 Z95 = 1.959963984540054
 
 
+# 0-d float64 bounds, which a ufunc takes without converting a Python float
+# on every call (1.8 against 2.5 us on a 6-vector)
+_EXP_LO, _EXP_HI = np.array(-EXP_LIMIT), np.array(EXP_LIMIT)
+
+
 def clipped_exp(x):
     """exp(x) with x clipped to +-EXP_LIMIT: the one exponent policy.
 
     np.minimum/np.maximum give the bits of a clip, NaN included, in less
-    than half its time."""
-    return np.exp(np.minimum(np.maximum(x, -EXP_LIMIT), EXP_LIMIT))
+    than half its time.  The result is float64 whatever the dtype of x: a
+    float32 x comes back float64, with the bits of the float64 clip."""
+    return np.exp(np.minimum(np.maximum(x, _EXP_LO), _EXP_HI))
 
 
 def libm_exp(x):
@@ -58,9 +64,11 @@ def set_fields(obj, ndim, **fields):
 
 
 def wilson_interval(k, n, z=Z95):
-    """Wilson score interval for a binomial proportion k/n."""
+    """Wilson score interval for a binomial proportion k/n, 0 <= k <= n."""
     if n <= 0:
         raise ValueError("n must be positive")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n], got k = {k}, n = {n}")
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -536,6 +536,10 @@ class TestNonFiniteParameters:
          "N and trials must be >= 1"),
         (["ensemble", "curve", "--N", "0", "--trials", "3"],
          "N must be >= 1"),
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--samples", "0"], "n_samples must be at least 2"),
+        (["simulate", "--input", "{system}", "--state", "{state}",
+          "--samples", "1"], "n_samples must be at least 2"),
     ])
     def test_parameter_named(self, tmp_path, capsys, inputs, argv, message):
         assert main([a.format(**inputs) for a in argv]

@@ -226,6 +226,20 @@ class TestThreadPolicy:
         assert run(4) == serial
 
 
+class TestWilsonInterval:
+    def test_brackets_the_proportion(self):
+        for k in (0, 3, 9):
+            lo, hi = wilson_interval(k, 10)
+            assert 0.0 <= lo <= k / 10 <= hi <= 1.0
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (-1, 5), (math.nan, 5)])
+    def test_impossible_count_rejected(self, k, n):
+        # these returned (0.0, 1.0): the NaN of a negative sqrt went through
+        # max and min unseen
+        with pytest.raises(ValueError, match=r"k must lie in \[0, n\]"):
+            wilson_interval(k, n)
+
+
 class TestRunIndexedTrials:
     @staticmethod
     def trial(rng, i):

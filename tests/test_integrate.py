@@ -24,6 +24,7 @@ from hamlv.model import InteractionSystem
 from hamlv.resonance import ResonanceModel, integrate_resonance
 from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
                         _psi_roots, analyze_potential, classify_orbit, period)
+from hamlv.util import EXP_LIMIT, clipped_exp
 from oracle import transformed_rhs
 from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE, TWO_SPECIES
 
@@ -191,6 +192,17 @@ class TestIntegrateLV:
         assert traj.meta["n_samples"] == traj.t.size == 7
         assert "n_accepted" not in traj.meta
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_grid_without_its_end_rejected(self, n_samples):
+        # 0 samples raised AttributeError from inside _adaptive_run, and 1 kept
+        # only t = 0, so states[-1] was not the end state
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            integrate_lv(PAIR, [2.0], [1.0], 1.0, n_samples=n_samples)
+
+    def test_empty_t_eval_rejected(self):
+        with pytest.raises(ValueError, match="t_eval"):
+            integrate_lv(PAIR, [2.0], [1.0], 1.0, t_eval=[])
+
     def test_matches_block_formula_integration(self):
         system, _, rng = damped_factorizable(5)
         x0 = rng.uniform(0.5, 1.5, system.N)
@@ -284,6 +296,42 @@ class TestExpSumFlow:
         dy = rhs(1.5, np.array([800.0, -31.0]))
         assert np.all(np.isfinite(dy))
         assert dy.tobytes() == rhs(2.0, np.array([700.0, -31.0])).tobytes()
+
+    @pytest.mark.parametrize("case, run", [
+        ("hub-limited", "lv"), ("hub-limited", "transformed"),
+        (0, "transformed")], ids=["lv-csr", "transformed-csr", "transformed"])
+    def test_right_hand_side_bits_for_each_operator(self, monkeypatch, case,
+                                                    run):
+        # the product is picked by operator type (ndarray.dot for dense, @
+        # for CSR; the canonical map K is dense in both transformed cases)
+        # and keeps the bits of c + L @ clipped_exp(z); the escape event
+        # reads EXP_LIMIT - max|z| of the same z
+        seen = []
+
+        def capture(rhs, *args, **kwargs):
+            seen.append((rhs, kwargs["events"]))
+            return solve_ivp(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_ivp", capture)
+        system, mu, rng = flow_case(case)
+        if run == "lv":
+            flow = _lv_flow(system)
+            y = rng.normal(0.0, 2.0, system.N + system.M)
+            integrate_lv(system, np.ones(system.N), mu, 0.1, n_samples=2)
+        else:
+            csys = canonicalize(system, mu=mu)
+            flow = _transformed_flow(csys)
+            y = rng.normal(0.0, 1.0, system.N + 2 * system.M)
+            integrate_transformed(csys, to_canonical(
+                csys, np.ones(system.N), mu), 0.1, n_samples=2)
+        (rhs, escape), = seen
+        y[0] = 800.0  # drives z past the clip in both flows
+        c, L, z = flow(0.5, y)
+        assert sparse.issparse(L) == (case == "hub-limited")
+        assert np.max(np.abs(z)) > EXP_LIMIT
+        want = c + L @ clipped_exp(z)
+        assert rhs(0.5, y).tobytes() == want.tobytes()
+        assert escape(0.5, y) == EXP_LIMIT - np.max(np.abs(z))
 
     def test_transformed_exponent_overflow_is_escape(self):
         # x = C exp(100 q) with q' = v - mu = 1: ln x reaches 700 at t = 7

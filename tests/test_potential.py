@@ -190,6 +190,36 @@ class TestClippedExp:
         finite = ~np.isnan(x)
         assert np.all(got[finite] == want[finite])
 
+    @given(st.one_of(st.floats(), NEAR_LIMIT, NEAR_LIMIT.map(lambda v: -v),
+                     st.sampled_from(SPECIAL)))
+    @example(800.0)
+    def test_bits_of_zero_dim_input(self, x):
+        # scalar brentq calls pass a 0-d q to PotentialTerms.dphi
+        for arg in (x, np.array(x)):
+            got = clipped_exp(arg)
+            want = np.exp(np.clip(arg, -EXP_LIMIT, EXP_LIMIT))
+            assert np.ndim(got) == 0 and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.one_of(st.floats(), NEAR_LIMIT, NEAR_LIMIT.map(
+        lambda v: -v), st.sampled_from(SPECIAL)), min_size=6, max_size=6))
+    def test_bits_of_two_dim_input(self, xs):
+        # _exponentials passes the outer product of q and a
+        for shape in ((2, 3), (3, 2), (6, 1)):
+            x = np.array(xs).reshape(shape)
+            got = clipped_exp(x)
+            assert got.shape == shape
+            assert got.tobytes() == np.exp(
+                np.clip(x, -EXP_LIMIT, EXP_LIMIT)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_result_is_float64(self, dtype):
+        x = np.array([-800.0, -1.0, 0.0, 2.0, 800.0]).astype(dtype)
+        got = clipped_exp(x)
+        assert got.dtype == np.float64
+        want = np.exp(np.clip(x.astype(np.float64), -EXP_LIMIT, EXP_LIMIT))
+        assert got.tobytes() == want.tobytes()
+
     def test_exponentials_are_clipped(self):
         terms = PotentialTerms(c=[1.0, 1.0], a=[1.0, -1.0])
         np.testing.assert_array_equal(
