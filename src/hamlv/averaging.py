@@ -234,9 +234,6 @@ class RegimeEvent:
     tau: float
     kind: str  # "burst" | "stabilized" | "environment-destabilized"
 
-    def to_dict(self):
-        return {"tau": self.tau, "kind": self.kind}
-
 
 @dataclass
 class AveragedTrajectory:

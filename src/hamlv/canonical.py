@@ -163,13 +163,6 @@ class CanonicalState:
         if np.any(self.C <= 0):
             raise ValueError("constants C must be strictly positive")
 
-    def to_dict(self):
-        return {"q": self.q.tolist(), "p": self.p.tolist(), "C": self.C.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(q=data["q"], p=data["p"], C=data["C"])
-
 
 def to_canonical(csys, x0, v0):
     """Map positive abundances to a canonical state with the gauge q(0) = 0.

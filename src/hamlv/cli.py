@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .util import (json_fields, read_json, sha256_file, write_csv,
+from .util import (fields_of, json_fields, read_json, sha256_file, write_csv,
                    write_json)
 
 
@@ -137,11 +137,9 @@ def _cmd_check(args):
         "limitation_free": system.is_limitation_free(),
         "factorizable": factors is not None,
     }
-    negative = False
+    negative = factors is None
     if factors is not None:
-        report["factors"] = {"rho": factors.rho.tolist(),
-                             "sigma": factors.sigma.tolist(),
-                             "positive": factors.positive}
+        report["factors"] = factors
         if system.is_limitation_free():
             res = strong_persistence(system, factors)
             v_cert, x_cert = res.v_certificate, res.x_certificate
@@ -149,16 +147,14 @@ def _cmd_check(args):
                 "applicable": res.applicable,
                 "persistent": res.persistent,
                 "rank_ok": res.rank_ok,
-                "v_witness": v_cert and v_cert.to_dict()["witness"],
-                "x_witness": x_cert and x_cert.to_dict()["witness"],
+                "v_witness": v_cert and v_cert.witness,
+                "x_witness": x_cert and x_cert.witness,
             }
             negative = res.applicable and not res.persistent
         elif factors.positive:
             rep = permanence(system, factors)
-            report["permanence"] = rep.to_dict()
+            report["permanence"] = rep
             negative = not rep.permanent
-    else:
-        negative = True
     out = _out_dir(args)
     write_json(out / "certificate.json", report)
     code = 2 if negative else 0
@@ -199,7 +195,7 @@ def _cmd_canonical(args):
     csys = canonicalize(system, tol=args.tol)
     cstate = to_canonical(csys, state["x"], state["v"])
     out = _out_dir(args)
-    write_json(out / "canonical_state.json", cstate.to_dict())
+    write_json(out / "canonical_state.json", cstate)
     outputs = ["canonical_state.json"]
     if system.M == 1 and csys.conserves_C:
         star = StarSystem(a=system.A[:, 0], b=system.B[0], rbar=system.rbar[0],
@@ -221,18 +217,8 @@ def _cmd_star(args):
     out = _out_dir(args)
     profile = analyze_potential(star)
     verdict = persistence_criteria(star)
-    report = {
-        "persistence": {"rule": verdict.rule, "passed": verdict.passed,
-                        "i_plus": verdict.i_plus, "i_minus": verdict.i_minus,
-                        "tied": verdict.tied},
-        "extrema": [{"q": e.q, "phi": e.phi, "kind": e.kind}
-                    for e in profile.extrema],
-        "coercive_left": profile.coercive_left,
-        "coercive_right": profile.coercive_right,
-        "window": list(profile.window),
-        "window_warning": profile.window_warning,
-    }
-    write_json(out / "report.json", report)
+    write_json(out / "report.json",
+               {"persistence": verdict, **fields_of(profile)})
     outputs = ["report.json"]
     terms = star.terms()
     qs = np.linspace(profile.window[0], profile.window[1], 801)
@@ -301,7 +287,7 @@ def _cmd_average(args):
     avg = evolve_averaged(env, init, args.tau_end)
     out = _out_dir(args)
     avg.to_csv(out / "averaged.csv")
-    write_json(out / "events.json", [e.to_dict() for e in avg.events])
+    write_json(out / "events.json", avg.events)
     outputs = ["averaged.csv", "events.json"]
     if args.format == "svg":
         write_svg_polyline(out / "averaged.svg", avg.tau, [avg.E], ["E"])
@@ -324,12 +310,10 @@ def _cmd_resonance(args):
                        d1=data.get("d1", 0.0), d2=data.get("d2", 0.0))
     model = linearize(ts)
     verdict = instability_criterion(model)
-    payload = verdict.to_dict()
-    payload["omega1"] = model.omega1
-    payload["omega2"] = model.omega2
-    payload["regime"] = detuning(model, ts.kappa)
     out = _out_dir(args)
-    write_json(out / "verdict.json", payload)
+    write_json(out / "verdict.json",
+               {**fields_of(verdict), "omega1": model.omega1,
+                "omega2": model.omega2, "regime": detuning(model, ts.kappa)})
     outputs = ["verdict.json"]
     if args.tau_end is not None:
         traj = integrate_resonance(model, [args.Q0, args.Q0],

@@ -43,10 +43,6 @@ class EnsembleConfig:
                    for v in (value if isinstance(value, list) else [value])):
                 raise ValueError(f"{key} must be finite, got {value!r}")
 
-    def to_dict(self):
-        return {"trials": self.trials, "seed": self.seed,
-                "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class CellStats:
@@ -61,10 +57,6 @@ class CellStats:
         lo, hi = wilson_interval(hits, n)
         return cls(hits=hits, n=n, frequency=hits / n, ci_low=lo, ci_high=hi)
 
-    def to_dict(self):
-        return {"hits": self.hits, "n": self.n, "frequency": self.frequency,
-                "ci_low": self.ci_low, "ci_high": self.ci_high}
-
 
 @dataclass(frozen=True)
 class EnsembleReport:
@@ -73,19 +65,11 @@ class EnsembleReport:
     cells: dict                  # label -> CellStats
     outcomes: list               # per-trial log, reproducible from the seed
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "cells": {k: v.to_dict() for k, v in sorted(self.cells.items())},
-            "outcomes": self.outcomes,
-        }
-
     def to_json_bytes(self):
-        return json_bytes(self.to_dict())
+        return json_bytes(self)
 
     def save(self, path):
-        write_json(path, self.to_dict())
+        write_json(path, self)
 
 
 _SQRT3 = np.sqrt(3.0)

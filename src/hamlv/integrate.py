@@ -105,6 +105,13 @@ def _check_span(t_span):
                          f"and after its start, got the span {t_span}")
 
 
+def _check_samples(n_samples):
+    """Raise ValueError unless a grid of n_samples holds its start and end."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 (the start and "
+                         f"the end), got {n_samples}")
+
+
 def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
                   t_eval=None, blowup=False):
     """Every adaptive run of hamlv: solve_ivp sampled at t_eval (n_samples
@@ -129,9 +136,7 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
 
     event.terminal, event.direction = True, -1
     if t_eval is None:
-        if n_samples < 2:
-            raise ValueError(f"n_samples must be at least 2 (the start and "
-                             f"the end), got {n_samples}")
+        _check_samples(n_samples)
         t_eval = np.linspace(*t_span, n_samples)
     elif np.size(t_eval) == 0:
         raise ValueError("t_eval must hold at least one time")
@@ -257,8 +262,9 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
     amplitude instead of drifting.  Aborts when a single step moves H by more
     than 10% of its magnitude (step too large for the orbit).  An exponent
     that overflows ends the run at the sample before it as a "clamp" escape,
-    timed at the step that overflowed.
+    timed at the step that overflowed.  n_samples < 2 raises ValueError.
     """
+    _check_samples(n_samples)
     if not (math.isfinite(h) and math.isfinite(t_end)):
         raise ValueError(f"h and t_end must be finite, got h = {h}, "
                          f"t_end = {t_end}")
@@ -267,7 +273,7 @@ def integrate_symplectic(star, q0, p0, h, t_end, n_samples=2001):
     n_steps = int(round(t_end / h))
     if n_steps <= 0:
         raise ValueError("t_end must allow at least one step")
-    stride = max(1, n_steps // max(1, n_samples - 1))
+    stride = max(1, n_steps // (n_samples - 1))
     mu = star.mu
     dphi, phi = star.terms().scalar_forces()
     q, p = float(q0), float(p0)

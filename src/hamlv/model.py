@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .util import json_fields, read_json, set_fields, write_json
+from .util import fields_of, json_fields, read_json, set_fields, write_json
 
 
 class SignPattern(Enum):
@@ -82,18 +82,6 @@ class InteractionSystem:
         """True iff every self-limitation coefficient vanishes."""
         return not (np.any(self.Gamma) or np.any(self.D))
 
-    def to_dict(self):
-        return {
-            "N": self.N,
-            "M": self.M,
-            "r": self.r.tolist(),
-            "rbar": self.rbar.tolist(),
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "Gamma": self.Gamma.tolist(),
-            "D": self.D.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, data):
         """The system of a JSON object; a missing, null or non-numeric field
@@ -108,7 +96,7 @@ class InteractionSystem:
         return sys
 
     def save(self, path):
-        write_json(path, self.to_dict())
+        write_json(path, {"N": self.N, "M": self.M, **fields_of(self)})
 
     @classmethod
     def load(cls, path):

@@ -24,6 +24,13 @@ from scipy.optimize import linprog
 
 from .util import run_indexed_trials, wilson_interval
 
+# Every witness lies in the LP's box (a cone that needs more is degenerate)
+# and meets a polished LP witness's relative residual; a rank check allows
+# no singular value below _RANK_TOL times the largest.
+_WITNESS_CAP = 1e4
+_WITNESS_RESIDUAL = 1e-9
+_RANK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FeasibilityCertificate:
@@ -33,25 +40,15 @@ class FeasibilityCertificate:
     rank_ok: bool
     residual: float
 
-    def to_dict(self):
-        return {
-            "feasible": self.feasible,
-            "witness": None if self.witness is None else self.witness.tolist(),
-            "slack": self.slack,
-            "rank_ok": self.rank_ok,
-            "residual": self.residual,
-        }
-
 
 def _max_min_entry(A_eq, b_eq):
     """Maximize s subject to A_eq z = b_eq, z >= s.
 
     Row-normalizes the equalities first, so the answer is invariant under
-    positive row rescaling.  The witness is capped at 1e4 per entry
-    (cones needing components beyond it are treated as degenerate), which
-    keeps the polished residual at machine scale.  Returns (s_star, z), or
-    (None, None) when the LP has no accepted optimum, as when the
-    equalities themselves are inconsistent.
+    positive row rescaling.  The witness is capped at ``_WITNESS_CAP`` per
+    entry, which keeps the polished residual at machine scale.  Returns
+    (s_star, z), or (None, None) when the LP has no accepted optimum, as
+    when the equalities themselves are inconsistent.
     """
     A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
     b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
@@ -66,7 +63,8 @@ def _max_min_entry(A_eq, b_eq):
     c[-1] = -1.0
     res = linprog(c, A_ub=np.hstack((-np.eye(n), np.ones((n, 1)))),
                   b_ub=np.zeros(n), A_eq=np.hstack((A_n, np.zeros((m, 1)))),
-                  b_eq=b_n, bounds=(-1e4, 1e4), method="highs")
+                  b_eq=b_n, bounds=(-_WITNESS_CAP, _WITNESS_CAP),
+                  method="highs")
     if not res.success:
         return None, None
     z = res.x[:n]
@@ -109,7 +107,7 @@ def _certificate(mat, rhs, rank_ok):
         residual=residual)
 
 
-def cone_condition(B, rbar, tol=1e-9):
+def cone_condition(B, rbar, tol=_RANK_TOL):
     """Certificate that rbar is a strictly positive combination of B's columns.
 
     rank_ok checks rank(B) = M by singular values; feasibility decides whether
@@ -125,10 +123,6 @@ def cone_condition(B, rbar, tol=1e-9):
     return _certificate(B, rbar, _rank_ok(B, m, tol))
 
 
-# What a positive-basis witness must meet: the relative residual a polished
-# LP witness meets, and the LP's box on every entry (``_max_min_entry``).
-_WITNESS_RESIDUAL = 1e-9
-_WITNESS_CAP = 1e4
 # Blocks per batched solve: at M = 3 one block in eight is a positive basis,
 # so the first solve mostly decides, and a miss costs little more than one
 # solve of every block.
@@ -201,7 +195,7 @@ def _cone_verdict(B, rbar):
     if _positive_basis_witness(B, rbar) is None:
         cert = cone_condition(B, rbar)
         return bool(cert.feasible and cert.rank_ok)
-    return _rank_ok(B, B.shape[0], 1e-9)  # cone_condition's default tol
+    return _rank_ok(B, B.shape[0], _RANK_TOL)
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ class PersistenceResult:
     note: str = ""
 
 
-def strong_persistence(system, factors, tol=1e-9):
+def strong_persistence(system, factors, tol=_RANK_TOL):
     """Strong-persistence verdict for a limitation-free factorizable system.
 
     True iff rank(A) = M and both A v = r and B x = rbar admit strictly
@@ -244,17 +238,6 @@ class PermanenceReport:
     has_positive_equilibrium: bool
     equilibrium: np.ndarray  # (x, v) stacked, or None
     permanent: bool
-
-    def to_dict(self):
-        return {
-            "matrix_M": self.matrix_M.tolist(),
-            "pd": self.pd,
-            "min_eig_sym": self.min_eig_sym,
-            "has_positive_equilibrium": self.has_positive_equilibrium,
-            "equilibrium": None if self.equilibrium is None
-            else self.equilibrium.tolist(),
-            "permanent": self.permanent,
-        }
 
 
 def permanence(system, factors, A_pert=None, B_pert=None, tol=1e-12):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .integrate import _check_span
+from .integrate import _check_samples, _check_span
 from .star import PotentialTerms, StarSystem, analyze_potential
 from .util import set_fields
 
@@ -184,6 +184,7 @@ def integrate_resonance(model, Q0, phi0, tau_end, n_samples=1001):
     """The slow system at exact resonance, A(tau) = expm(tau S) A(0) with
     A_k = Q_k exp(i phi_k), on n_samples even steps to tau_end.  The phases
     continue from phi0; where an amplitude passes zero its phase turns by pi.
+    n_samples < 2 raises ValueError.
     """
     Q0 = np.asarray(Q0, dtype=float)
     phi0 = np.asarray(phi0, dtype=float)
@@ -192,6 +193,7 @@ def integrate_resonance(model, Q0, phi0, tau_end, n_samples=1001):
     if np.any(Q0 <= 0):
         raise ValueError("initial amplitudes must be positive")
     _check_span((0.0, tau_end))
+    _check_samples(n_samples)
     w = model.omega
     S = np.array([[-model.ebar * model.d[0] * w, -1j * model.b12],
                   [1j * model.b21, -model.ebar * model.d[1] * w]]) / (2.0 * w)
@@ -231,11 +233,6 @@ class ResonanceVerdict:
     b21: float
     ebar: float
     lambda_max: float
-
-    def to_dict(self):
-        return {"R": self.R, "b12": self.b12, "b21": self.b21,
-                "ebar": self.ebar, "lambda_max": self.lambda_max,
-                "verdict": self.verdict}
 
 
 def instability_criterion(model):

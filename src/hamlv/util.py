@@ -3,6 +3,7 @@ types, seeded streams, intervals, CSV and JSON files."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -107,10 +108,27 @@ def write_csv(path, header, *columns):
             fh.write(row_format % tuple(np.concatenate(parts).tolist()))
 
 
+def fields_of(result):
+    """A dataclass's fields by name: the JSON object of a result."""
+    return {field.name: getattr(result, field.name)
+            for field in dataclasses.fields(result)}
+
+
+def _plain(value):
+    """What json.dumps writes for a value it has no rule for: a dataclass as
+    its fields, a numpy array or scalar as lists and numbers."""
+    if dataclasses.is_dataclass(value):
+        return fields_of(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def json_bytes(payload):
-    """The one JSON file format of hamlv: two-space indent, sorted keys and
-    a final newline, ASCII-encoded."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    """The one JSON file format of hamlv: two-space indent, sorted keys, a
+    final newline, ASCII-encoded, and results written by ``_plain``."""
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_plain)
+            + "\n").encode()
 
 
 def write_json(path, payload):

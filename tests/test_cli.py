@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import hamlv
+from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
+                             evolve_averaged)
 from hamlv.cli import main
 from hamlv.star import StarSystem, period
 from hamlv.util import sha256_file
@@ -222,10 +224,22 @@ class TestStar:
          "eac0fe99c6c8f28900fb240f3e11bef3f34413c193c90027c5143be3ea1d411c"),
         (STAR, "1.5", 2,
          "7f7008190cd663b989e9aa89cb6e5e8a52dd57ba05dab7207fa5567d11f09319"),
-    ], ids=["periodic", "unresolved", "equilibrium", "below-well"])
+        # the stars of test_star.py's soliton, kink and unbounded tests, at
+        # the barrier energy of the first maximum, and E = 5
+        ({"a": [2.0, -2.0, 1.0, -1.0], "b": [2.0, -2.0, -5.0, 5.0],
+          "rbar": 0.0}, "-7.0", 0,
+         "2ca44f8333451dfe9e161155fda5e1cc9f93034cb912eab5fe55c60bd84cfe1b"),
+        ({"a": [2.0, -2.0, 0.8, -0.8], "b": [-0.1, 0.1, 0.8, -0.8],
+          "rbar": 0.0}, "3.6539984377758485", 2,
+         "c637272b03bdc1888e691a158229df86a00bacb4efc96a5bf6a43a69744f6d50"),
+        ({"a": [1.0], "b": [-1.0], "rbar": 1.0}, "5", 2,
+         "dc01e71b72c0ff8e3797583007ded1ddda32d53b515976352f2cf39591742d2c"),
+    ], ids=["periodic", "unresolved", "equilibrium", "below-well", "soliton",
+            "kink", "unbounded"])
     def test_orbit_report_bytes(self, tmp_path, star, E, code, digest):
         # each verdict the report can give: a checked period, an unresolved
-        # one, the equilibrium and an energy below the well
+        # one, the equilibrium, an energy below the well and each orbit
+        # class without a period
         path = tmp_path / "star.json"
         path.write_text(json.dumps(star))
         out = tmp_path / "o"
@@ -275,6 +289,42 @@ class TestAverageAndResonance:
                      "--tau-end", "0.3", "--out", str(out)]) == 0
         events = json.loads((out / "events.json").read_text())
         assert [e["kind"] for e in events] == ["stabilized"]
+
+    @pytest.mark.parametrize("block, value, slope", [
+        ({"kind": "linear", "rate": 0.5},
+         lambda tau: 1.0 + 0.5 * tau, lambda tau: 0.5),
+        ({"kind": "sinusoid", "base": 1.2, "amp": 0.3, "freq": 4.0},
+         lambda tau: 1.2 + 0.3 * np.sin(4.0 * tau),
+         lambda tau: 0.3 * 4.0 * np.cos(4.0 * tau)),
+    ], ids=["linear", "sinusoid"])
+    def test_average_coefficient_path(self, tmp_path, block, value, slope):
+        # the run of an rbar path has the bytes of the same path built by
+        # hand (a linear path without a base starts at the star's rbar)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(dict(ENV, rbar_path=block)))
+        out = tmp_path / "avg"
+        assert main(["average", "--input", str(path), "--E0", "3.0",
+                     "--tau-end", "0.3", "--out", str(out)]) == 0
+        star = StarSystem(**STAR)
+        env = SlowEnvironment(a=CoefficientPath.constant(star.a),
+                              b=CoefficientPath.constant(star.b),
+                              rbar=CoefficientPath.from_callable(value, slope),
+                              mu=star.mu, epsilon=0.01, dbar=1.0)
+        init = AveragedState(tau=0.0, E=3.0, Cbar=star.C)
+        evolve_averaged(env, init, 0.3).to_csv(tmp_path / "by_hand.csv")
+        assert (out / "averaged.csv").read_bytes() == \
+            (tmp_path / "by_hand.csv").read_bytes()
+
+    def test_average_svg(self, tmp_path):
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(ENV))
+        out = tmp_path / "avg"
+        assert main(["average", "--input", str(path), "--E0", "3.0",
+                     "--tau-end", "0.3", "--format", "svg", "--out",
+                     str(out)]) == 0
+        svg = (out / "averaged.svg").read_text()
+        assert svg.startswith("<svg") and svg.count("<polyline") == 1
+        assert "averaged.svg" in read_manifest(out)["outputs"]
 
     def test_resonance_verdict_schema(self, tmp_path):
         two = {"star1": STAR, "star2": STAR, "atilde1": [0.0],
@@ -332,6 +382,16 @@ class TestEnsembleCli:
         assert header == ("mix,P_periodic,P_periodic_lo,P_periodic_hi,"
                           "P_soliton,P_soliton_lo,P_soliton_hi")
 
+    def test_curve_svg(self, tmp_path):
+        out = tmp_path / "curve"
+        assert main(["ensemble", "curve", "--N", "5", "--mix", "0,0.2",
+                     "--trials", "20", "--seed", "2", "--format", "svg",
+                     "--out", str(out)]) == 0
+        svg = (out / "curve.svg").read_text()
+        assert svg.startswith("<svg") and svg.count("<polyline") == 2
+        assert ">P_periodic<" in svg and ">P_soliton<" in svg
+        assert "curve.svg" in read_manifest(out)["outputs"]
+
     def test_positive_frequency_report(self, tmp_path):
         out = tmp_path / "t3"
         assert main(["ensemble", "positive-frequency", "--N", "5", "--trials", "200",
@@ -353,6 +413,13 @@ class TestEnsembleCli:
 ENV = {"star": STAR, "epsilon": 0.01, "dbar": 1.0}
 TWO_STAR = {"star1": STAR, "star2": STAR, "atilde1": [0.0], "atilde2": [0.0],
             "btilde1": [0.3], "btilde2": [0.3], "kappa": 0.01, "epsilon": 0.0}
+# self-limited with positive factors: check runs the permanence criterion
+LIMITED = dict(SYSTEM, Gamma=[[0.5]], D=[[0.5]])
+# sigma_2 b_22 = rho_2 a_22 asks for 2 = 1 once the other entries fix 1s
+UNFACTORIZABLE = {"N": 2, "M": 2, "r": [1.0, 1.0], "rbar": [1.0, 1.0],
+                  "A": [[1.0, 1.0], [1.0, 1.0]], "B": [[1.0, 1.0], [1.0, 2.0]]}
+DOUBLE_WELL = {"a": [2.0, -2.0, 1.0, -1.0], "b": [8.0, -8.0, -20.0, 20.0],
+               "rbar": 0.0}
 
 
 @pytest.fixture
@@ -360,7 +427,11 @@ def inputs(tmp_path):
     """Paths of one input file of each kind the subcommands read."""
     paths = {}
     for name, data in (("system", SYSTEM), ("state", {"x": [2.0], "v": [1.0]}),
-                       ("star", STAR), ("env", ENV), ("two", TWO_STAR)):
+                       ("star", STAR), ("env", ENV), ("two", TWO_STAR),
+                       ("limited", LIMITED),
+                       ("unfactorizable", UNFACTORIZABLE),
+                       ("well", DOUBLE_WELL),
+                       ("unstable", dict(TWO_STAR, btilde2=[-0.3]))):
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     return paths
@@ -416,6 +487,41 @@ class TestManifestConfig:
         assert manifest["config"] == {k: fill(v) for k, v in config.items()}
 
 
+class TestResultBytes:
+    """Each JSON result file, pinned by its sha256: a result's JSON is its
+    fields by name, with arrays as lists."""
+
+    @pytest.mark.parametrize("argv, name, code, digest", [
+        (["check", "--input", "{system}"], "certificate.json", 0,
+         "0cffb3f4aafa7551be1deadffb50376d0b892d944307750094c68f156229b38a"),
+        (["check", "--input", "{limited}"], "certificate.json", 0,
+         "2be00bdd8087dbf0b29920cd1844b2d9775e9deaabe670f6166da4639912cbf8"),
+        (["check", "--input", "{unfactorizable}"], "certificate.json", 2,
+         "f6cbf1a8b61d59b5977c937918b77b0a1633da10583efc467865141043884708"),
+        (["star", "--input", "{star}"], "report.json", 0,
+         "a86219e9675920aba6742173ea0953eafe01388f75187f7eec94e54872b07433"),
+        (["star", "--input", "{well}"], "report.json", 0,
+         "2e4da5e2ee526ed4f9155a16e28d33c1759dc6d5b4a0e6fa06a3885ac8195765"),
+        (["canonical", "--input", "{system}", "--state", "{state}",
+          "--t-end", "1", "--h", "0.01"], "canonical_state.json", 0,
+         "b96310f78dfbca5335a3b5ff6fe2b3c0000171119a0dac24350ba47f0c6876bb"),
+        (["average", "--input", "{env}", "--E0", "3", "--tau-end", "0.3"],
+         "events.json", 0,
+         "9db11d53e7f2f036aa67d7babd1e2fb25136fda0e6ff858926978afbb4fbcf44"),
+        (["resonance", "--input", "{two}"], "verdict.json", 0,
+         "c50650482ed92fe77cf8801aaa212b383072841b8c236b631be0ad32b7548611"),
+        (["resonance", "--input", "{unstable}"], "verdict.json", 2,
+         "f58a5b0ca795c4e0724dccc233f84bb2c454b4fe1d81b71da5e55c42e8a571d7"),
+    ], ids=["check-persistent", "check-permanence", "check-unfactorizable",
+            "star", "star-double-well", "canonical", "average",
+            "resonance-stable", "resonance-unstable"])
+    def test_result_bytes(self, tmp_path, inputs, argv, name, code, digest):
+        out = tmp_path / "out"
+        assert main([a.format(**inputs) for a in argv]
+                    + ["--out", str(out)]) == code
+        assert sha256_file(out / name) == digest
+
+
 class TestMalformedInput:
     """A file of the wrong shape ends in error: and exit 1, no traceback."""
 
@@ -450,6 +556,11 @@ class TestMalformedInput:
                        dict(ENV, rbar_path={"kind": "linear", "rate": {}}),
                        "--E0", "3")
         assert "'rate' must be a number or an array" in err
+
+    def test_average_unknown_path_kind(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "average",
+                       dict(ENV, b_path={"kind": "cubic"}), "--E0", "3")
+        assert "unknown coefficient path kind 'cubic'" in err
 
     def test_resonance_star_not_object(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "resonance",

@@ -1,8 +1,12 @@
-"""The package imports only scipy's public modules.
+"""Rules on what the package's modules import and define, read with ``ast``.
 
-A private scipy module (any dotted part after ``scipy`` that starts with an
-underscore) can change or vanish in any scipy release; the package reaches
-HiGHS through ``scipy.optimize.linprog`` instead.
+- The package imports only scipy's public modules.  A private scipy module
+  (any dotted part after ``scipy`` that starts with an underscore) can
+  change or vanish in any scipy release; the package reaches HiGHS through
+  ``scipy.optimize.linprog`` instead.
+- Only ``util`` imports ``json``: ``util.json_bytes`` is the one JSON rule,
+  which writes a result as its dataclass fields by name.
+- Only ``Orbit`` defines ``to_dict``, because its JSON is not its fields.
 """
 
 import ast
@@ -48,3 +52,61 @@ def test_no_private_scipy_module():
     found = {path.name: private_scipy_imports(path.read_text())
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def imports_json(source):
+    """Whether source imports the json package, in any form at any depth."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "json" for name in names):
+            return True
+    return False
+
+
+def to_dict_classes(source):
+    """The names of the classes in source that define a to_dict method."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "to_dict" for item in node.body)]
+
+
+def package_sources():
+    package = Path(hamlv.__file__).parent
+    return {path.name: path.read_text()
+            for path in sorted(package.glob("*.py"))}
+
+
+def test_json_rule_reads_every_import_form():
+    for source in ("import json\n", "import os, json as j\n",
+                   "from json import dumps\n",
+                   "def f():\n    import json.decoder\n"):
+        assert imports_json(source), source
+    for source in ("import jsonschema\n", "from .util import json_bytes\n",
+                   "from . import json\n", "json = None\n"):
+        assert not imports_json(source), source
+
+
+def test_only_util_imports_json():
+    assert [name for name, source in package_sources().items()
+            if imports_json(source)] == ["util.py"]
+
+
+def test_to_dict_rule_reads_nested_classes():
+    assert to_dict_classes(
+        "class A:\n    def to_dict(self):\n        pass\n"
+        "def f():\n    class B:\n        def to_dict(self):\n"
+        "            pass\n"
+        "class C:\n    def save(self):\n        def to_dict():\n"
+        "            pass\n"
+        "def to_dict():\n    pass\n") == ["A", "B"]
+
+
+def test_only_orbit_defines_to_dict():
+    assert {name: classes for name, source in package_sources().items()
+            if (classes := to_dict_classes(source))} == {"star.py": ["Orbit"]}

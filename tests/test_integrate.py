@@ -499,6 +499,13 @@ class TestSymplectic:
         assert abs(back.states[-1, 0] - q0) < 1e-9
         assert abs(back.states[-1, 1] - p0) < 1e-9
 
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_grid_without_its_end_rejected(self, n_samples):
+        # each of these gave 2 samples without a word
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            integrate_symplectic(UNIT_STAR, *unit_orbit_start(3.0), 1e-3, 1.0,
+                                 n_samples=n_samples)
+
     def test_long_run_bytes_pinned(self):
         # the benchmark's 10^6-step run on the unit star at E = 3
         traj = integrate_symplectic(UNIT_STAR, *unit_orbit_start(3.0), 1e-3,

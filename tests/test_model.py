@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ class TestInteractionSystem:
         for name in ("r", "rbar", "A", "B", "Gamma", "D"):
             np.testing.assert_array_equal(getattr(sys, name),
                                           getattr(loaded, name))
+
+    def test_saved_bytes(self, tmp_path):
+        # N, M and every field, with arrays as lists
+        sys = make_system([1.0, 2.0], [3.0], [[1.0], [0.5]], [[2.0, 0.0]],
+                          Gamma=[[0.1, 0.0], [0.0, 0.2]], D=[[0.3]])
+        path = tmp_path / "sys.json"
+        sys.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d6c33b9878c7a3da1b4952d1109663b0a15f6a708df8b2f6be0fe15c72975b81")
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hamlv.persistence import (RandomMatrixModel, _cone_verdict,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
 from hamlv.ensemble import cone_feasibility_frequency
-from hamlv.util import trial_rng
+from hamlv.util import json_bytes, trial_rng
 from oracle import (choice_sparse_draw, dense_max_min_entry,
                     linprog_adaptive_solve)
 
@@ -557,8 +559,8 @@ class TestSparseLP:
             res = strong_persistence(free, find_factors(free.A, free.B))
             perm = permanence(limited, find_factors(limited.A, limited.B))
             return (res.applicable, res.persistent, res.rank_ok,
-                    res.v_certificate.to_dict(), res.x_certificate.to_dict(),
-                    perm.to_dict())
+                    *(json.loads(json_bytes(result)) for result in
+                      (res.v_certificate, res.x_certificate, perm)))
 
         sparse = certificates()
         monkeypatch.setattr(persistence, "_max_min_entry", dense_max_min_entry)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hamlv.resonance import (ResonanceModel, TwoStarSystem, detuning,
                              instability_criterion, integrate_resonance,
                              linearize, phase_locked_rates)
 from hamlv.star import StarSystem
+from hamlv.util import json_bytes
 from oracle import locked_matrix, polar_slow_rhs
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
@@ -200,6 +202,14 @@ class TestSlowSystem:
         np.testing.assert_allclose(traj.phi[:n], ref.y[2:].T, rtol=0,
                                    atol=1e-8)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_grid_without_its_end_rejected(self, n_samples):
+        # 0 gave empty arrays, and 1 only tau = 0 without the end state
+        m = linearize(coupled([0.3], [-0.3]))
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            integrate_resonance(m, [1e-3, 1e-3], [0.0, math.pi / 2], 5.0,
+                                n_samples=n_samples)
+
 
 class TestPhaseLockedRates:
     def test_pure_coupling_growth(self):
@@ -253,7 +263,8 @@ class TestVerdicts:
         assert v.lambda_max <= 0
 
     def test_verdict_json_schema(self):
-        payload = instability_criterion(linearize(coupled([0.3], [-0.3]))).to_dict()
+        verdict = instability_criterion(linearize(coupled([0.3], [-0.3])))
+        payload = json.loads(json_bytes(verdict))
         assert set(payload) == {"R", "b12", "b21", "ebar", "lambda_max",
                                 "verdict"}
 
