@@ -293,12 +293,11 @@ def evolve_averaged(env, init, tau_end, rtol=1e-7, atol=1e-10, n_samples=201,
         return e_barrier - E
 
     y0 = np.concatenate(([init.E], np.log(init.Cbar)))
-    sol, stop, meta = _adaptive_run(rhs, (init.tau, tau_end), y0,
-                                    barrier_margin, "RK45", rtol, atol,
-                                    n_samples)
-    tau = sol.t
-    E_samples = sol.y[0]
-    C_samples = np.exp(sol.y[1:]).T
+    tau, y, stop, meta = _adaptive_run(rhs, (init.tau, tau_end), y0,
+                                       barrier_margin, "RK45", rtol, atol,
+                                       n_samples)
+    E_samples = y[0]
+    C_samples = np.exp(y[1:]).T
     if stop is None:
         events = [RegimeEvent(tau=float(tau_end), kind="stabilized")]
     else:
@@ -418,15 +417,15 @@ def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
     C0 = np.atleast_1d(np.asarray(C0, dtype=float))
     n, eps, mu = C0.size, env.epsilon, env.mu
     y0 = np.concatenate(([q0, p0], np.log(C0)))
-    sol, run = _solve_log_system(_slow_fast_flow(env, n), y0, t_end, rtol,
-                                 atol, n_samples, None)
+    ts, y, run = _solve_log_system(_slow_fast_flow(env, n), y0, t_end, rtol,
+                                   atol, n_samples, None)
     run["meta"]["epsilon"] = eps
-    qs, ps, lnC = sol.y[0], sol.y[1], sol.y[2:].T
-    a, b, rbar = (np.array([path.value(eps * t) for t in sol.t],
-                           dtype=float).reshape(sol.t.size, -1)
+    qs, ps, lnC = y[0], y[1], y[2:].T
+    a, b, rbar = (np.array([path.value(eps * t) for t in ts],
+                           dtype=float).reshape(ts.size, -1)
                   for path in (env.a, env.b, env.rbar))
     x = clipped_exp(lnC + a * qs[:, None])
     H = np.sum(b / a * x, axis=1) - rbar[:, 0] * qs + clipped_exp(ps) - mu * ps
     labels = ["q", "p"] + [f"C{i + 1}" for i in range(n)]
-    return Trajectory(t=sol.t.copy(), states=np.column_stack((qs, ps, np.exp(lnC))),
+    return Trajectory(t=ts, states=np.column_stack((qs, ps, np.exp(lnC))),
                       labels=labels, energy=H, **run)

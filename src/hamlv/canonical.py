@@ -173,6 +173,7 @@ def to_canonical(csys, x0, v0):
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if np.any(x0 <= 0) or np.any(v0 <= 0):
         raise ValueError("abundances must be strictly positive")
+    csys.base.check_state(x=x0, v=v0)
     m = csys.base.M
     return CanonicalState(q=np.zeros(m), p=np.log(v0), C=x0)
 

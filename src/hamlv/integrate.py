@@ -15,11 +15,13 @@ and meta["escape_reason"], "clamp" (an exponent passed +-EXP_LIMIT),
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK45
+from scipy.optimize import brentq
 
 from .util import EXP_LIMIT, clipped_exp, write_csv
 
@@ -112,44 +114,73 @@ def _check_samples(n_samples):
                          f"the end), got {n_samples}")
 
 
+# the steppers of the adaptive runs, by the name meta["method"] records
+_STEPPERS = {"DOP853": DOP853, "RK45": RK45}
+_ROOT_TOL = 4.0 * np.finfo(float).eps  # brentq xtol and rtol of a stop
+
+
 def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
                   t_eval=None, blowup=False):
-    """Every adaptive run of hamlv: solve_ivp sampled at t_eval (n_samples
-    even steps by default) and stopped where stop(t, y) falls through zero.
+    """Every adaptive run of hamlv: scipy's DOP853 or RK45 stepper, sampled
+    at t_eval (n_samples even steps by default) and stopped where stop(t, y)
+    falls through zero.
 
-    A solver failure raises RuntimeError unless ``blowup`` is set and a step
-    was completed: the stop is then (t, None) at the last step completed.
-    A span that is not finite and forward, or a tolerance that is not finite
-    and positive, raises ValueError (solve_ivp would run on without end), as
-    do n_samples < 2 for the default grid and an empty t_eval.
-    Returns the solution, the first stop (t, y) or None, and the run's meta.
+    stop is read once per completed step; on a fall from g >= 0 to g <= 0
+    the stop is the brentq root of stop on the step's dense output, and
+    no sample after it is taken.  The samples of a step come from one dense
+    output of that step.  A solver failure raises RuntimeError unless
+    ``blowup`` is set and a step was completed: the stop is then (t, None)
+    at the last step completed.  A span that is not finite and forward, a
+    tolerance that is not finite and positive, n_samples < 2 for the default
+    grid, a t_eval that is empty, not strictly increasing or outside the
+    span, and a y0 that is not finite raise ValueError.
+    Returns the sample times, the states (one column per sample), the first
+    stop (t, y) or None, and the run's meta.
     """
     _check_span(t_span)
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"tolerances must be positive and finite, got "
                          f"rtol = {rtol}, atol = {atol}")
-    last = [t_span[0]]
-
-    def event(t, y):
-        last[0] = t
-        return stop(t, y)
-
-    event.terminal, event.direction = True, -1
+    t0, t_end = map(float, t_span)
     if t_eval is None:
         _check_samples(n_samples)
-        t_eval = np.linspace(*t_span, n_samples)
-    elif np.size(t_eval) == 0:
-        raise ValueError("t_eval must hold at least one time")
-    sol = solve_ivp(rhs, t_span, y0, method=method, rtol=rtol, atol=atol,
-                    t_eval=t_eval, events=event)
-    if sol.status == -1 and not (blowup and last[0] != t_span[0]):
-        raise RuntimeError(f"integration failed: {sol.message}")
-    first = ((float(sol.t_events[0][0]), sol.y_events[0][0])
-             if sol.status == 1 else
-             (float(last[0]), None) if sol.status == -1 else None)
+        t_eval = np.linspace(t0, t_end, n_samples)
+    else:
+        t_eval = np.array(t_eval, dtype=float)
+        if not (t_eval.ndim == 1 and t_eval.size and t0 <= t_eval[0]
+                and t_eval[-1] <= t_end and np.all(np.diff(t_eval) > 0)):
+            raise ValueError(f"t_eval must be a strictly increasing list of "
+                             f"times within the span {t_span}")
+    solver = _STEPPERS[method](rhs, t0, y0, t_end, rtol=rtol, atol=atol)
+    grid, taken, samples, first = t_eval.tolist(), 0, [], None
+    g = stop(t0, y0)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            if not (blowup and solver.t != t0):
+                raise RuntimeError(f"integration failed: {message}")
+            first = (float(solver.t), None)
+            break
+        t, sol = solver.t, None
+        g_new = stop(t, solver.y)
+        if g >= 0 and g_new <= 0:
+            sol = solver.dense_output()
+            t = brentq(lambda s: stop(s, sol(s)), solver.t_old, t,
+                       xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            first = (t, sol(t))
+        g = g_new
+        end = bisect_right(grid, t, taken)
+        if end > taken:
+            if sol is None:
+                sol = solver.dense_output()
+            samples.append(sol(t_eval[taken:end]))
+            taken = end
+        if first is not None:
+            break
+    y = np.hstack(samples) if samples else np.empty((np.size(y0), 0))
     meta = {"method": method, "rtol": rtol, "atol": atol,
-            "nfev": int(sol.nfev), "n_samples": int(sol.t.size)}
-    return sol, first, meta
+            "nfev": int(solver.nfev), "n_samples": taken}
+    return t_eval[:taken], y, first, meta
 
 
 def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
@@ -157,9 +188,10 @@ def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
 
     L is one object for the whole run (a flow may update its entries in
     place), so its product is picked once, from the terms at the start.
-    meta["escape_reason"] is "clamp" (the exponent event), "diverged" (the
+    meta["escape_reason"] is "clamp" (the exponent stop), "diverged" (the
     clip keeps the right-hand side finite, so a collapse of the step after
     the first is a finite-time blow-up) or None.
+    Returns the sample times, the states and the Trajectory's escape fields.
     """
     product = _product(terms(0.0, y0)[1])
 
@@ -168,12 +200,13 @@ def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
         return c + product(clipped_exp(z))
 
     escape = lambda t, y: EXP_LIMIT - float(np.abs(terms(t, y)[2]).max())
-    sol, stop, meta = _adaptive_run(rhs, (0.0, t_end), y0, escape, "DOP853",
-                                    rtol, atol, n_samples, t_eval, blowup=True)
+    t, y, stop, meta = _adaptive_run(rhs, (0.0, t_end), y0, escape, "DOP853",
+                                     rtol, atol, n_samples, t_eval,
+                                     blowup=True)
     meta["escape_reason"] = (None if stop is None else
-                             "diverged" if sol.status == -1 else "clamp")
-    return sol, {"meta": meta, "escaped": stop is not None,
-                 "escape_time": None if stop is None else stop[0]}
+                             "diverged" if stop[1] is None else "clamp")
+    return t, y, {"meta": meta, "escaped": stop is not None,
+                  "escape_time": None if stop is None else stop[0]}
 
 
 def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
@@ -187,12 +220,13 @@ def integrate_lv(system, x0, v0, t_end, rtol=1e-8, atol=1e-10, n_samples=1001,
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     if np.any(x0 <= 0) or np.any(v0 <= 0):
         raise ValueError("initial abundances must be strictly positive")
+    system.check_state(x=x0, v=v0)
     n, m = system.N, system.M
     y0 = np.concatenate((np.log(x0), np.log(v0)))
-    sol, run = _solve_log_system(_lv_flow(system), y0, t_end, rtol, atol,
-                                 n_samples, t_eval)
+    t, y, run = _solve_log_system(_lv_flow(system), y0, t_end, rtol, atol,
+                                  n_samples, t_eval)
     labels = [f"x{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(m)]
-    return Trajectory(t=sol.t.copy(), states=np.exp(sol.y.T), labels=labels,
+    return Trajectory(t=t, states=np.exp(y.T), labels=labels,
                       **run)
 
 
@@ -206,24 +240,25 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
     H = rho x - rbar q + sigma (v - mu p) is taken from the flow's own
     exponents z = (p, ln x), so it stays finite where C alone overflows.
     """
+    csys.base.check_state(q=state0.q, p=state0.p, C=state0.C)
     n, m = csys.base.N, csys.base.M
     y0 = np.concatenate((state0.q, state0.p, np.log(state0.C)))
     terms = _transformed_flow(csys)
-    sol, run = _solve_log_system(terms, y0, t_end, rtol, atol, n_samples,
-                                 t_eval)
+    t, y, run = _solve_log_system(terms, y0, t_end, rtol, atol, n_samples,
+                                  t_eval)
     # one row per sample, summed pairwise along contiguous rows in the
     # grouping of canonical.hamiltonian (BLAS dot products drifted 4.6 eps)
-    y = np.ascontiguousarray(sol.y.T)
-    q, p = y[:, :m], y[:, m:2 * m]
-    x = clipped_exp(np.ascontiguousarray(terms(None, sol.y)[2][m:].T))
+    rows = np.ascontiguousarray(y.T)
+    q, p = rows[:, :m], rows[:, m:2 * m]
+    x = clipped_exp(np.ascontiguousarray(terms(None, y)[2][m:].T))
     sigma = csys.factors.sigma
     energy = (np.sum(csys.factors.rho * x, axis=1)
               - np.sum(csys.base.rbar * q, axis=1)
               + np.sum(sigma * (clipped_exp(p) - csys.mu * p), axis=1))
-    states = np.hstack((q, p, np.exp(sol.y[2 * m:].T)))
+    states = np.hstack((q, p, np.exp(y[2 * m:].T)))
     labels = ([f"q{j + 1}" for j in range(m)] + [f"p{j + 1}" for j in range(m)]
               + [f"C{i + 1}" for i in range(n)])
-    return Trajectory(t=sol.t.copy(), states=states, labels=labels,
+    return Trajectory(t=t, states=states, labels=labels,
                       energy=energy, **run)
 
 

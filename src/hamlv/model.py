@@ -78,6 +78,18 @@ class InteractionSystem:
     def M(self):
         return self.rbar.size
 
+    def check_state(self, **parts):
+        """Raise ValueError unless each named part of a state has its size:
+        x and C one entry per prey (N), v, p and q one per hub (M)."""
+        size = {"x": self.N, "C": self.N, "v": self.M, "p": self.M,
+                "q": self.M}
+        wrong = [f"{name} has {np.size(a)}" for name, a in parts.items()
+                 if np.size(a) != size[name]]
+        if wrong:
+            raise ValueError(f"a state of this system (N = {self.N}, M = "
+                             f"{self.M}) needs N entries in x and C and M in "
+                             f"v, p and q, but {', '.join(wrong)}")
+
     def is_limitation_free(self):
         """True iff every self-limitation coefficient vanishes."""
         return not (np.any(self.Gamma) or np.any(self.D))

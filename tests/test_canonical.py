@@ -82,6 +82,18 @@ class TestCoordinateMaps:
         assert s.p[0] == 0.0
         assert s.C[0] == 1.0
 
+    @pytest.mark.parametrize("x0, v0, wrong", [
+        ([1.0, 2.0, 3.0], [], "x has 3, v has 0"),
+        ([1.0], [1.0], "x has 1"),
+        ([1.0, 2.0], [1.0, 1.0], "v has 2")])
+    def test_state_of_wrong_size_rejected(self, x0, v0, wrong):
+        # the extra prey abundance became the hub's, or numpy failed later
+        # on shapes that do not align
+        sys = InteractionSystem(r=[1.0, 1.0], rbar=[1.0], A=[[1.0], [1.0]],
+                                B=[[1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"N = 2, M = 1\).*" + wrong):
+            to_canonical(canonicalize(sys), x0, v0)
+
     def test_log_momentum(self):
         sys = InteractionSystem(r=[1.0, 1.0], rbar=[1.0], A=[[1.0], [1.0]],
                                 B=[[1.0, 1.0]])

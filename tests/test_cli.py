@@ -598,6 +598,26 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'x'" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "canonical"])
+    @pytest.mark.parametrize("state, wrong", [
+        ({"x": [1.0, 2.0, 3.0], "v": []}, "x has 3, v has 0"),
+        ({"x": [1.0], "v": [1.0]}, "x has 1")], ids=["3+0", "1+1"])
+    def test_state_of_wrong_size(self, tmp_path, capsys, command, state,
+                                 wrong):
+        # on this N = 2, M = 1 system, simulate ran 3 + 0 abundances as
+        # 2 + 1 and exited 0, and 1 + 1 ended in a numpy shape error
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(dict(
+            SYSTEM, N=2, r=[1.0, 1.0], A=[[1.0], [1.0]], B=[[1.0, 1.0]],
+            Gamma=[[0.0, 0.0], [0.0, 0.0]])))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        assert main([command, "--input", str(system), "--state", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "N = 2, M = 1" in err and wrong in err
+
     def test_null_optional_field_takes_the_default(self, tmp_path, capsys):
         path = tmp_path / "star.json"
         path.write_text(json.dumps(dict(STAR, mu=None, C=None)))

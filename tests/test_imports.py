@@ -7,6 +7,8 @@
 - Only ``util`` imports ``json``: ``util.json_bytes`` is the one JSON rule,
   which writes a result as its dataclass fields by name.
 - Only ``Orbit`` defines ``to_dict``, because its JSON is not its fields.
+- No module imports or names ``solve_ivp``: every adaptive run steps
+  scipy's public DOP853 or RK45 in ``integrate._adaptive_run``'s own loop.
 """
 
 import ast
@@ -110,3 +112,38 @@ def test_to_dict_rule_reads_nested_classes():
 def test_only_orbit_defines_to_dict():
     assert {name: classes for name, source in package_sources().items()
             if (classes := to_dict_classes(source))} == {"star.py": ["Orbit"]}
+
+
+def names_solve_ivp(source):
+    """Whether source imports solve_ivp or reaches it by name or attribute,
+    at any depth of the module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if "solve_ivp" in names:
+            return True
+    return False
+
+
+def test_solve_ivp_rule_reads_every_form():
+    for source in ("from scipy.integrate import solve_ivp\n",
+                   "from scipy.integrate import solve_ivp as ivp\n",
+                   "import scipy.integrate\nscipy.integrate.solve_ivp(f)\n",
+                   "def f():\n    from scipy import integrate\n"
+                   "    return integrate.solve_ivp\n"):
+        assert names_solve_ivp(source), source
+    for source in ("from scipy.integrate import DOP853, RK45\n",
+                   "# solve_ivp\n", "x = 'solve_ivp'\n"):
+        assert not names_solve_ivp(source), source
+
+
+def test_no_module_names_solve_ivp():
+    assert [name for name, source in package_sources().items()
+            if names_solve_ivp(source)] == []

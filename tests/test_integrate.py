@@ -2,7 +2,6 @@ import hashlib
 import math
 import signal
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +81,18 @@ def flow_case(case):
     if isinstance(case, int):
         return damped_factorizable(case)
     return hub_web(limited=case == "hub-limited")
+
+
+def capture_runs(monkeypatch):
+    """Record the (rhs, stop) of every adaptive run the driver makes."""
+    seen, run = [], integrate._adaptive_run
+
+    def capture(rhs, t_span, y0, stop, *args, **kwargs):
+        seen.append((rhs, stop))
+        return run(rhs, t_span, y0, stop, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_adaptive_run", capture)
+    return seen
 
 
 def block_rhs(system):
@@ -175,6 +186,18 @@ class TestIntegrateLV:
             integrate_lv(PAIR, [0.0], [1.0], 1.0)
         with pytest.raises(ValueError):
             integrate_lv(PAIR, [1.0], [1.0], 1.0, rtol=0.0)
+
+    @pytest.mark.parametrize("x0, v0, wrong", [
+        ([1.0, 2.0, 3.0], [], "x has 3, v has 0"),
+        ([1.0], [1.0], "x has 1"),
+        ([1.0, 2.0], [1.0, 1.0], "v has 2")])
+    def test_state_of_wrong_size_rejected(self, x0, v0, wrong):
+        # ln x0 and ln v0 were joined unchecked: 3 prey and no hub ran as
+        # 2 prey and 1 hub, and 1 + 1 failed inside numpy's product
+        system = InteractionSystem(r=[1.0, 1.0], rbar=[1.0],
+                                   A=[[1.0], [1.0]], B=[[1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"N = 2, M = 1\).*" + wrong):
+            integrate_lv(system, x0, v0, 1.0)
 
     def test_csv_format(self, tmp_path):
         traj = integrate_lv(PAIR, [2.0], [1.0], 1.0, n_samples=5)
@@ -281,15 +304,9 @@ class TestExpSumFlow:
     def test_right_hand_side_clips_exponents(self, monkeypatch):
         # the one right-hand side is c + L exp(z) with bits of np.exp inside
         # +-EXP_LIMIT, and stays finite where exp(z) overflows
-        seen = []
-
-        def capture(rhs, *args, **kwargs):
-            seen.append(rhs)
-            return solve_ivp(rhs, *args, **kwargs)
-
-        monkeypatch.setattr(integrate, "solve_ivp", capture)
+        seen = capture_runs(monkeypatch)
         integrate_lv(PAIR, [2.0], [1.0], 1.0)
-        rhs, = seen
+        (rhs, _), = seen
         y = np.array([29.0, -29.0])
         want = exp_sum(*_lv_flow(PAIR)(0.5, y))
         assert rhs(0.5, y).tobytes() == want.tobytes()
@@ -306,13 +323,7 @@ class TestExpSumFlow:
         # for CSR; the canonical map K is dense in both transformed cases)
         # and keeps the bits of c + L @ clipped_exp(z); the escape event
         # reads EXP_LIMIT - max|z| of the same z
-        seen = []
-
-        def capture(rhs, *args, **kwargs):
-            seen.append((rhs, kwargs["events"]))
-            return solve_ivp(rhs, *args, **kwargs)
-
-        monkeypatch.setattr(integrate, "solve_ivp", capture)
+        seen = capture_runs(monkeypatch)
         system, mu, rng = flow_case(case)
         if run == "lv":
             flow = _lv_flow(system)
@@ -332,6 +343,17 @@ class TestExpSumFlow:
         want = c + L @ clipped_exp(z)
         assert rhs(0.5, y).tobytes() == want.tobytes()
         assert escape(0.5, y) == EXP_LIMIT - np.max(np.abs(z))
+
+    @pytest.mark.parametrize("part, wrong", [
+        ("q", "q has 2"), ("p", "p has 2"), ("C", "C has 2")])
+    def test_transformed_state_of_wrong_size_rejected(self, part, wrong):
+        system, mu, _ = damped_factorizable(0)  # N = 4, M = 3
+        csys = canonicalize(system, mu=mu)
+        state = to_canonical(csys, np.ones(4), mu)
+        state = CanonicalState(**{"q": state.q, "p": state.p, "C": state.C,
+                                  part: np.ones(2)})
+        with pytest.raises(ValueError, match=r"N = 4, M = 3\).*" + wrong):
+            integrate_transformed(csys, state, 1.0)
 
     def test_transformed_exponent_overflow_is_escape(self):
         # x = C exp(100 q) with q' = v - mu = 1: ln x reaches 700 at t = 7
@@ -740,13 +762,21 @@ class TestAdaptiveRun:
                           epsilon=0.01)
     START = AveragedState(tau=0.0, E=2.5, Cbar=[1.0])
 
-    @staticmethod
-    def failed_solve(*args, **kwargs):
-        return SimpleNamespace(status=-1, message="step size collapsed")
+    class CollapsingStepper:
+        """A stepper whose first step fails, as a collapsed step size does."""
+
+        def __init__(self, fun, t0, y0, t_bound, **options):
+            self.t, self.status = t0, "running"
+
+        def step(self):
+            self.status = "failed"
+            return "step size collapsed"
 
     @pytest.mark.parametrize("run", ["lv", "averaged"])
     def test_solver_failure_raises(self, monkeypatch, run):
-        monkeypatch.setattr(integrate, "solve_ivp", self.failed_solve)
+        for method in integrate._STEPPERS:
+            monkeypatch.setitem(integrate._STEPPERS, method,
+                                self.CollapsingStepper)
         if run == "lv":
             # the flow never saw a diverged state, so this is no escape
             call = lambda: integrate_lv(PAIR, [2.0], [1.0], 5.0)
@@ -754,6 +784,40 @@ class TestAdaptiveRun:
             call = lambda: evolve_averaged(self.ENV, self.START, 1.0)
         with pytest.raises(RuntimeError, match="step size collapsed"):
             call()
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 0.5, 0.2], [0.0, 0.5, 0.5],
+                                        [0.0, 1.5], [-0.1, 0.5]],
+                             ids=["unsorted", "repeated", "after-end",
+                                  "before-start"])
+    def test_grid_out_of_order_or_span_rejected(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval"):
+            integrate_lv(PAIR, [2.0], [1.0], 1.0, t_eval=t_eval)
+
+    def test_grid_point_at_the_end_sampled(self):
+        # the grid does not move the steps, so t_end reads the same state
+        # as on the default grid
+        traj = integrate_lv(PAIR, [2.0], [1.0], 1.0, t_eval=[0.25, 1.0])
+        assert traj.t.tolist() == [0.25, 1.0]
+        end = integrate_lv(PAIR, [2.0], [1.0], 1.0).states[-1]
+        assert traj.states[-1].tobytes() == end.tobytes()
+
+    @pytest.mark.parametrize("t_eval, kept", [
+        ([0.0, 3.0, 6.9, 7.1, 20.0], [0.0, 3.0, 6.9]),
+        ([7.1, 20.0], [])], ids=["some", "none"])
+    def test_no_samples_after_a_terminal_stop(self, t_eval, kept):
+        # ln x grows at rate 100 and is stopped at t = 7; a grid wholly
+        # after the stop used to fail on solve_ivp's empty sample list
+        system = InteractionSystem(r=[-100.0], rbar=[0.0], A=[[0.0]],
+                                   B=[[0.0]])
+        traj = integrate_lv(system, [1.0], [1.0], 50.0, t_eval=t_eval)
+        assert traj.meta["escape_reason"] == "clamp"
+        assert traj.t.tolist() == kept
+        assert traj.states.shape == (len(kept), 2)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, x0):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_lv(PAIR, [x0], [1.0], 1.0)
 
     def test_averaged_meta_names_the_run(self):
         avg = evolve_averaged(self.ENV, self.START, 0.5, n_samples=11)
@@ -829,3 +893,96 @@ class TestPinnedTrajectories:
             "hub", "hub-limited", "burst"])
     def test_trajectory_bytes_pinned(self, run, digest):
         assert trajectory_digest(run()) == digest
+
+
+def run_digest(arrays, stop_time, nfev):
+    """sha256 of the arrays' bytes, the stop time as float.hex() (or None)
+    and nfev; trajectory_digest stays as it is, so its pins hold."""
+    h = hashlib.sha256()
+    for part in arrays:
+        h.update(np.ascontiguousarray(part).tobytes())
+    h.update(str(None if stop_time is None else stop_time.hex()).encode())
+    h.update(str(nfev).encode())
+    return h.hexdigest()
+
+
+def escape_digest(traj):
+    return run_digest((traj.t, traj.states), traj.escape_time,
+                      traj.meta["nfev"])
+
+
+def clamp_run():
+    """A DOP853 clamp escape, sampled up to the root of its exponent stop:
+    ln x grows at rate 100 + v while x, once near e^700, drains v."""
+    system = InteractionSystem(r=[-100.0], rbar=[0.0], A=[[1.0]],
+                               B=[[1e-304]])
+    return integrate_lv(system, [1.0], [2.0], 50.0)
+
+
+def diverged_run():
+    """x' = x^2 from x = 0.01, which blows up at T = 100 (a case of
+    test_blow_up_diverges_at_closed_form_time)."""
+    system = InteractionSystem(r=[0.0], rbar=[0.0], A=[[0.0]], B=[[0.0]],
+                               Gamma=[[-1.0]])
+    return integrate_lv(system, [0.01], [1.0], 201.0)
+
+
+def irregular_grid_run():
+    """Uneven samples that end before t_end."""
+    system, _, rng = damped_factorizable(1)
+    return integrate_lv(system, rng.uniform(0.5, 1.5, system.N),
+                        rng.uniform(0.5, 1.5, system.M), 10.0,
+                        t_eval=[0.0, 0.1, 0.35, 1.0, 2.5, 2.6, 7.0])
+
+
+def stabilized_run():
+    """The damped unit star averaged to tau = 1, which ends "stabilized"."""
+    env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                          b=CoefficientPath.constant([1.0]),
+                          rbar=CoefficientPath.constant(1.0), mu=1.0,
+                          epsilon=0.01, dbar=1.0)
+    avg = evolve_averaged(env, AveragedState(tau=0.0, E=3.0, Cbar=[1.0]), 1.0)
+    event, = avg.events
+    assert event.kind == "stabilized"
+    return run_digest((avg.tau, avg.E, avg.Cbar), event.tau, avg.meta["nfev"])
+
+
+def slow_fast_run():
+    """The unit star under a damped, slowly tilted environment to t = 10."""
+    env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
+                          b=CoefficientPath.constant([1.0]),
+                          rbar=CoefficientPath.from_callable(
+                              lambda tau: 1.0 + tau, lambda tau: 1.0),
+                          mu=1.0, epsilon=0.01, dbar=0.5)
+    traj = simulate_slow_fast(env, 0.0, 0.5, [1.0], 10.0, n_samples=101)
+    return run_digest((traj.t, traj.states, traj.energy), traj.escape_time,
+                      traj.meta["nfev"])
+
+
+class TestPinnedRuns:
+    """The paths of the adaptive driver that TestPinnedTrajectories does not
+    reach keep their bytes too: a terminal root and the samples up to it, a
+    diverged stop, an uneven grid, and the RK45 and slow-fast runs.  The
+    digests add the stop time's hex, so a root that moves one ulp fails."""
+
+    @pytest.mark.parametrize("run, reason, digest", [
+        (clamp_run, "clamp",
+         "e9946833d5557b8be1126701229f9e4925a6be6e0948e9a2ab3508391310aab0"),
+        (diverged_run, "diverged",
+         "93adaf63cee369321979f3844d816e77d218aef14377e71c1bf597e2d41ba35c"),
+        (irregular_grid_run, None,
+         "c4f8a8e8efc1d0f0cdc5610ad777e7b6f9d45f9ce071d3dd333b38277f2c48c2"),
+    ], ids=["clamp", "diverged", "irregular-grid"])
+    def test_lv_run_bytes_pinned(self, run, reason, digest):
+        traj = run()
+        assert traj.meta["escape_reason"] == reason
+        assert escape_digest(traj) == digest
+
+    @pytest.mark.parametrize("run, digest", [
+        (stabilized_run,
+         "49a3a4da820e4c8fd6472678a552df2bc66dad92fa19b00a01002b65b3718947"),
+        (slow_fast_run,
+         "94cb29b4594d837733475fa08e3c22ba48c14d1ccc1a711de47ee3d03e32b58b"),
+    ], ids=["averaged-stabilized", "slow-fast"])
+    def test_run_bytes_pinned(self, run, digest):
+        assert run() == digest
