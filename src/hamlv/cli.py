@@ -329,6 +329,8 @@ def _cmd_ensemble(args):
     from .ensemble import (curve_to_csv, orbit_probability_curve,
                            stability_census, cone_feasibility_frequency)
     from .persistence import RandomMatrixModel, positive_solution_frequency
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     seed = _resolve_seed(args)
     out = _out_dir(args)
     outputs = ["report.json"]

@@ -16,13 +16,14 @@ that fails linprog's own check of bounds and rows) gives no witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .util import run_indexed_trials, wilson_interval
+from .util import trial_rng, wilson_interval
 
 # Every witness lies in the LP's box (a cone that needs more is degenerate)
 # and meets a polished LP witness's relative residual; a rank check allows
@@ -334,102 +335,169 @@ def adaptive_solve(B, r, rho_signs=None):
     return AdaptiveSolution(feasible=True, sigma=w, rho=rho)
 
 
-def _sample_indices(rng, m, take):
-    """``rng.choice(m, take, replace=False).tolist()``, drawn the way it draws.
+def _sample_indices(source, streams, m, take):
+    """Each stream's ``rng.choice(m, take, replace=False)``, drawn the way it
+    draws, for all streams at once: row r of the result holds the picks of
+    stream ``streams[r]`` in its first ``take[r]`` places.
 
     For all but very large samples numpy runs Floyd's algorithm (Bentley &
     Floyd 1987), then a Fisher-Yates shuffle of the picks, each step one
-    bounded-integer draw; making those draws here consumes the stream as
-    ``choice`` does without its per-call setup.  The large case numpy handles
+    bounded-integer draw; making those draws here consumes each stream as
+    ``choice`` does without its per-call setup.  Step t of a stream's Floyd
+    loop draws in [0, j] for j = m - take + t, and step u of its shuffle
+    swaps place take - 1 - u with a draw in [0, take - 1 - u], so the
+    streams run the same step together.  The large case numpy handles
     otherwise (m > 10000, take > m // 50) stays with ``choice``.
     """
-    if m > 10000 and take > m // 50:
-        return rng.choice(m, size=take, replace=False).tolist()
-    picks, seen = [], set()
-    for j in range(m - take, m):
-        v = int(rng.integers(0, j + 1))
-        if v in seen:  # a repeat takes j, which no earlier step can reach
-            v = j
-        picks.append(v)
-        seen.add(v)
-    for k in range(take - 1, 0, -1):
-        s = int(rng.integers(0, k + 1))
-        picks[k], picks[s] = picks[s], picks[k]
+    picks = np.empty((len(streams), int(take.max())), dtype=np.intp)
+    if m.max() > 10000:
+        large = (m > 10000) & (take > m // 50)
+        for r in np.flatnonzero(large):
+            picks[r, :take[r]] = source.choice(streams[r], m[r], take[r])
+        take = np.where(large, 0, take)
+    for t in range(picks.shape[1]):
+        on = np.flatnonzero(take > t)
+        j = m[on] - take[on] + t
+        v = source.integers(streams[on], j + 1)
+        # a repeat takes j, which no earlier step can reach
+        seen = (picks[on, :t] == v[:, None]).any(axis=1)
+        picks[on, t] = np.where(seen, j, v)
+    for u in range(picks.shape[1] - 1):
+        on = np.flatnonzero(take - u > 1)
+        k = take[on] - 1 - u
+        s = source.integers(streams[on], k + 1)
+        picks[on, k], picks[on, s] = picks[on, s], picks[on, k]
     return picks
 
 
-class _Pcg64Draws:
+class _Pcg64Streams:
     """``Generator.integers(low, high)`` and ``Generator.uniform(low, high,
-    size)`` of a PCG64 Generator, read from its words: the same values in the
-    same order, without a Generator call per value.
+    size)`` of many PCG64 Generators at once, read from their words: for
+    each stream the same values in the same order, without a Generator call
+    per value.  Stream s is the s-th generator; every call names its
+    streams, each at most once, and gives each its own range or count.
 
     numpy draws an integer in a range of at most 2**32 values by Lemire's
     method (Lemire 2019) on 32-bit halves of the 64-bit PCG64 words, the low
     half first and the high half kept for the next such draw; a range of one
-    value draws nothing.  A uniform double takes the top 53 bits of a whole
-    word and leaves a kept half where it is.  Words come in blocks from
-    ``random_raw``, which run past the last one used, so ``close`` restores
-    the generator, advances it by the words used and sets the kept half: the
-    state the Generator calls would have left.
+    value draws nothing.  A rejected draw is drawn again, so the rejection
+    loop runs over the rejected streams only.  A uniform double takes the
+    top 53 bits of a whole word and leaves a kept half where it is.  Each
+    stream has its own word pointer and kept half.  Words come in blocks
+    from ``random_raw``, a block for every stream whenever one runs out,
+    and run past the last one used, so ``close`` restores each generator,
+    advances it by the words it used and sets its kept half: the state the
+    Generator calls would have left.
     """
 
-    def __init__(self, bit_generator, block):
-        self._bitgen, self._block = bit_generator, block
-        self._start = bit_generator.state
-        self._has_half = self._start["has_uint32"]
-        self._half = self._start["uinteger"]
-        self._words = []     # the unused words of the last block, next last
-        self._fetched = 0
+    def __init__(self, bit_generators, block):
+        self._bitgens, self._block = bit_generators, block
+        self._starts = [bitgen.state for bitgen in bit_generators]
+        self._has_half = np.array([state["has_uint32"]
+                                   for state in self._starts], dtype=bool)
+        self._half = np.array([state["uinteger"] for state in self._starts],
+                              dtype=np.uint64)
+        self._words = np.array([bitgen.random_raw(block)
+                                for bitgen in bit_generators])
+        self._next = np.zeros(len(bit_generators), dtype=np.intp)
 
-    def _refill(self, size):
-        """Fetch a block of at least size words behind the unused ones."""
-        fresh = self._bitgen.random_raw(max(size, self._block)).tolist()
-        fresh.reverse()
-        self._fetched += len(fresh)
-        self._words = fresh + self._words
+    def _reserve(self, ends):
+        """Fetch blocks of words for every stream until each holds at least
+        as many words as the largest of ends."""
+        while ends.max() > self._words.shape[1]:
+            self._words = np.hstack((self._words, [
+                bitgen.random_raw(self._block) for bitgen in self._bitgens]))
 
-    def integers(self, low, high):
-        """numpy's ``buffered_bounded_lemire_uint32`` for high - low values."""
-        span = high - low
-        if span == 1:
-            return low
-        threshold = (0x100000000 - span) % span
-        while True:
-            if self._has_half:
-                self._has_half = 0
-                m = self._half * span
-            else:
-                try:
-                    word = self._words.pop()
-                except IndexError:
-                    self._refill(1)
-                    word = self._words.pop()
-                self._has_half, self._half = 1, word >> 32
-                m = (word & 0xFFFFFFFF) * span
-            if m & 0xFFFFFFFF >= threshold:
-                return low + (m >> 32)
+    def _halves(self, streams):
+        """The next 32-bit half of each stream: its kept half, or the low
+        half of its next word, whose high half it then keeps."""
+        has = self._has_half[streams]
+        self._has_half[streams] = ~has
+        out = self._half[streams]
+        fresh = streams[~has]
+        if fresh.size:
+            at = self._next[fresh]
+            self._reserve(at + 1)
+            words = self._words[fresh, at]
+            self._next[fresh] = at + 1
+            out[~has] = words & 0xFFFFFFFF
+            self._half[fresh] = words >> 32
+        return out
 
-    def uniform(self, low, high, size):
-        """numpy's ``random_uniform``: low + (high - low) times the double of
-        a word's top 53 bits, as a list."""
-        if len(self._words) < size:
-            self._refill(size)
+    def integers(self, streams, spans):
+        """numpy's ``buffered_bounded_lemire_uint32``: for each stream a
+        value in [0, span), as int64.  A draw whose low 32 bits fall below
+        (2**32 - span) % span is rejected; that bound is below span, which
+        is checked first, as numpy does."""
+        if spans.min() < 2:
+            out = np.zeros(len(streams), dtype=np.int64)
+            drawn = spans > 1
+            if drawn.any():
+                out[drawn] = self.integers(streams[drawn], spans[drawn])
+            return out
+        span = spans.astype(np.uint64)
+        m = self._halves(streams) * span
+        out = (m >> 32).astype(np.int64)
+        low = m & 0xFFFFFFFF
+        near = np.flatnonzero(low < span)
+        if near.size:
+            again = near[low[near] < (2 ** 32 - span[near]) % span[near]]
+            if again.size:
+                out[again] = self.integers(streams[again], spans[again])
+        return out
+
+    def uniform(self, streams, counts, low, high):
+        """numpy's ``random_uniform``: counts[k] values of stream streams[k],
+        each low + (high - low) times the double of a word's top 53 bits,
+        concatenated in stream order."""
+        starts = self._next[streams]
+        ends = starts + counts
+        self._reserve(ends)
+        owner = np.repeat(streams, counts)
+        at = (np.arange(owner.size)
+              + np.repeat(starts - (np.cumsum(counts) - counts), counts))
+        words = self._words[owner, at]
+        self._next[streams] = ends
         low = float(low)
         span = float(high) - low
-        pop = self._words.pop
-        return [low + span * ((pop() >> 11) * 2.0 ** -53) for _ in range(size)]
+        return low + span * ((words >> 11) * 2.0 ** -53)
 
     def close(self):
-        bitgen = self._bitgen
-        bitgen.state = self._start
-        bitgen.advance(self._fetched - len(self._words))
-        state = bitgen.state  # advance clears the kept half
-        state["has_uint32"], state["uinteger"] = self._has_half, self._half
-        bitgen.state = state
+        for s, bitgen in enumerate(self._bitgens):
+            bitgen.state = self._starts[s]
+            bitgen.advance(int(self._next[s]))
+            state = bitgen.state  # advance clears the kept half
+            state["has_uint32"] = int(self._has_half[s])
+            state["uinteger"] = int(self._half[s])
+            bitgen.state = state
+
+
+class _GeneratorCalls:
+    """``_Pcg64Streams``' interface over any Generators: one ``integers``
+    call per value and one ``uniform`` call per stream and request."""
+
+    def __init__(self, rngs):
+        self._rngs = rngs
+
+    def integers(self, streams, spans):
+        return np.array([self._rngs[s].integers(0, span) for s, span
+                         in zip(streams.tolist(), spans.tolist())],
+                        dtype=np.int64)
+
+    def uniform(self, streams, counts, low, high):
+        return np.concatenate([
+            np.asarray(self._rngs[s].uniform(low, high, count), dtype=float)
+            for s, count in zip(streams.tolist(), counts.tolist())])
+
+    def choice(self, stream, m, take):
+        return self._rngs[stream].choice(m, size=take, replace=False)
+
+    def close(self):
+        pass
 
 
 def _reads_pcg64(rng, n, max_row):
-    """Whether the sparse draw may read rng's words with ``_Pcg64Draws``.
+    """Whether the sparse draw may read rng's words with ``_Pcg64Streams``.
 
     Only a plain PCG64 Generator, and only integer ranges of at most 2**32
     values: n bounds the sampled ranges, max_row the row draw.  Past 10000
@@ -443,6 +511,14 @@ def _reads_pcg64(rng, n, max_row):
             and (n <= 10000 or max_row <= 201))
 
 
+def _stream_source(rngs, n, max_row):
+    """The word reader over rngs when every one of them may be read, else
+    the Generator calls."""
+    if all(_reads_pcg64(rng, n, max_row) for rng in rngs):
+        return _Pcg64Streams([rng.bit_generator for rng in rngs], 3 * n + 8)
+    return _GeneratorCalls(rngs)
+
+
 @dataclass(frozen=True)
 class RandomMatrixModel:
     """Ensemble for the positive-solution frequency experiment.
@@ -451,13 +527,17 @@ class RandomMatrixModel:
     permutation (every row and column nonzero) plus extra entries added per
     row up to max_row_nonzero, respecting max_col_nonzero.
     kind "dense_gaussian": all entries standard normal.
+    The model is checked when it is built: a known kind, a finite K > 0 and
+    integer caps of at least 1.
 
-    The sparse draw consumes the generator exactly as picking each row's
+    The sparse draw consumes each generator exactly as picking each row's
     extra columns with ``Generator.choice(open_cols, take, replace=False)``
     does: it makes the same bounded-integer and uniform draws in the same
     order, so a seed gives the same matrix bytes and leaves the generator in
-    the same state.  After the permutation and the base entries, a plain
-    PCG64 Generator is read word by word (``_Pcg64Draws``); any other
+    the same state.  ``_draw_block`` draws the matrices of many generators
+    in lockstep, one row of all of them at a time; ``draw`` is a block of
+    one.  After the permutations and the base entries, plain PCG64
+    Generators are read word by word (``_Pcg64Streams``); any other
     generator gets one ``integers`` or ``uniform`` call per value.
     ``tests/oracle.py`` keeps the ``choice`` draw, and the test comparing the
     two catches a numpy release that samples differently.
@@ -468,85 +548,118 @@ class RandomMatrixModel:
     max_row_nonzero: int = 3
     max_col_nonzero: int = 3
 
-    def draw(self, rng, n):
-        if self.kind == "dense_gaussian":
-            return rng.standard_normal((n, n))
-        if self.kind != "sparse_uniform":
+    def __post_init__(self):
+        if self.kind not in ("sparse_uniform", "dense_gaussian"):
             raise ValueError(f"unknown matrix model {self.kind!r}")
-        K, cap, max_row = self.K, self.max_col_nonzero, self.max_row_nonzero
-        perm = rng.permutation(n)
-        base = rng.uniform(-K, K, n)
-        draws = (_Pcg64Draws(rng.bit_generator, 3 * n + 8)
-                 if _reads_pcg64(rng, n, max_row) else rng)
-        counts = [1] * n
-        below_cap = list(range(n)) if cap > 1 else []  # ascending
-        rows, cols, vals = [], [], []
+        if not (isinstance(self.K, numbers.Real) and math.isfinite(self.K)
+                and self.K > 0):
+            raise ValueError(f"K must be finite and positive, got {self.K!r}")
+        for name in ("max_row_nonzero", "max_col_nonzero"):
+            cap = getattr(self, name)
+            if not (isinstance(cap, numbers.Integral) and cap >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {cap!r}")
+
+    def draw(self, rng, n):
+        return self._draw_block([rng], n)[0]
+
+    def _draw_block(self, rngs, n):
+        """The (len(rngs), n, n) stack of the matrices ``draw`` gives for
+        each generator, each generator left where ``draw`` leaves it."""
+        A = np.zeros((len(rngs), n, n))
+        if self.kind == "dense_gaussian":
+            for s, rng in enumerate(rngs):
+                A[s] = rng.standard_normal((n, n))
+            return A
+        K, cap = self.K, self.max_col_nonzero
+        perms = np.array([rng.permutation(n) for rng in rngs])
+        base = np.array([rng.uniform(-K, K, n) for rng in rngs])
+        A[np.arange(len(rngs))[:, None], np.arange(n), perms] = base
+        source = _stream_source(rngs, n, self.max_row_nonzero)
+        streams = np.arange(len(rngs))
+        spans = np.full(len(rngs), self.max_row_nonzero)
+        counts = np.ones((len(rngs), n), dtype=np.intp)  # entries per column
         try:
-            for i, (col, value) in enumerate(zip(perm.tolist(),
-                                                 base.tolist())):
+            for i in range(n):
                 # entries beyond the base one
-                extra = int(draws.integers(0, max_row))
-                if extra <= 0:
+                extra = source.integers(streams, spans)
+                live = np.flatnonzero(extra > 0)
+                # the row's open columns: those below the cap, less the base
+                # column unless its entry was drawn as exactly zero
+                open_cols = counts[live] < cap
+                open_cols[np.arange(live.size), perms[live, i]] &= (
+                    base[live, i] == 0.0)
+                m = open_cols.sum(axis=1)
+                live, open_cols, m = live[m > 0], open_cols[m > 0], m[m > 0]
+                if not live.size:
                     continue
-                # the row's open columns: those below the cap, less the
-                # base column unless its entry was drawn as exactly zero; an
-                # index at or past the base column's place maps one further
-                m = skip = len(below_cap)
-                if value != 0.0:
-                    at = bisect_left(below_cap, col)
-                    if at < m and below_cap[at] == col:
-                        skip = at
-                        m -= 1
-                if not m:
-                    continue
-                take = min(extra, m)
-                chosen = [below_cap[k + (k >= skip)]
-                          for k in _sample_indices(draws, m, take)]
-                rows += [i] * take
-                cols += chosen
-                vals.extend(draws.uniform(-K, K, take))
-                for j in chosen:
-                    counts[j] += 1
-                    if counts[j] == cap:
-                        below_cap.remove(j)
+                take = np.minimum(extra[live], m)
+                picks = _sample_indices(source, live, m, take)
+                # pick k of a stream is its k-th open column; nonzero lists
+                # the open columns stream by stream, each in ascending order
+                picks += (np.cumsum(m) - m)[:, None]
+                cols = np.nonzero(open_cols)[1][
+                    picks[np.arange(picks.shape[1]) < take[:, None]]]
+                owner = np.repeat(live, take)
+                # after the base entries: an extra may fill a zero base slot
+                A[owner, i, cols] = source.uniform(live, take, -K, K)
+                counts[owner, cols] += 1
         finally:
-            if draws is not rng:
-                draws.close()
-        A = np.zeros((n, n))
-        A[np.arange(n), perm] = base
-        if rows:  # after the base entries: an extra may fill a zero base slot
-            A[rows, cols] = vals
+            source.close()
         return A
+
+
+# The matrix stack of one block of positive-frequency trials stays within
+# this many bytes; one N x N matrix takes 8 N^2.  A larger block pays the
+# draw's row loop fewer times; 3 MiB (245 matrices at N = 40) keeps the rise
+# in a process's peak memory to a few MB.
+_BLOCK_BYTES = 3 * 2 ** 20
+
+
+def _block_size(N):
+    """Trials per block: as many N x N matrices as fit in ``_BLOCK_BYTES``,
+    at least one."""
+    return max(1, _BLOCK_BYTES // (8 * N * N))
+
+
+def _positive_solutions(stack):
+    """For each matrix A of the stack, whether A y = 1 has a finite solution
+    y > 0.  One batched solve; if a singular matrix makes it raise, the
+    matrices are solved one at a time and a singular one reads False."""
+    try:
+        y = np.linalg.solve(stack, np.ones(stack.shape[:2] + (1,)))
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return [False]
+        return [_positive_solutions(A[None])[0] for A in stack]
+    return np.all(np.isfinite(y) & (y > 0), axis=(1, 2)).tolist()
 
 
 def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     """Monte Carlo frequency of {A Y = 1 solvable with Y > 0}, Wilson 95% CI.
 
     1 is the all-ones vector; per-trial RNG streams keyed by the master seed
-    make the outcome independent of the worker count.  A trial draws its
-    matrix from its PCG64 stream word by word (``RandomMatrixModel``), the
-    same matrix the Generator calls give, and then makes one small dense
-    solve.  Trials run on the calling thread: the draw and the solve hold
-    the GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
+    make the outcome independent of the worker count.  Trials run in blocks
+    of equal size, at most ``_block_size(N)``, so that a block's matrices
+    stay within ``_BLOCK_BYTES``.  A block's matrices are drawn in lockstep,
+    each from its own PCG64 stream read word by word (``RandomMatrixModel``):
+    the same matrices the Generator calls give.  One batched dense solve
+    then decides the block, or, when a singular matrix makes it fail, one
+    solve a trial.  Trials run on the calling thread: the draw and the solve
+    hold the GIL, so ``parallel`` (an upper limit on worker threads) is
+    ignored.
     """
     if N < 1 or trials < 1:
         raise ValueError(f"N and trials must be >= 1, got N = {N}, "
                          f"trials = {trials}")
     model = RandomMatrixModel() if model is None else model
-    rhs = np.ones(N)
-
-    def trial(rng, i):
-        A = model.draw(rng, N)
-        try:
-            y = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(y)):
-            return False
-        return bool(np.all(y > 0))
-
-    outcomes = run_indexed_trials(trials, seed, trial)
-    k = int(sum(outcomes))
+    blocks = -(-trials // _block_size(N))
+    ends = [trials * b // blocks for b in range(blocks + 1)]
+    outcomes = []
+    for first, end in zip(ends, ends[1:]):
+        rngs = [trial_rng(seed, i) for i in range(first, end)]
+        outcomes += _positive_solutions(model._draw_block(rngs, N))
+    k = sum(outcomes)
     lo, hi = wilson_interval(k, trials)
     return {"N": N, "trials": trials, "hits": k, "frequency": k / trials,
-            "ci_low": lo, "ci_high": hi, "outcomes": [bool(o) for o in outcomes]}
+            "ci_low": lo, "ci_high": hi, "outcomes": outcomes}

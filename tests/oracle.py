@@ -122,6 +122,28 @@ def choice_sparse_draw(model, rng, n):
     return A
 
 
+def choice_draw(model, rng, n):
+    """A matrix of ``RandomMatrixModel`` drawn with the Generator calls:
+    ``choice_sparse_draw``, or n x n standard normals."""
+    if model.kind == "dense_gaussian":
+        return rng.standard_normal((n, n))
+    return choice_sparse_draw(model, rng, n)
+
+
+def positive_outcomes(matrices):
+    """For each matrix A, whether its own dense solve of A y = 1 gives a
+    finite y > 0; a singular A reads False."""
+    out = []
+    for A in matrices:
+        try:
+            y = np.linalg.solve(A, np.ones(len(A)))
+        except np.linalg.LinAlgError:
+            out.append(False)
+            continue
+        out.append(bool(np.all(np.isfinite(y)) and np.all(y > 0)))
+    return out
+
+
 def dense_max_min_entry(A_eq, b_eq, cap=1e4):
     """``persistence._max_min_entry`` with dense constraint blocks and
     ``linprog(method="highs")``."""

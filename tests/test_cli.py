@@ -671,6 +671,15 @@ class TestNonFiniteParameters:
           "--samples", "0"], "n_samples must be at least 2"),
         (["simulate", "--input", "{system}", "--state", "{state}",
           "--samples", "1"], "n_samples must be at least 2"),
+        # a worker count below one used to exit 0
+        (["ensemble", "census", "--trials", "3", "--workers", "0"],
+         "workers must be >= 1"),
+        (["ensemble", "curve", "--trials", "3", "--workers", "-3"],
+         "workers must be >= 1"),
+        (["ensemble", "cone-frequency", "--trials", "3", "--workers", "0"],
+         "workers must be >= 1"),
+        (["ensemble", "positive-frequency", "--trials", "3", "--workers",
+          "-3"], "workers must be >= 1"),
     ])
     def test_parameter_named(self, tmp_path, capsys, inputs, argv, message):
         assert main([a.format(**inputs) for a in argv]

@@ -17,8 +17,8 @@ from hamlv.persistence import (RandomMatrixModel, _cone_verdict,
 from hamlv.star import StarSystem, persistence_criteria
 from hamlv.ensemble import cone_feasibility_frequency
 from hamlv.util import json_bytes, trial_rng
-from oracle import (choice_sparse_draw, dense_max_min_entry,
-                    linprog_adaptive_solve)
+from oracle import (choice_draw, choice_sparse_draw, dense_max_min_entry,
+                    linprog_adaptive_solve, positive_outcomes)
 
 
 class TestConeCondition:
@@ -359,6 +359,24 @@ def assert_draws_match(model, n, make_rng):
     assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
+def twin_generators(seeds):
+    """Two equal PCG64 Generators for each seed; odd seeds start with a
+    32-bit half kept from an earlier draw."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    refs = [np.random.default_rng(seed) for seed in seeds]
+    for seed, rng, ref in zip(seeds, rngs, refs):
+        if seed % 2:
+            rng.integers(0, 3)
+            ref.integers(0, 3)
+    return rngs, refs
+
+
+def choice_block(model, rngs, n):
+    """``RandomMatrixModel._draw_block`` made of the Generator-call draws."""
+    return np.array([choice_draw(model, rng, n)
+                     for rng in rngs]).reshape(len(rngs), n, n)
+
+
 class TestSparseDrawStream:
     """The sparse draw makes Generator.choice's draws itself."""
 
@@ -379,6 +397,18 @@ class TestSparseDrawStream:
         model = RandomMatrixModel(K=K, max_row_nonzero=max_row,
                                   max_col_nonzero=max_col)
         assert_draws_match(model, n, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("caps", CAPS + ((2, 7),))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_block_is_each_draw(self, caps, n):
+        # 60 streams in lockstep, half of them starting with a kept half
+        model = RandomMatrixModel(max_row_nonzero=caps[0],
+                                  max_col_nonzero=caps[1])
+        rngs, refs = twin_generators(range(100 * n, 100 * n + 60))
+        block = model._draw_block(rngs, n)
+        for A, rng, ref in zip(block, rngs, refs):
+            assert A.tobytes() == choice_sparse_draw(model, ref, n).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("caps", ((3, 3), (6, 6), (5, 2)))
     def test_zero_base_entry_leaves_its_column_open(self, caps):
@@ -402,55 +432,181 @@ class TestSparseDrawStream:
     @pytest.mark.parametrize("m, take", [(1, 1), (2, 2), (5, 3), (40, 2),
                                          (20000, 100), (10001, 300)])
     def test_sample_indices_is_choice(self, m, take):
-        # (10001, 300) is the case numpy samples without Floyd's algorithm
+        # (10001, 300) is the case numpy samples without Floyd's algorithm;
+        # the word reader leaves it to the Generator calls
         for seed in range(5):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert (_sample_indices(rng, m, take)
+            source = persistence._stream_source([rng], m, take + 1)
+            picks = _sample_indices(source, np.array([0]), np.array([m]),
+                                    np.array([take]))
+            source.close()
+            assert (picks[0].tolist()
                     == ref.choice(m, size=take, replace=False).tolist())
             assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
-    @pytest.mark.parametrize("N, model", [
-        (40, RandomMatrixModel()),
-        (10, RandomMatrixModel(K=2.5, max_row_nonzero=6, max_col_nonzero=6)),
-        (1, RandomMatrixModel())])
-    def test_frequency_unchanged_with_choice_draw(self, monkeypatch, N, model):
-        res = positive_solution_frequency(N, 300, model=model, seed=21)
-        monkeypatch.setattr(RandomMatrixModel, "draw", choice_sparse_draw)
-        assert positive_solution_frequency(N, 300, model=model, seed=21) == res
+    def test_sample_indices_of_many_streams(self):
+        # each stream its own population and sample size, as in one row
+        m = np.array([1, 2, 5, 40, 40, 7, 300, 3] * 4)
+        take = np.array([1, 2, 3, 2, 1, 7, 5, 1] * 4)
+        rngs = [np.random.default_rng(s) for s in range(m.size)]
+        refs = [np.random.default_rng(s) for s in range(m.size)]
+        source = persistence._stream_source(rngs, 300, 8)
+        assert isinstance(source, persistence._Pcg64Streams)
+        picks = _sample_indices(source, np.arange(m.size), m, take)
+        source.close()
+        for row, ref, size, count in zip(picks, refs, m, take):
+            assert (row[:count].tolist()
+                    == ref.choice(size, size=count, replace=False).tolist())
+        for rng, ref in zip(rngs, refs):
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    # hits > 0 at N = 5 and 10; 2 blocks + 3 trials run as three blocks
+    @pytest.mark.parametrize("N, trials, model, seed", [
+        (40, 300, RandomMatrixModel(), 21),
+        (10, 300, RandomMatrixModel(K=2.5, max_row_nonzero=6,
+                                    max_col_nonzero=6), 21),
+        (1, 300, RandomMatrixModel(), 21),
+        (5, 2000, RandomMatrixModel(), 707),
+        (10, 2000, RandomMatrixModel(), 1),
+        (40, 2 * persistence._block_size(40) + 3, RandomMatrixModel(), 3),
+        (8, 300, RandomMatrixModel(kind="dense_gaussian"), 4)],
+        ids=["40-model0", "10-model1", "1-model2", "5-hits", "10-hits",
+             "40-three-blocks", "dense_gaussian"])
+    def test_frequency_unchanged_with_choice_draw(self, monkeypatch, N,
+                                                  trials, model, seed):
+        # the outcomes of one Generator-call draw and one solve a trial, and
+        # the same report with those draws put in at the block draw
+        res = positive_solution_frequency(N, trials, model=model, seed=seed)
+        assert res["outcomes"] == positive_outcomes(
+            choice_draw(model, trial_rng(seed, i), N) for i in range(trials))
+        monkeypatch.setattr(RandomMatrixModel, "_draw_block", choice_block)
+        assert positive_solution_frequency(N, trials, model=model,
+                                           seed=seed) == res
 
 
-def reader_and_calls(seed, block):
-    """A PCG64 Generator read by _Pcg64Draws and a twin that makes the calls;
-    odd seeds start with a 32-bit half kept from an earlier draw."""
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    if seed % 2:
-        rng.integers(0, 3)
-        ref.integers(0, 3)
-    return rng, persistence._Pcg64Draws(rng.bit_generator, block), ref
+class TestFrequencyBlocks:
+    """positive_solution_frequency draws and solves its trials in blocks; the
+    outcomes are those of one Generator-call draw and one solve a trial."""
+
+    def test_hits_across_blocks(self, monkeypatch):
+        # a budget of 64 matrices at N = 5: 131 trials in three blocks
+        model = RandomMatrixModel()
+        monkeypatch.setattr(persistence, "_BLOCK_BYTES", 64 * 8 * 5 * 5)
+        res = positive_solution_frequency(5, 2 * 64 + 3, model=model,
+                                          seed=707)
+        assert res["hits"] > 0
+        assert res["outcomes"] == positive_outcomes(
+            choice_draw(model, trial_rng(707, i), 5)
+            for i in range(2 * 64 + 3))
+
+    def test_singular_matrix_reads_false(self, monkeypatch):
+        N, trials, seed = 5, 300, 707
+        model = RandomMatrixModel()
+        hit = positive_solution_frequency(N, trials, seed=seed)[
+            "outcomes"].index(True)
+        matrices = [model.draw(trial_rng(seed, i), N) for i in range(trials)]
+        matrices[hit][0] = 0.0
+        draw_block = RandomMatrixModel._draw_block
+
+        def with_singular(self, rngs, n):
+            stack = draw_block(self, rngs, n)
+            stack[hit, 0] = 0.0  # a zero row: LU meets an exact zero pivot
+            return stack
+
+        monkeypatch.setattr(RandomMatrixModel, "_draw_block", with_singular)
+        res = positive_solution_frequency(N, trials, seed=seed)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(matrices), np.ones((trials, N, 1)))
+        assert res["outcomes"][hit] is False
+        assert res["outcomes"] == positive_outcomes(matrices)
+
+    @pytest.mark.parametrize("N", (40, 200))
+    def test_block_stack_within_budget(self, monkeypatch, N):
+        stacks = []
+        solve = persistence._positive_solutions
+
+        def spy(stack):
+            stacks.append(stack.shape)
+            return solve(stack)
+
+        monkeypatch.setattr(persistence, "_positive_solutions", spy)
+        trials = 2 * persistence._block_size(N) + 3
+        positive_solution_frequency(N, trials, seed=0)
+        assert len(stacks) == 3
+        assert sum(shape[0] for shape in stacks) == trials
+        for shape in stacks:
+            assert shape[1:] == (N, N)
+            assert 8 * shape[0] * N * N <= persistence._BLOCK_BYTES
+
+
+class TestModelFields:
+    @pytest.mark.parametrize("fields, name", [
+        (dict(max_col_nonzero=0), "max_col_nonzero"),
+        (dict(max_row_nonzero=0), "max_row_nonzero"),
+        (dict(max_row_nonzero=-2), "max_row_nonzero"),
+        (dict(max_col_nonzero=2.5), "max_col_nonzero"),
+        (dict(max_row_nonzero=3.0), "max_row_nonzero"),
+        (dict(K=float("nan")), "K"),
+        (dict(K=float("inf")), "K"),
+        (dict(K=-1.0), "K"),
+        (dict(K=0.0), "K"),
+        (dict(K="1"), "K"),
+        (dict(kind="sparse"), "matrix model")])
+    def test_rejected_when_built(self, fields, name):
+        # these used to draw matrices above the column cap, or to fail
+        # inside numpy only when a matrix was drawn
+        with pytest.raises(ValueError, match=name):
+            RandomMatrixModel(**fields)
+
+    def test_integer_caps_accepted(self):
+        model = RandomMatrixModel(K=2, max_row_nonzero=np.int64(2),
+                                  max_col_nonzero=1)
+        assert_draws_match(model, 10, lambda: np.random.default_rng(5))
+
+
+def reader_and_calls(seeds, block):
+    """PCG64 Generators read together by _Pcg64Streams and twins that make
+    the calls (``twin_generators``)."""
+    rngs, refs = twin_generators(seeds)
+    return (rngs, persistence._Pcg64Streams(
+        [rng.bit_generator for rng in rngs], block), refs)
 
 
 class TestPcg64Draws:
-    """The word reader gives Generator.integers' and Generator.uniform's
-    values and leaves the generator where the calls leave it."""
+    """The word reader gives each stream Generator.integers' and
+    Generator.uniform's values and leaves each generator where the calls
+    leave it."""
 
     # 2**31 + 1 rejects about half of the 32-bit draws; 2**32 takes them
-    # whole.  A uniform takes a whole word, so a kept half crosses it
+    # whole.  A uniform takes a whole word, so a kept half crosses it.  At
+    # each step a changing subset of the streams draws, each in its own
+    # range, and another subset takes a changing number of uniforms
     @pytest.mark.parametrize("high", (1, 2, 3, 41, 2**31 + 1, 2**32))
     @pytest.mark.parametrize("block", (1, 3, 64))
     def test_same_values_and_state_as_the_calls(self, high, block):
-        for seed in range(10):
-            rng, draws, ref = reader_and_calls(seed, block)
-            got, want = [], []
-            for k in range(60):
-                got.append(draws.integers(0, high))
-                want.append(int(ref.integers(0, high)))
-                if k % 3:
-                    got += draws.uniform(-2.5, 2.5, k % 4)
-                    want += ref.uniform(-2.5, 2.5, k % 4).tolist()
-            draws.close()
-            assert got == want
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+        seeds = range(10)
+        rngs, draws, refs = reader_and_calls(seeds, block)
+        got, want = [[] for _ in seeds], [[] for _ in seeds]
+        for k in range(60):
+            streams = np.array([s for s in seeds if (s + k) % 4])
+            spans = np.maximum(high - streams % 3, 1)
+            values = draws.integers(streams, spans)
+            for s, span, value in zip(streams, spans, values):
+                got[s].append(int(value))
+                want[s].append(int(refs[s].integers(0, span)))
+            if k % 3:
+                streams = np.array([s for s in seeds if (s + k) % 3])
+                counts = (streams + k) % 4
+                values = draws.uniform(streams, counts, -2.5, 2.5).tolist()
+                for s, count in zip(streams, counts):
+                    got[s] += values[:count]
+                    values = values[count:]
+                    want[s] += refs[s].uniform(-2.5, 2.5, count).tolist()
+        draws.close()
+        for s in seeds:
+            assert got[s] == want[s]
+            assert rngs[s].bit_generator.state == refs[s].bit_generator.state
+            assert rngs[s].integers(0, 2**62) == refs[s].integers(0, 2**62)
 
     def test_reader_only_for_plain_pcg64(self):
         pcg = np.random.default_rng(0)
@@ -476,7 +632,7 @@ class TestPcg64Draws:
         lambda seed: ZeroingGenerator(np.random.default_rng(seed), 1.0 / 3.0),
     ), ids=("MT19937", "Philox", "SFC64", "ZeroingGenerator"))
     def test_other_generators_make_the_calls(self, monkeypatch, make):
-        monkeypatch.setattr(persistence, "_Pcg64Draws", None)
+        monkeypatch.setattr(persistence, "_Pcg64Streams", None)
         for caps in CAPS:
             model = RandomMatrixModel(max_row_nonzero=caps[0],
                                       max_col_nonzero=caps[1])
@@ -487,12 +643,12 @@ class TestPcg64Draws:
     def test_pcg64_draw_reads_words(self, monkeypatch):
         opened = []
 
-        class Spy(persistence._Pcg64Draws):
+        class Spy(persistence._Pcg64Streams):
             def close(self):
                 opened.append(self)
                 super().close()
 
-        monkeypatch.setattr(persistence, "_Pcg64Draws", Spy)
+        monkeypatch.setattr(persistence, "_Pcg64Streams", Spy)
         assert_draws_match(RandomMatrixModel(), 40,
                            lambda: np.random.default_rng(3))
         assert len(opened) == 1
