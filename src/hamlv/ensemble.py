@@ -5,15 +5,21 @@ master seed, so reports are byte-identical for any worker count.  All
 frequencies carry Wilson 95% intervals; downstream checks consume the
 intervals rather than the point estimates.
 
+The streams of a call are built together (``util.trial_rngs``), and the
+trials of the orbit curves and of the positive-solution frequency run in
+lockstep: the curve draws all its stars and profiles them in one
+``analyze_potential`` call, whose brackets are bisected in one array pass,
+and ``persistence.positive_solution_frequency`` draws its matrices in
+lockstep groups.
+
 Every ensemble runs its trials on the calling thread; ``parallel`` is kept
 as the documented upper limit on worker threads, and no value of it starts
 one.  Threads would not pay.  The census and the orbit curves run numpy
-calls on small arrays and scalar root finding, which hold the GIL.  The
-cone ensemble settles most trials by a positive basis among the columns of
-B, one small batched solve, and gives only the rest to HiGHS.  On 2 vCPUs
-with one BLAS thread, a thread pool ran its trials on two workers at 0.81
-to 1.17 times the speed of one at (M, N) = (3, 300), (3, 8) and (3, 6),
-three runs each.
+calls on small arrays, which hold the GIL.  The cone ensemble settles most
+trials by a positive basis among the columns of B, one small batched solve,
+and gives only the rest to HiGHS.  On 2 vCPUs with one BLAS thread, a
+thread pool ran its trials on two workers at 0.81 to 1.17 times the speed
+of one at (M, N) = (3, 300), (3, 8) and (3, 6), three runs each.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from .persistence import _cone_verdict
 from .star import PotentialTerms, analyze_potential
-from .util import (json_bytes, run_indexed_trials, wilson_interval,
-                   write_csv, write_json)
+from .util import (json_bytes, run_indexed_trials, trial_rngs,
+                   wilson_interval, write_csv, write_json)
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,11 @@ def random_potential(N, bbar, sigma_b, sigma_a, seed):
 
 
 # Shape window for the census: a draw counts as stable when Phi falls and
-# then rises across [-W, W] with a single interior minimum.
+# then rises across [-W, W] with a single interior minimum, read on a
+# 401-point grid.
 CENSUS_WINDOW = 0.5
+_CENSUS_GRID = np.linspace(-CENSUS_WINDOW, CENSUS_WINDOW, 401)
+_CENSUS_GRID.setflags(write=False)
 
 
 def classify_potential_shape(terms):
@@ -108,8 +117,7 @@ def classify_potential_shape(terms):
     rising toward both window ends.  A constant Phi' has one sign throughout
     and fails, so a degenerate (flat) potential counts as unstable.
     """
-    qs = np.linspace(-CENSUS_WINDOW, CENSUS_WINDOW, 401)
-    slopes = terms.dphi(qs)
+    slopes = terms.dphi(_CENSUS_GRID)
     signs = np.sign(slopes)
     signs[signs == 0] = 1.0
     if signs[0] >= 0 or signs[-1] <= 0:
@@ -174,9 +182,9 @@ def draw_mixed_star_terms(rng, N, mix):
     return PotentialTerms(c=b / a, a=a, slope=RANDOM_STAR["rbar"])
 
 
-def _orbit_type_flags(terms):
-    """(has periodic well, admits a soliton energy) for a star potential."""
-    profile = analyze_potential(terms)
+def _orbit_type_flags(profile):
+    """(has periodic well, admits a soliton energy) from a star's potential
+    profile."""
     minima = profile.minima()
     maxima = profile.maxima()
     has_well = bool(minima)
@@ -191,8 +199,11 @@ def orbit_probability_curve(N, mix_grid, trials, seed=0, parallel=1):
 
     Follows the random-star protocol (``RANDOM_STAR``): per mixing value,
     ``trials`` stars are drawn and classified by their potential profile; a
-    soliton needs a local maximum with a well below it.  Runs on the calling
-    thread: ``parallel`` is accepted and ignored (see the module docstring).
+    soliton needs a local maximum with a well below it.  The stars of every
+    mixing value are drawn first, each from its own stream, and then
+    profiled together in one ``analyze_potential`` call.  Runs on the
+    calling thread: ``parallel`` is accepted and ignored (see the module
+    docstring).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -203,16 +214,18 @@ def orbit_probability_curve(N, mix_grid, trials, seed=0, parallel=1):
                             params={"N": N, "mix_grid": mix_grid,
                                     **RANDOM_STAR})
 
+    # separate stream block per grid point keeps trials independent
+    stars = [draw_mixed_star_terms(rng, N, mix)
+             for j, mix in enumerate(mix_grid)
+             for rng in trial_rngs(seed + 7919 * j, 0, trials)]
+    flags = [_orbit_type_flags(profile)
+             for profile in analyze_potential(stars)]
     cells = {}
     outcomes = []
     for j, mix in enumerate(mix_grid):
-        def trial(rng, i, mix=mix):
-            terms = draw_mixed_star_terms(rng, N, mix)
-            well, soliton = _orbit_type_flags(terms)
-            return {"mix": mix, "trial": i, "periodic": well, "soliton": soliton}
-
-        # separate stream block per grid point keeps trials independent
-        block = run_indexed_trials(trials, seed + 7919 * j, trial)
+        block = [{"mix": mix, "trial": i, "periodic": well, "soliton": soliton}
+                 for i, (well, soliton)
+                 in enumerate(flags[j * trials:(j + 1) * trials])]
         outcomes.extend(block)
         k_per = sum(1 for o in block if o["periodic"])
         k_sol = sum(1 for o in block if o["soliton"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .util import trial_rng, wilson_interval
+from .util import trial_rngs, wilson_interval
 
 # Every witness lies in the LP's box (a cone that needs more is degenerate)
 # and meets a polished LP witness's relative residual; a rank check allows
@@ -534,8 +534,9 @@ class RandomMatrixModel:
     extra columns with ``Generator.choice(open_cols, take, replace=False)``
     does: it makes the same bounded-integer and uniform draws in the same
     order, so a seed gives the same matrix bytes and leaves the generator in
-    the same state.  ``_draw_block`` draws the matrices of many generators
-    in lockstep, one row of all of them at a time; ``draw`` is a block of
+    the same state.  ``_draw_group`` draws the matrices of many generators
+    in lockstep, one row of all of them at a time, into sparse entries;
+    ``_draw_block`` makes them a dense stack, and ``draw`` is a block of
     one.  After the permutations and the base entries, plain PCG64
     Generators are read word by word (``_Pcg64Streams``); any other
     generator gets one ``integers`` or ``uniform`` call per value.
@@ -566,19 +567,27 @@ class RandomMatrixModel:
     def _draw_block(self, rngs, n):
         """The (len(rngs), n, n) stack of the matrices ``draw`` gives for
         each generator, each generator left where ``draw`` leaves it."""
-        A = np.zeros((len(rngs), n, n))
+        return self._draw_group(rngs, n).stack(0, len(rngs))
+
+    def _draw_group(self, rngs, n):
+        """The matrices of ``_draw_block`` as the entries of a
+        ``_MatrixGroup``, so that a large group needs no dense stack."""
+        G = len(rngs)
         if self.kind == "dense_gaussian":
-            for s, rng in enumerate(rngs):
-                A[s] = rng.standard_normal((n, n))
-            return A
+            values = np.array([rng.standard_normal((n, n)) for rng in rngs])
+            return _MatrixGroup(n, np.arange(values.size), values.ravel())
         K, cap = self.K, self.max_col_nonzero
         perms = np.array([rng.permutation(n) for rng in rngs])
         base = np.array([rng.uniform(-K, K, n) for rng in rngs])
-        A[np.arange(len(rngs))[:, None], np.arange(n), perms] = base
+        # entry (s, i, j) sits at (s n + i) n + j of the flattened stack; a
+        # base entry drawn as exactly 0.0 is left out, as the zero it is
+        row_start = (np.arange(G)[:, None] * n + np.arange(n)) * n
+        drawn = base != 0.0
+        flat, values = [(row_start + perms)[drawn]], [base[drawn]]
         source = _stream_source(rngs, n, self.max_row_nonzero)
-        streams = np.arange(len(rngs))
-        spans = np.full(len(rngs), self.max_row_nonzero)
-        counts = np.ones((len(rngs), n), dtype=np.intp)  # entries per column
+        streams = np.arange(G)
+        spans = np.full(G, self.max_row_nonzero)
+        counts = np.ones((G, n), dtype=np.intp)  # entries per column
         try:
             for i in range(n):
                 # entries beyond the base one
@@ -595,31 +604,72 @@ class RandomMatrixModel:
                     continue
                 take = np.minimum(extra[live], m)
                 picks = _sample_indices(source, live, m, take)
-                # pick k of a stream is its k-th open column; nonzero lists
-                # the open columns stream by stream, each in ascending order
+                # pick k of a stream is its k-th open column; flatnonzero
+                # lists the open places stream by stream, each row's columns
+                # in ascending order
                 picks += (np.cumsum(m) - m)[:, None]
-                cols = np.nonzero(open_cols)[1][
+                places = np.flatnonzero(open_cols)[
                     picks[np.arange(picks.shape[1]) < take[:, None]]]
                 owner = np.repeat(live, take)
-                # after the base entries: an extra may fill a zero base slot
-                A[owner, i, cols] = source.uniform(live, take, -K, K)
+                cols = places - np.repeat(np.arange(live.size) * n, take)
+                # an extra may fill a zero base slot, which holds no entry
+                flat.append(row_start[owner, i] + cols)
+                values.append(source.uniform(live, take, -K, K))
                 counts[owner, cols] += 1
         finally:
             source.close()
-        return A
+        return _MatrixGroup(n, np.concatenate(flat), np.concatenate(values))
 
 
-# The matrix stack of one block of positive-frequency trials stays within
-# this many bytes; one N x N matrix takes 8 N^2.  A larger block pays the
-# draw's row loop fewer times; 3 MiB (245 matrices at N = 40) keeps the rise
-# in a process's peak memory to a few MB.
+@dataclass(frozen=True)
+class _MatrixGroup:
+    """The n x n matrices of a group of trials as entries: value k sits at
+    flat[k] of the flattened (trials, n, n) stack, every other entry is 0.0,
+    and no place holds two entries."""
+
+    n: int
+    flat: np.ndarray
+    values: np.ndarray
+
+    def stack(self, first, end):
+        """The dense (end - first, n, n) stack of trials first .. end - 1."""
+        size = self.n * self.n
+        out = np.zeros((end - first) * size)
+        at = (self.flat >= first * size) & (self.flat < end * size)
+        out[self.flat[at] - first * size] = self.values[at]
+        return out.reshape(end - first, self.n, self.n)
+
+
+# What one block of positive-frequency trials holds stays within this many
+# bytes: a group of trials drawn in lockstep holds the words, column counts
+# and entries of ``_lockstep_bytes``, and the dense stack a solve takes
+# holds 8 N^2 a trial.  A larger group pays the draw's row loop fewer times;
+# 3 MiB (805 trials a group and 245 a solve at N = 40, with 3 entries a row)
+# keeps the rise in a process's peak memory to a few MB.
 _BLOCK_BYTES = 3 * 2 ** 20
 
 
+def _lockstep_bytes(N, model):
+    """An upper bound on the bytes a lockstep draw holds per trial: the
+    stream's first words (3 N + 8), its permutation, base row and column
+    counts, and a flat index and a value for each of at most N
+    max_row_nonzero entries; for dense_gaussian the N^2 entries."""
+    if model.kind == "dense_gaussian":
+        return 16 * N * N
+    return 8 * (3 * N + 8) + 24 * N + 16 * N * model.max_row_nonzero
+
+
 def _block_size(N):
-    """Trials per block: as many N x N matrices as fit in ``_BLOCK_BYTES``,
+    """Trials per solve: as many N x N matrices as fit in ``_BLOCK_BYTES``,
     at least one."""
     return max(1, _BLOCK_BYTES // (8 * N * N))
+
+
+def _ranges(total, size):
+    """[first, end) ranges of equal length, at most size, covering total."""
+    count = -(-total // size)
+    ends = [total * k // count for k in range(count + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 def _positive_solutions(stack):
@@ -639,26 +689,28 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     """Monte Carlo frequency of {A Y = 1 solvable with Y > 0}, Wilson 95% CI.
 
     1 is the all-ones vector; per-trial RNG streams keyed by the master seed
-    make the outcome independent of the worker count.  Trials run in blocks
-    of equal size, at most ``_block_size(N)``, so that a block's matrices
-    stay within ``_BLOCK_BYTES``.  A block's matrices are drawn in lockstep,
-    each from its own PCG64 stream read word by word (``RandomMatrixModel``):
-    the same matrices the Generator calls give.  One batched dense solve
-    then decides the block, or, when a singular matrix makes it fail, one
-    solve a trial.  Trials run on the calling thread: the draw and the solve
-    hold the GIL, so ``parallel`` (an upper limit on worker threads) is
-    ignored.
+    (``trial_rngs``) make the outcome independent of the worker count.  The
+    trials are drawn in lockstep groups, each a group of equal size and as
+    large as ``_BLOCK_BYTES`` allows for what the draw holds per trial
+    (``_lockstep_bytes``): at the README sizes the whole call is one group.
+    A group's matrices are drawn together, each from its own PCG64 stream
+    read word by word (``RandomMatrixModel``), into sparse entries: the
+    same matrices the Generator calls give.  Each solve block of the group,
+    at most ``_block_size(N)`` trials, is then made dense and decided by one
+    batched solve, or, when a singular matrix makes it fail, by one solve a
+    trial.  Trials run on the calling thread: the draw and the solve hold
+    the GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
     if N < 1 or trials < 1:
         raise ValueError(f"N and trials must be >= 1, got N = {N}, "
                          f"trials = {trials}")
     model = RandomMatrixModel() if model is None else model
-    blocks = -(-trials // _block_size(N))
-    ends = [trials * b // blocks for b in range(blocks + 1)]
+    group_size = max(1, _BLOCK_BYTES // _lockstep_bytes(N, model))
     outcomes = []
-    for first, end in zip(ends, ends[1:]):
-        rngs = [trial_rng(seed, i) for i in range(first, end)]
-        outcomes += _positive_solutions(model._draw_block(rngs, N))
+    for first, end in _ranges(trials, group_size):
+        group = model._draw_group(list(trial_rngs(seed, first, end)), N)
+        for start, stop in _ranges(end - first, _block_size(N)):
+            outcomes += _positive_solutions(group.stack(start, stop))
     k = sum(outcomes)
     lo, hi = wilson_interval(k, trials)
     return {"N": N, "trials": trials, "hits": k, "frequency": k / trials,

@@ -84,12 +84,7 @@ class PotentialTerms:
         """The merged (exponent, coefficient) that dominates Phi at q -> +inf
         (direction=+1) or -inf (-1); None when every exponential decays
         there, so that the linear term decides."""
-        table = self.merged()
-        if table:
-            a, c = table[-1] if direction > 0 else table[0]
-            if a * direction > 0:
-                return a, c
-        return None
+        return _dominant(self.merged(), direction)
 
     def limit_sign(self, direction):
         """Sign of Phi at q -> +inf (direction=+1) or -inf (-1); 0 if bounded.
@@ -97,12 +92,26 @@ class PotentialTerms:
         The dominant merged exponent decides; when every exponential decays
         the linear term does, and a flat tail gives 0.
         """
-        term = self.dominant(direction)
-        if term is not None:
-            return 1 if term[1] > 0 else -1
-        if self.slope != 0.0:
-            return -1 if self.slope * direction > 0 else 1
-        return 0
+        return _limit_sign(self.merged(), self.slope, direction)
+
+
+def _dominant(table, direction):
+    """``PotentialTerms.dominant`` read off the merged table."""
+    if table:
+        a, c = table[-1] if direction > 0 else table[0]
+        if a * direction > 0:
+            return a, c
+    return None
+
+
+def _limit_sign(table, slope, direction):
+    """``PotentialTerms.limit_sign`` read off the merged table and slope."""
+    term = _dominant(table, direction)
+    if term is not None:
+        return 1 if term[1] > 0 else -1
+    if slope != 0.0:
+        return -1 if slope * direction > 0 else 1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -209,70 +218,154 @@ class PotentialProfile:
         return min(tops) if tops else math.inf
 
 
-def _sign_changes(terms):
+def _sign_changes(table, slope):
     """Sign changes of the coefficients of Phi', taken in order of exponent.
 
-    Phi'(q) = sum_k c_k a_k exp(a_k q) - slope over the merged terms, with
-    the -slope term at exponent 0.  By Laguerre's rule of signs for
-    exponential sums (Polya & Szego, Problems and Theorems in Analysis II)
-    the real zeros of Phi', counted with multiplicity, number at most this
-    count and differ from it by an even number.
+    Phi'(q) = sum_k c_k a_k exp(a_k q) - slope over the merged terms (the
+    table of ``PotentialTerms.merged``), with the -slope term at exponent
+    0.  By Laguerre's rule of signs for exponential sums (Polya & Szego,
+    Problems and Theorems in Analysis II) the real zeros of Phi', counted
+    with multiplicity, number at most this count and differ from it by an
+    even number.
     """
-    coeffs = {a: c * a for a, c in terms.merged()}
-    coeffs[0.0] = -terms.slope
+    coeffs = {a: c * a for a, c in table}
+    coeffs[0.0] = -slope
     signs = [v > 0.0 for _, v in sorted(coeffs.items()) if v != 0.0]
     return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+class _TermRows:
+    """The terms of a block of exp-sums with equal term counts, one row a
+    sum, evaluated at one point per entry.
+
+    Entry e is sum e's ``PotentialTerms`` method at q[e], with the same
+    bits: the exponentials of the row are clipped as in ``clipped_exp`` and
+    reduced against the coefficient row by a stacked row dot,
+    ``np.matmul`` of (m, 1, k) by (m, k, 1), which sums each row as the
+    1-D product of a scalar call does.  A grid of many points per sum is a
+    matrix-vector product, which rounds differently."""
+
+    def __init__(self, block):
+        self.a = np.array([terms.a for terms in block])
+        c = np.array([terms.c for terms in block])
+        self.slope = np.array([terms.slope for terms in block])
+        self.coeffs = {"phi": c, "dphi": c * self.a, "d2phi": c * self.a ** 2}
+        self._rows = list(zip(self.a, self.coeffs["dphi"],
+                              self.slope.tolist()))
+
+    def at(self, q, rows, *names):
+        """The named derivatives (``"phi"``, ``"dphi"``, ``"d2phi"``) of
+        sums rows at the points q."""
+        exps = clipped_exp(q[:, None] * self.a[rows])[:, None, :]
+        slope = self.slope[rows]
+        out = []
+        for name in names:
+            dot = np.matmul(exps, self.coeffs[name][rows][:, :, None])[:, 0, 0]
+            out.append(dot - slope * q if name == "phi"
+                       else dot - slope if name == "dphi" else dot)
+        return out
+
+    def dphi1(self, x, s):
+        """Phi' of sum s at a float x, as a float: the scalar call."""
+        a, ca, slope = self._rows[s]
+        return float(clipped_exp(x * a) @ ca - slope)
 
 
 def analyze_potential(star, q_window=None, n_grid=2001):
     """Locate the extrema of Phi and settle coercivity on both sides.
 
-    star is a StarSystem or its PotentialTerms.  Sign changes of Phi' on a
-    refined grid are bracketed and bisected to machine precision, then
-    polished with one Newton step.  Coercivity comes from the dominant
-    exponent (the -rbar q term decides when every exponential decays).  A
-    window_warning is raised, not an error, when an extremum sits against
-    the window edge, or when the extrema found do not fit the sign changes
-    of the coefficients of Phi' (Laguerre's rule of signs): more extrema
-    than sign changes, or a count of different parity, which means an
-    extremum outside the window or one the grid did not resolve.
+    star is a StarSystem, its PotentialTerms, or a list of PotentialTerms (a
+    block), which gives the list of their profiles; one star is a block of
+    one.  Sign changes of Phi' on a refined grid are bracketed and bisected
+    to machine precision, then polished with one Newton step.  Coercivity
+    comes from the dominant exponent (the -rbar q term decides when every
+    exponential decays).  A window_warning is raised, not an error, when an
+    extremum sits against the window edge, or when the extrema found do not
+    fit the sign changes of the coefficients of Phi' (Laguerre's rule of
+    signs): more extrema than sign changes, or a count of different parity,
+    which means an extremum outside the window or one the grid did not
+    resolve.
+
+    Each sum's grid is scanned on its own; the brackets of the whole block
+    are then bisected in one ``_brentq`` pass, and the Newton polish and the
+    tests of the extrema run on the block's roots together, sums of equal
+    term count sharing one ``_TermRows``.  A bracket whose ends, evaluated
+    as a scalar call would, show no sign change (the grid's product rounded
+    Phi' to the other sign of zero at one end) takes the end nearer zero as
+    an exact zero on the grid.
     """
-    terms = star.terms() if hasattr(star, "terms") else star
-    if q_window is None:
-        amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
-        half = 50.0 / amax
-        q_window = (-half, half)
-    lo, hi = float(q_window[0]), float(q_window[1])
-    if not lo < hi:
-        raise ValueError("window must be a nondegenerate interval")
-    grid = np.linspace(lo, hi, n_grid)
-    dvals = terms.dphi(grid)
-    scale = float(np.max(np.abs(dvals))) or 1.0
-    roots = []
-    sign = np.sign(dvals)
-    # grid points where Phi' vanishes or changes sign before the next point
-    for i in np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0)):
-        if sign[i] == 0.0:
-            roots.append(grid[i])
+    if not isinstance(star, list):
+        terms = star.terms() if hasattr(star, "terms") else star
+        return analyze_potential([terms], q_window, n_grid)[0]
+    profiles = [None] * len(star)
+    by_count = {}
+    for s, terms in enumerate(star):
+        by_count.setdefault(terms.a.size, []).append(s)
+    for members in by_count.values():
+        found = _profile_block([star[s] for s in members], q_window, n_grid)
+        for s, profile in zip(members, found):
+            profiles[s] = profile
+    return profiles
+
+
+def _profile_block(block, q_window, n_grid):
+    """``analyze_potential`` of a block of sums with equal term counts."""
+    rows = _TermRows(block)
+    windows, scales, owner, xa, xb, reach = [], [], [], [], [], []
+    for s, terms in enumerate(block):
+        if q_window is None:
+            amax = float(np.max(np.abs(terms.a))) if np.any(terms.a) else 1.0
+            lo, hi = -50.0 / amax, 50.0 / amax
         else:
-            roots.append(brentq(terms.dphi, grid[i], grid[i + 1],
-                                xtol=1e-15, rtol=8.9e-16))
-    if sign[-1] == 0.0:
-        roots.append(grid[-1])
-    extrema = []
-    for q in sorted(roots):
-        # one Newton polish, guarded against a flat second derivative
-        curv = float(terms.d2phi(q))
-        if curv != 0.0:
-            step = float(terms.dphi(q)) / curv
-            if abs(step) < (hi - lo) / n_grid:
-                q -= step
-        if extrema and abs(q - extrema[-1][0]) <= 1e-12 * (1.0 + abs(q)):
+            lo, hi = float(q_window[0]), float(q_window[1])
+        if not lo < hi:
+            raise ValueError("window must be a nondegenerate interval")
+        windows.append((lo, hi))
+        grid = np.linspace(lo, hi, n_grid)
+        dvals = terms.dphi(grid)
+        scales.append(float(np.max(np.abs(dvals))) or 1.0)
+        sign = np.sign(dvals)
+        # grid points where Phi' vanishes or changes sign before the next
+        # point, in ascending order; an exact zero is a bracket of one point
+        at = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0))
+        if sign[-1] == 0.0:
+            at = np.append(at, n_grid - 1)
+        owner += [s] * at.size
+        xa += grid[at].tolist()
+        xb += grid[at + (sign[at] != 0.0)].tolist()
+        reach += [(hi - lo) / n_grid] * at.size
+    owner = np.array(owner, dtype=np.intp)
+    roots, xb = np.array(xa), np.array(xb)
+    brackets = np.flatnonzero(roots != xb)
+    if brackets.size:
+        own, xa, xb = owner[brackets], roots[brackets], xb[brackets]
+        fa, fb = (rows.at(x, own, "dphi")[0] for x in (xa, xb))
+        solved = _brentq(lambda x, i: rows.at(x, own[i], "dphi")[0],
+                         lambda x, i: rows.dphi1(x, own[i]), xa, xb, fa, fb)
+        roots[brackets] = np.where(
+            np.isnan(solved), np.where(np.abs(fb) < np.abs(fa), xb, xa),
+            solved)
+    # one Newton polish, guarded against a flat second derivative
+    dphi, curv = rows.at(roots, owner, "dphi", "d2phi")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = dphi / curv
+    q = np.where((curv != 0.0) & (np.abs(step) < reach), roots - step, roots)
+    extrema = [[] for _ in block]
+    for s, q, dphi, curv, phi in zip(
+            owner.tolist(), q.tolist(),
+            *(v.tolist() for v in rows.at(q, owner, "dphi", "d2phi", "phi"))):
+        kept = extrema[s]
+        if kept and abs(q - kept[-1][0]) <= 1e-12 * (1.0 + abs(q)):
             continue
-        if abs(float(terms.dphi(q))) > 1e-12 * scale * 1e3:
+        if abs(dphi) > 1e-12 * scales[s] * 1e3:
             continue  # spurious bracket from a near-flat stretch
-        kind = "min" if float(terms.d2phi(q)) > 0 else "max"
-        extrema.append((q, float(terms.phi(q)), kind))
+        kept.append((q, phi, "min" if curv > 0 else "max"))
+    return [_profile(terms, found, window)
+            for terms, found, window in zip(block, extrema, windows)]
+
+
+def _profile(terms, extrema, window):
+    """The PotentialProfile of a sum from its polished extrema in order."""
     # enforce alternation: merge duplicate kinds produced by degenerate curvature
     cleaned = []
     for q, val, kind in extrema:
@@ -282,15 +375,17 @@ def analyze_potential(star, q_window=None, n_grid=2001):
             continue
         cleaned.append((q, val, kind))
     ext = tuple(Extremum(q=q, phi=val, kind=kind) for q, val, kind in cleaned)
-    bound = _sign_changes(terms)
+    lo, hi = window
+    table = terms.merged()
+    bound = _sign_changes(table, terms.slope)
     warn = (bool(ext) and (ext[0].q - lo < (hi - lo) * 1e-3
                            or hi - ext[-1].q < (hi - lo) * 1e-3)
             or len(ext) > bound or (bound - len(ext)) % 2 == 1)
     return PotentialProfile(
         extrema=ext,
-        coercive_left=terms.limit_sign(-1) > 0,
-        coercive_right=terms.limit_sign(+1) > 0,
-        window=(lo, hi),
+        coercive_left=_limit_sign(table, terms.slope, -1) > 0,
+        coercive_right=_limit_sign(table, terms.slope, +1) > 0,
+        window=window,
         window_warning=bool(warn),
     )
 

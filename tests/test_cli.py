@@ -260,6 +260,28 @@ class TestStar:
         orbit = json.loads((out / "orbit.json").read_text())
         assert orbit["class"] == "periodic" and orbit["period"] > 0.0
 
+    def test_root_on_a_grid_point(self, tmp_path):
+        # the minimum sits at q = 0, a grid point where the grid's Phi' and
+        # a scalar call's have opposite signs; this exited 1 with "f(a) and
+        # f(b) must have different signs"
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({
+            "a": [0.6892132363451832, 1.237444522393971, 1.6498075117355366,
+                  0.6809448521022694, 0.7097079018250396, 1.6840678591134866,
+                  1.5427070843173807, 0.42826654704320233],
+            "b": [1.2288885085888996, 1.2637515520893936, 0.34895609699394825,
+                  0.9777271980015749, 0.3754410705497331, 0.4408897968393155,
+                  0.7916080574600988, 0.8311080391311317],
+            "rbar": 6.258370319654095, "mu": 1}))
+        out = tmp_path / "o"
+        assert main(["star", "--input", str(path), "--E", "10", "--out",
+                     str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [e["kind"] for e in report["extrema"]] == ["min"]
+        assert abs(report["extrema"][0]["q"]) <= 1e-12
+        assert json.loads((out / "orbit.json").read_text())["class"] == \
+            "periodic"
+
     def test_failing_star_exit_two(self, tmp_path):
         path = tmp_path / "bad_star.json"
         path.write_text(json.dumps({"a": [1.0], "b": [-1.0], "rbar": 1.0}))

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hamlv import util
 from hamlv.ensemble import (classify_potential_shape, draw_mixed_star_terms,
@@ -263,3 +265,65 @@ class TestRunIndexedTrials:
 
         with pytest.raises(ValueError, match="trial 5 failed"):
             run_indexed_trials(10, 0, trial)
+
+
+def seed_sequence_rng(seed, index):
+    """The per-trial stream as numpy builds it: a SeedSequence a trial."""
+    return np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(index,)))
+
+
+class TestTrialStreams:
+    """``util.trial_rngs`` builds the streams of many trials together; each
+    must be the SeedSequence stream of its index."""
+
+    @given(seed=st.integers(0, 2**70), first=st.integers(0, 2**32 - 40),
+           count=st.integers(0, 40))
+    @example(seed=0, first=0, count=40)
+    @example(seed=2**32 - 1, first=0, count=40)
+    @example(seed=2**32, first=0, count=40)
+    @example(seed=2**64 + 3, first=0, count=40)   # entropy of three words
+    @example(seed=2**140 + 7, first=2**32 - 40, count=40)  # of five words
+    def test_same_streams_as_seed_sequences(self, seed, first, count):
+        rngs = list(util.trial_rngs(seed, first, first + count))
+        assert len(rngs) == count
+        for index, rng in enumerate(rngs, start=first):
+            ref = seed_sequence_rng(seed, index)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random() == ref.random()
+            assert rng.normal() == ref.normal()
+            assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_numpy_integer_seed(self):
+        rng, = util.trial_rngs(np.int64(17), 3, 4)
+        assert rng.bit_generator.state == seed_sequence_rng(
+            17, 3).bit_generator.state
+
+    def test_trial_rng_is_a_bulk_of_one(self):
+        for index in (0, 5, 2**32 - 1):
+            assert (util.trial_rng(9, index).bit_generator.state
+                    == seed_sequence_rng(9, index).bit_generator.state)
+
+    def test_negative_seed_raises_seed_sequence_error(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError) as got:
+            util.trial_rngs(-1, 0, 3)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            run_indexed_trials(3, -5, self.draw)
+
+    @pytest.mark.parametrize("seed", [1.5, [1, 2], "7"])
+    def test_non_integer_seed_raises(self, seed):
+        with pytest.raises(TypeError):
+            util.trial_rngs(seed, 0, 3)
+
+    @pytest.mark.parametrize("first, stop", [(-1, 2), (3, 2), (0, 2**32 + 1)])
+    def test_indices_out_of_range_raise(self, first, stop):
+        with pytest.raises(ValueError, match="trial indices"):
+            util.trial_rngs(0, first, stop)
+
+    @staticmethod
+    def draw(rng, i):
+        return float(rng.random())

@@ -1,9 +1,10 @@
 """Rules on what the package's modules import and define, read with ``ast``.
 
-- The package imports only scipy's public modules.  A private scipy module
-  (any dotted part after ``scipy`` that starts with an underscore) can
-  change or vanish in any scipy release; the package reaches HiGHS through
-  ``scipy.optimize.linprog`` instead.
+- The package imports only scipy's and numpy's public modules.  A private
+  module (any dotted part after ``scipy`` or ``numpy`` that starts with an
+  underscore) can change or vanish in any release; the package reaches
+  HiGHS through ``scipy.optimize.linprog``, and seeds PCG64 through
+  ``numpy.random.bit_generator.ISeedSequence``.
 - Only ``util`` imports ``json``: ``util.json_bytes`` is the one JSON rule,
   which writes a result as its dataclass fields by name.
 - Only ``Orbit`` defines ``to_dict``, because its JSON is not its fields.
@@ -20,6 +21,17 @@ import hamlv
 def private_scipy_imports(source):
     """The dotted names of private scipy modules or members that source
     imports, at any depth of the module."""
+    return private_imports(source, "scipy")
+
+
+def private_numpy_imports(source):
+    """The same for numpy."""
+    return private_imports(source, "numpy")
+
+
+def private_imports(source, package):
+    """The dotted names of private modules or members of package that
+    source imports, at any depth of the module."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -28,7 +40,7 @@ def private_scipy_imports(source):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        found += [name for name in names if name.split(".")[0] == "scipy"
+        found += [name for name in names if name.split(".")[0] == package
                   and any(part.startswith("_")
                           for part in name.split(".")[1:])]
     return found
@@ -53,6 +65,29 @@ def test_no_private_scipy_module():
     package = Path(hamlv.__file__).parent
     found = {path.name: private_scipy_imports(path.read_text())
              for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_numpy_rule_reads_every_import_form():
+    assert private_numpy_imports(
+        "import numpy._core as core\n"
+        "from numpy.random._pcg64 import PCG64\n"
+        "from numpy.random import _pcg64\n"
+        "def f():\n"
+        "    from numpy import _core\n"
+        "    import numpy.linalg._linalg\n") == [
+            "numpy._core", "numpy.random._pcg64.PCG64",
+            "numpy.random._pcg64", "numpy._core", "numpy.linalg._linalg"]
+    assert private_numpy_imports(
+        "import numpy as np\nfrom numpy.random import PCG64\n"
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "from numpy.polynomial.legendre import leggauss\n"
+        "from ._core import x\nimport scipy._lib\n") == []
+
+
+def test_no_private_numpy_module():
+    found = {name: private_numpy_imports(source)
+             for name, source in package_sources().items()}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -371,10 +371,16 @@ def twin_generators(seeds):
     return rngs, refs
 
 
-def choice_block(model, rngs, n):
-    """``RandomMatrixModel._draw_block`` made of the Generator-call draws."""
-    return np.array([choice_draw(model, rng, n)
-                     for rng in rngs]).reshape(len(rngs), n, n)
+def dense_group(stack):
+    """A dense (trials, n, n) stack as a ``_MatrixGroup``."""
+    return persistence._MatrixGroup(stack.shape[-1], np.arange(stack.size),
+                                    stack.ravel())
+
+
+def choice_group(model, rngs, n):
+    """``RandomMatrixModel._draw_group`` made of the Generator-call draws."""
+    return dense_group(np.array([choice_draw(model, rng, n)
+                                 for rng in rngs]).reshape(len(rngs), n, n))
 
 
 class TestSparseDrawStream:
@@ -479,7 +485,7 @@ class TestSparseDrawStream:
         res = positive_solution_frequency(N, trials, model=model, seed=seed)
         assert res["outcomes"] == positive_outcomes(
             choice_draw(model, trial_rng(seed, i), N) for i in range(trials))
-        monkeypatch.setattr(RandomMatrixModel, "_draw_block", choice_block)
+        monkeypatch.setattr(RandomMatrixModel, "_draw_group", choice_group)
         assert positive_solution_frequency(N, trials, model=model,
                                            seed=seed) == res
 
@@ -499,6 +505,39 @@ class TestFrequencyBlocks:
             choice_draw(model, trial_rng(707, i), 5)
             for i in range(2 * 64 + 3))
 
+    @pytest.mark.parametrize("model", [
+        RandomMatrixModel(),
+        RandomMatrixModel(K=2.5, max_row_nonzero=6, max_col_nonzero=6)],
+        ids=["model0", "model1"])
+    def test_groups_and_solve_blocks_give_the_oracle_matrices(
+            self, monkeypatch, model):
+        # a budget of two matrices at N = 40: lockstep groups of a few
+        # trials, each solved in blocks of at most two
+        N, trials, seed = 40, 40, 3
+        monkeypatch.setattr(persistence, "_BLOCK_BYTES", 2 * 8 * N * N)
+        groups, stacks = [], []
+        draw_group = RandomMatrixModel._draw_group
+        solve = persistence._positive_solutions
+
+        def group_spy(self, rngs, n):
+            groups.append(len(rngs))
+            return draw_group(self, rngs, n)
+
+        def solve_spy(stack):
+            stacks.append(stack.copy())
+            return solve(stack)
+
+        monkeypatch.setattr(RandomMatrixModel, "_draw_group", group_spy)
+        monkeypatch.setattr(persistence, "_positive_solutions", solve_spy)
+        res = positive_solution_frequency(N, trials, model=model, seed=seed)
+        oracle = [choice_draw(model, trial_rng(seed, i), N)
+                  for i in range(trials)]
+        assert len(groups) > 1 and sum(groups) == trials
+        assert len(stacks) > len(groups)
+        assert max(len(stack) for stack in stacks) <= 2
+        assert np.concatenate(stacks).tobytes() == np.array(oracle).tobytes()
+        assert res["outcomes"] == positive_outcomes(oracle)
+
     def test_singular_matrix_reads_false(self, monkeypatch):
         N, trials, seed = 5, 300, 707
         model = RandomMatrixModel()
@@ -506,14 +545,14 @@ class TestFrequencyBlocks:
             "outcomes"].index(True)
         matrices = [model.draw(trial_rng(seed, i), N) for i in range(trials)]
         matrices[hit][0] = 0.0
-        draw_block = RandomMatrixModel._draw_block
+        draw_group = RandomMatrixModel._draw_group
 
         def with_singular(self, rngs, n):
-            stack = draw_block(self, rngs, n)
+            stack = draw_group(self, rngs, n).stack(0, len(rngs))
             stack[hit, 0] = 0.0  # a zero row: LU meets an exact zero pivot
-            return stack
+            return dense_group(stack)
 
-        monkeypatch.setattr(RandomMatrixModel, "_draw_block", with_singular)
+        monkeypatch.setattr(RandomMatrixModel, "_draw_group", with_singular)
         res = positive_solution_frequency(N, trials, seed=seed)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.array(matrices), np.ones((trials, N, 1)))

@@ -12,13 +12,24 @@ from scipy.optimize import brentq
 
 from hamlv.ensemble import draw_mixed_star_terms
 from hamlv.star import (PotentialTerms, StarSystem, _profile_of_terms,
-                        _sign_changes, analyze_potential)
+                        _sign_changes, analyze_potential, classify_orbit)
 from hamlv.util import trial_rng
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
 DOUBLE_WELL = StarSystem(a=[2.0, -2.0, 1.0, -1.0],
                          b=[8.0, -8.0, -20.0, 20.0], rbar=0.0, mu=1.0)
+# rbar = sum(b), so Phi'(0) = 0: q = 0 is the middle point of the grid,
+# where the grid's product rounds Phi' to -8.9e-16 and a scalar call to
+# +8.9e-16
+ROOT_ON_GRID = StarSystem(
+    a=[0.6892132363451832, 1.237444522393971, 1.6498075117355366,
+       0.6809448521022694, 0.7097079018250396, 1.6840678591134866,
+       1.5427070843173807, 0.42826654704320233],
+    b=[1.2288885085888996, 1.2637515520893936, 0.34895609699394825,
+       0.9777271980015749, 0.3754410705497331, 0.4408897968393155,
+       0.7916080574600988, 0.8311080391311317],
+    rbar=6.258370319654095, mu=1.0)
 
 
 # ------------------------------------------------------- scalar reference
@@ -131,28 +142,79 @@ class TestSignScan:
         prof = assert_same_profile(terms)
         assert prof.extrema == ()
 
+    def test_root_on_a_grid_point_read_with_the_other_sign(self):
+        # the grid brackets the root between q = 0 and the next point, but
+        # a scalar call gives both ends the same sign; scipy's brentq raised
+        # "f(a) and f(b) must have different signs" here
+        terms = ROOT_ON_GRID.terms()
+        window = analyze_potential(terms).window
+        grid = np.linspace(*window, 2001)
+        assert grid[1000] == 0.0
+        assert terms.dphi(grid)[1000] < 0.0 < float(terms.dphi(0.0))
+        assert float(terms.dphi(grid[1001])) > 0.0
+        prof = analyze_potential(ROOT_ON_GRID)
+        assert [e.kind for e in prof.extrema] == ["min"]
+        assert abs(prof.extrema[0].q) <= 1e-12
+        orbit = classify_orbit(ROOT_ON_GRID, prof.extrema[0].phi + 1.5)
+        assert orbit.kind == "periodic"
+        assert orbit.q_minus < 0.0 < orbit.q_plus
+
+
+class TestBlock:
+    """A list of terms is profiled as one block; each profile must be the
+    one the sum gets alone, and so the scalar reference's."""
+
+    def test_block_of_mixed_term_counts(self):
+        rng = np.random.default_rng(22)
+        block = [random_terms(rng) for _ in range(300)]
+        block += [draw_mixed_star_terms(trial_rng(4, i), 10, 0.3)
+                  for i in range(100)]
+        block.append(ROOT_ON_GRID.terms())
+        profiles = analyze_potential(block)
+        assert len(profiles) == len(block)
+        for terms, prof in zip(block, profiles):
+            assert prof == analyze_potential(terms)
+        for terms, prof in zip(block[:-1], profiles):
+            ref, window = scalar_extrema(terms)
+            assert [(e.q, e.phi, e.kind) for e in prof.extrema] == ref
+            assert prof.window == window
+
+    def test_block_with_a_window(self):
+        block = [exact_zero_terms(index) for index in (0, 1234, 2000)]
+        block += [UNIT.terms(), DOUBLE_WELL.terms()]
+        profiles = analyze_potential(block, q_window=(-3.0, 3.0))
+        for terms, prof in zip(block, profiles):
+            assert prof == assert_same_profile(terms, q_window=(-3.0, 3.0))
+
+    def test_empty_block(self):
+        assert analyze_potential([]) == []
+
 
 # ------------------------------------------------ Laguerre's rule of signs
+
+def sign_changes(terms):
+    return _sign_changes(terms.merged(), terms.slope)
+
 
 class TestSignChangeBound:
     def test_counts_in_exponent_order(self):
         # Phi' = e^{2q} - 3 e^{q} + 2: signs + - + in order of exponent
         terms = PotentialTerms(c=[0.5, -3.0], a=[2.0, 1.0], slope=-2.0)
-        assert _sign_changes(terms) == 2
-        assert _sign_changes(UNIT.terms()) == 1
-        assert _sign_changes(DOUBLE_WELL.terms()) == 3
+        assert sign_changes(terms) == 2
+        assert sign_changes(UNIT.terms()) == 1
+        assert sign_changes(DOUBLE_WELL.terms()) == 3
 
     def test_equal_exponents_merge(self):
-        assert _sign_changes(PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0])) == 0
-        assert _sign_changes(PotentialTerms(c=[2.0, -1.0], a=[1.0, 1.0],
+        assert sign_changes(PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0])) == 0
+        assert sign_changes(PotentialTerms(c=[2.0, -1.0], a=[1.0, 1.0],
                                             slope=1.0)) == 1
 
     def test_slope_sits_at_exponent_zero(self):
         # Phi' = e^{-q} - 5 + e^{q}: the slope term splits the two exponentials
         terms = PotentialTerms(c=[-1.0, 1.0], a=[-1.0, 1.0], slope=5.0)
-        assert _sign_changes(terms) == 2
+        assert sign_changes(terms) == 2
         flat = PotentialTerms(c=[1.0, 7.0], a=[1.0, 0.0], slope=1.0)
-        assert _sign_changes(flat) == 1
+        assert sign_changes(flat) == 1
 
     def test_missed_extremum_outside_window_warns(self):
         # the only minimum sits at q = -13.86, outside the default +-5 window
@@ -181,7 +243,7 @@ class TestSignChangeBound:
                                    slope=float(rng.normal(0.0, 2.0)))
             prof = analyze_potential(terms, q_window=(-40.0, 40.0),
                                      n_grid=80001)
-            bound = _sign_changes(terms)
+            bound = sign_changes(terms)
             assert len(prof.extrema) <= bound
             assert (bound - len(prof.extrema)) % 2 == 0
             assert not prof.window_warning
