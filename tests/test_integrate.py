@@ -5,10 +5,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from hamlv import integrate
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
@@ -153,6 +153,18 @@ class TestIntegrateLV:
         assert traj.escaped
         assert traj.meta["escape_reason"] == "clamp"
         assert traj.escape_time == pytest.approx(7.0, rel=1e-6)
+
+    @pytest.mark.parametrize("x0", [1e305, 1e-309], ids=["above", "below"])
+    def test_start_beyond_the_clamp_escapes_at_the_start(self, x0):
+        # ln x0 = 702.3 (or -711.5): the stop looked only for a fall through
+        # zero, so the run went on with a clipped flow and no escape
+        system = InteractionSystem(r=[-1.0], rbar=[-1.0], A=[[0.0]],
+                                   B=[[0.0]])
+        traj = integrate_lv(system, [x0], [1.0], 1.0)
+        assert traj.escaped and traj.escape_time == 0.0
+        assert traj.meta["escape_reason"] == "clamp"
+        assert traj.t.tolist() == [0.0]
+        assert traj.states.tobytes() == np.exp(np.log([[x0, 1.0]])).tobytes()
 
     def test_escape_reason_diverged(self):
         # x' = x (x - 1) from x = 2 blows up at t = ln 2: the step size
@@ -825,6 +837,110 @@ class TestAdaptiveRun:
         assert avg.meta["n_samples"] == avg.tau.size == 11
 
 
+class PerStepDOP853(DOP853):
+    """scipy's DOP853 under another type, which _adaptive_run samples with one
+    dense output call per step, as it does RK45."""
+
+
+def exp_sum_terms(seed, n, escape):
+    """A bounded flow y' = c + L exp(y) of n unknowns: diagonally dominant
+    decay with about three couplings a row.  With escape, y[0] grows alone
+    at a rate of 100 to 400 and reaches the clamp at t = 1.75 to 7."""
+    rng = np.random.default_rng(seed)
+    couple = rng.random((n, n)) < 3.0 / n
+    L = (np.where(couple, rng.uniform(-0.1, 0.1, (n, n)), 0.0)
+         - np.diag(rng.uniform(0.5, 1.5, n)))
+    c = rng.uniform(-1.0, 1.0, n)
+    if escape:
+        L[0], L[:, 0], c[0] = 0.0, 0.0, rng.uniform(100.0, 400.0)
+    return lambda t, y: (c, L, y)
+
+
+class TestBlockSamples:
+    """A DOP853 run evaluates the samples of many steps in one pass of scipy's
+    Horner loop (integrate._dop853_samples), bit for bit the dense output
+    calls of each step."""
+
+    def test_reads_scipys_dense_output_layout(self):
+        # the sampler reads F (7 x n), h = t - t_old, t_old and y_old of
+        # DOP853's dense output: a scipy that changes them fails here
+        n = 5
+        c, L, _ = exp_sum_terms(0, n, escape=False)(0.0, None)
+        solver = DOP853(lambda t, y: exp_sum(c, L, y), 0.0, np.zeros(n), 5.0,
+                        rtol=1e-8, atol=1e-10)
+        while solver.status == "running":
+            y_old = solver.y
+            solver.step()
+            sol = solver.dense_output()
+            assert sol.F.shape == (7, n) and sol.F.dtype == np.float64
+            assert sol.t_old == solver.t_old and sol.h == solver.t - sol.t_old
+            assert sol.y_old.tobytes() == y_old.tobytes()
+            t = np.linspace(solver.t_old, solver.t, 4)
+            got = integrate._dop853_samples(t, 4, [(sol, 4)])
+            assert got.tobytes() == sol(t).tobytes()
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 330),
+           escape=st.booleans(), t_end=st.floats(0.5, 10.0),
+           n_samples=st.integers(2, 2000),
+           per_block=st.none() | st.integers(0, 6))
+    @example(seed=0, n=1, escape=False, t_end=10.0, n_samples=2,
+             per_block=None)  # steps with no sample
+    @example(seed=1, n=3, escape=False, t_end=0.5, n_samples=2000,
+             per_block=2)  # several samples a step, across block boundaries
+    @example(seed=2, n=4, escape=True, t_end=10.0, n_samples=1500,
+             per_block=None)  # the stop inside the pending block
+    @example(seed=3, n=330, escape=True, t_end=5.0, n_samples=1001,
+             per_block=3)
+    def test_block_samples_are_the_per_step_calls(self, seed, n, escape, t_end,
+                                                  n_samples, per_block):
+        terms = exp_sum_terms(seed, n, escape)
+        blocks, sample = [], integrate._dop853_samples
+
+        def spy(t_eval, end, pending):
+            blocks.append(len(pending))
+            return sample(t_eval, end, pending)
+
+        def run():
+            return integrate._solve_log_system(terms, np.zeros(n), t_end,
+                                               1e-8, 1e-10, n_samples, None)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate, "_dop853_samples", spy)
+            if per_block is not None:  # 0 still holds one step a block
+                mp.setattr(integrate, "_SAMPLE_BLOCK_BYTES",
+                           per_block * 7 * 8 * n)
+            t, y, report = run()
+            n_blocks = len(blocks)
+            assert n_blocks and (per_block is None
+                                 or max(blocks) <= max(1, per_block))
+            mp.setitem(integrate._STEPPERS, "DOP853", PerStepDOP853)
+            t_ref, y_ref, report_ref = run()
+            assert len(blocks) == n_blocks  # the per-step path
+        assert t.tobytes() == t_ref.tobytes()
+        assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
+        assert report == report_ref
+
+    def test_web_run_blocks_within_budget(self, monkeypatch):
+        # 330 unknowns, 1001 samples over about 750 steps: 56 steps of F a
+        # block, where a whole run would hold 14 MB of F
+        system, mu, rng = hub_web(limited=False)
+        held, sample = [], integrate._dop853_samples
+
+        def spy(t_eval, end, pending):
+            held.append((sum(sol.F.nbytes for sol, _ in pending),
+                         sum(count for _, count in pending)))
+            return sample(t_eval, end, pending)
+
+        monkeypatch.setattr(integrate, "_dop853_samples", spy)
+        traj = integrate_lv(system, rng.uniform(0.5, 1.5, system.N),
+                            mu * rng.uniform(0.8, 1.2, system.M), 20.0)
+        assert traj.t.size == sum(count for _, count in held) == 1001
+        assert len(held) > 1
+        assert max(nbytes for nbytes, _ in held) <= (
+            integrate._SAMPLE_BLOCK_BYTES)
+
+
 def trajectory_digest(traj):
     """sha256 of the samples, the states, H when recorded, and nfev."""
     h = hashlib.sha256()
@@ -947,6 +1063,12 @@ def stabilized_run():
     return run_digest((avg.tau, avg.E, avg.Cbar), event.tau, avg.meta["nfev"])
 
 
+def clamp_start_run(r, ln_x0):
+    """A start on the clamp, ln x0 = +-700 exactly, with ln x moving at -r."""
+    system = InteractionSystem(r=[r], rbar=[-1.0], A=[[0.0]], B=[[0.0]])
+    return integrate_lv(system, [math.exp(ln_x0)], [1.0], 2.0, n_samples=5)
+
+
 def slow_fast_run():
     """The unit star under a damped, slowly tilted environment to t = 10."""
     env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
@@ -972,7 +1094,17 @@ class TestPinnedRuns:
          "93adaf63cee369321979f3844d816e77d218aef14377e71c1bf597e2d41ba35c"),
         (irregular_grid_run, None,
          "c4f8a8e8efc1d0f0cdc5610ad777e7b6f9d45f9ce071d3dd333b38277f2c48c2"),
-    ], ids=["clamp", "diverged", "irregular-grid"])
+        (lambda: clamp_start_run(-1.0, 700.0), "clamp",
+         "3a3b4042959e76d0c204892d82afb96a624124391fcc4f0c2c31d7cb311c0796"),
+        (lambda: clamp_start_run(1.0, 700.0), None,
+         "2507504074c6a5b5c659100443588b711d4fa4a510ee06c34eb996b6ac447dad"),
+        (lambda: clamp_start_run(1.0, -700.0), "clamp",
+         "f68ea5b746cc521c60d29ebf179e0024cbd4365a776c594e34e565e658be7cfa"),
+        (lambda: clamp_start_run(-1.0, -700.0), None,
+         "61080ee61c17939005188d0b73b05d0cdf08efe6f385d69fefba252fe7493462"),
+    ], ids=["clamp", "diverged", "irregular-grid", "on-clamp-outward",
+            "on-clamp-inward", "on-lower-clamp-outward",
+            "on-lower-clamp-inward"])
     def test_lv_run_bytes_pinned(self, run, reason, digest):
         traj = run()
         assert traj.meta["escape_reason"] == reason
