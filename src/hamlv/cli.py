@@ -339,12 +339,10 @@ def _cmd_ensemble(args):
                                   bbar=args.bbar, sigma_b=args.sigma_b,
                                   sigma_a=args.sigma_a, seed=seed,
                                   parallel=args.workers)
-        report.save(out / "report.json")
     elif args.mode == "curve":
         mixes = [float(tok) for tok in args.mix.split(",")]
         report = orbit_probability_curve(args.N, mixes, args.trials,
                                          seed=seed, parallel=args.workers)
-        report.save(out / "report.json")
         curve_to_csv(report, out / "curve.csv")
         outputs.append("curve.csv")
         if args.format == "svg":
@@ -357,14 +355,13 @@ def _cmd_ensemble(args):
         report = cone_feasibility_frequency(args.M, args.N, args.r0, args.sigma,
                                     args.trials, seed=seed,
                                     parallel=args.workers)
-        report.save(out / "report.json")
     elif args.mode == "positive-frequency":
         model = RandomMatrixModel(kind=args.matrix_model)
-        result = positive_solution_frequency(args.N, args.trials, model=model,
+        report = positive_solution_frequency(args.N, args.trials, model=model,
                                              seed=seed, parallel=args.workers)
-        write_json(out / "report.json", result)
     else:
         raise ValueError(f"unknown ensemble mode {args.mode!r}")
+    write_json(out / "report.json", report)
     return _finish(args, outputs)
 
 

@@ -5,12 +5,13 @@ master seed, so reports are byte-identical for any worker count.  All
 frequencies carry Wilson 95% intervals; downstream checks consume the
 intervals rather than the point estimates.
 
-The streams of a call are built together (``util.trial_rngs``), and the
-trials of the orbit curves and of the positive-solution frequency run in
-lockstep: the curve draws all its stars and profiles them in one
-``analyze_potential`` call, whose brackets are bisected in one array pass,
-and ``persistence.positive_solution_frequency`` draws its matrices in
-lockstep groups.
+The streams of a call are built together in one ``util.trial_rngs`` call,
+and each ensemble loops over them in trial order.  The trials of the orbit
+curves and of the positive-solution frequency run in lockstep: the curve
+draws all its stars and profiles them in one ``analyze_potential`` call,
+whose brackets are bisected in one array pass, and
+``persistence.positive_solution_frequency`` draws its matrices in lockstep
+groups.
 
 Every ensemble runs its trials on the calling thread; ``parallel`` is kept
 as the documented upper limit on worker threads, and no value of it starts
@@ -25,14 +26,14 @@ of one at (M, N) = (3, 300), (3, 8) and (3, 6), three runs each.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .persistence import _cone_verdict
 from .star import PotentialTerms, analyze_potential
-from .util import (json_bytes, run_indexed_trials, trial_rngs,
-                   wilson_interval, write_csv, write_json)
+from .util import json_bytes, trial_rngs, wilson_interval, write_csv
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,10 @@ class EnsembleConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a bool is an Integral, but no count
+        if (isinstance(self.trials, bool)
+                or not isinstance(self.trials, numbers.Integral)):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for key, value in self.params.items():
@@ -73,9 +78,6 @@ class EnsembleReport:
 
     def to_json_bytes(self):
         return json_bytes(self)
-
-    def save(self, path):
-        write_json(path, self)
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -147,13 +149,12 @@ def stability_census(n_low, n_high, trials, bbar=1.0, sigma_b=10.0,
                                     "sigma_a": sigma_a, "a_dist": "uniform",
                                     "window": CENSUS_WINDOW})
 
-    def trial(rng, i):
+    outcomes = []
+    for i, rng in enumerate(trial_rngs(seed, 0, trials)):
         n = int(rng.integers(n_low, n_high + 1))
         terms = random_potential(n, bbar, sigma_b / np.sqrt(n), sigma_a, rng)
-        stable = classify_potential_shape(terms)
-        return {"trial": i, "N": n, "stable": bool(stable)}
-
-    outcomes = run_indexed_trials(trials, seed, trial)
+        outcomes.append({"trial": i, "N": n,
+                         "stable": bool(classify_potential_shape(terms))})
     unstable = sum(1 for o in outcomes if not o["stable"])
     cells = {"unstable": CellStats.from_counts(unstable, trials)}
     return EnsembleReport(kind="stability_census", config=config, cells=cells,
@@ -266,12 +267,11 @@ def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):
     config = EnsembleConfig(trials=trials, seed=seed,
                             params={"M": M, "N": N, "r0": r0, "sigma": sigma})
 
-    def trial(rng, i):
+    outcomes = []
+    for i, rng in enumerate(trial_rngs(seed, 0, trials)):
         B = rng.standard_normal((M, N))
         rbar = rng.normal(r0, sigma, M)
-        return {"trial": i, "feasible": _cone_verdict(B, rbar)}
-
-    outcomes = run_indexed_trials(trials, seed, trial)
+        outcomes.append({"trial": i, "feasible": _cone_verdict(B, rbar)})
     k = sum(1 for o in outcomes if o["feasible"])
     cells = {"feasible": CellStats.from_counts(k, trials)}
     return EnsembleReport(kind="cone_feasibility_frequency", config=config,

@@ -535,11 +535,11 @@ class RandomMatrixModel:
     does: it makes the same bounded-integer and uniform draws in the same
     order, so a seed gives the same matrix bytes and leaves the generator in
     the same state.  ``_draw_group`` draws the matrices of many generators
-    in lockstep, one row of all of them at a time, into sparse entries;
-    ``_draw_block`` makes them a dense stack, and ``draw`` is a block of
-    one.  After the permutations and the base entries, plain PCG64
-    Generators are read word by word (``_Pcg64Streams``); any other
-    generator gets one ``integers`` or ``uniform`` call per value.
+    in lockstep, one row of all of them at a time, into sparse entries, and
+    ``draw`` is a group of one.  After the permutations and the base
+    entries, plain PCG64 Generators are read word by word
+    (``_Pcg64Streams``), with caps of any integer type; any other generator
+    gets one ``integers`` or ``uniform`` call per value.
     ``tests/oracle.py`` keeps the ``choice`` draw, and the test comparing the
     two catches a numpy release that samples differently.
     """
@@ -562,21 +562,19 @@ class RandomMatrixModel:
                                  f"got {cap!r}")
 
     def draw(self, rng, n):
-        return self._draw_block([rng], n)[0]
-
-    def _draw_block(self, rngs, n):
-        """The (len(rngs), n, n) stack of the matrices ``draw`` gives for
-        each generator, each generator left where ``draw`` leaves it."""
-        return self._draw_group(rngs, n).stack(0, len(rngs))
+        return self._draw_group([rng], n).stack(0, 1)[0]
 
     def _draw_group(self, rngs, n):
-        """The matrices of ``_draw_block`` as the entries of a
-        ``_MatrixGroup``, so that a large group needs no dense stack."""
+        """The matrices ``draw`` gives for each generator, as the entries of
+        a ``_MatrixGroup``, so that a large group needs no dense stack; each
+        generator is left where ``draw`` leaves it."""
         G = len(rngs)
         if self.kind == "dense_gaussian":
             values = np.array([rng.standard_normal((n, n)) for rng in rngs])
             return _MatrixGroup(n, np.arange(values.size), values.ravel())
         K, cap = self.K, self.max_col_nonzero
+        # a Python int, which _reads_pcg64 asks of the row cap
+        max_row = int(self.max_row_nonzero)
         perms = np.array([rng.permutation(n) for rng in rngs])
         base = np.array([rng.uniform(-K, K, n) for rng in rngs])
         # entry (s, i, j) sits at (s n + i) n + j of the flattened stack; a
@@ -584,9 +582,9 @@ class RandomMatrixModel:
         row_start = (np.arange(G)[:, None] * n + np.arange(n)) * n
         drawn = base != 0.0
         flat, values = [(row_start + perms)[drawn]], [base[drawn]]
-        source = _stream_source(rngs, n, self.max_row_nonzero)
+        source = _stream_source(rngs, n, max_row)
         streams = np.arange(G)
-        spans = np.full(G, self.max_row_nonzero)
+        spans = np.full(G, max_row)
         counts = np.ones((G, n), dtype=np.intp)  # entries per column
         try:
             for i in range(n):
@@ -701,6 +699,8 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     trial.  Trials run on the calling thread: the draw and the solve hold
     the GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if N < 1 or trials < 1:
         raise ValueError(f"N and trials must be >= 1, got N = {N}, "
                          f"trials = {trials}")

@@ -80,23 +80,12 @@ class PotentialTerms:
                 lambda q: sum(cj * math.exp(aj * q)
                               for cj, aj in zip(c, a)) - slope * q)
 
-    def dominant(self, direction):
-        """The merged (exponent, coefficient) that dominates Phi at q -> +inf
-        (direction=+1) or -inf (-1); None when every exponential decays
-        there, so that the linear term decides."""
-        return _dominant(self.merged(), direction)
-
-    def limit_sign(self, direction):
-        """Sign of Phi at q -> +inf (direction=+1) or -inf (-1); 0 if bounded.
-
-        The dominant merged exponent decides; when every exponential decays
-        the linear term does, and a flat tail gives 0.
-        """
-        return _limit_sign(self.merged(), self.slope, direction)
-
 
 def _dominant(table, direction):
-    """``PotentialTerms.dominant`` read off the merged table."""
+    """The (exponent, coefficient) of a merged table
+    (``PotentialTerms.merged``) that dominates Phi at q -> +inf
+    (direction=+1) or -inf (-1); None when every exponential decays there,
+    so that the linear term decides."""
     if table:
         a, c = table[-1] if direction > 0 else table[0]
         if a * direction > 0:
@@ -105,7 +94,10 @@ def _dominant(table, direction):
 
 
 def _limit_sign(table, slope, direction):
-    """``PotentialTerms.limit_sign`` read off the merged table and slope."""
+    """Sign of Phi at q -> +inf (direction=+1) or -inf (-1) from its merged
+    table and slope; 0 if bounded.  The dominant merged exponent decides;
+    when every exponential decays the linear term does, and a flat tail
+    gives 0."""
     term = _dominant(table, direction)
     if term is not None:
         return 1 if term[1] > 0 else -1
@@ -236,9 +228,10 @@ def _sign_changes(table, slope):
 
 class _TermRows:
     """The terms of a block of exp-sums with equal term counts, one row a
-    sum, evaluated at one point per entry.
+    sum, evaluated at one point per entry: the profile search's roots, or
+    the nodes of an orbit quadrature, all rows of one sum.
 
-    Entry e is sum e's ``PotentialTerms`` method at q[e], with the same
+    Entry e is its sum's ``PotentialTerms`` method at q[e], with the same
     bits: the exponentials of the row are clipped as in ``clipped_exp`` and
     reduced against the coefficient row by a stacked row dot,
     ``np.matmul`` of (m, 1, k) by (m, k, 1), which sums each row as the
@@ -250,8 +243,6 @@ class _TermRows:
         c = np.array([terms.c for terms in block])
         self.slope = np.array([terms.slope for terms in block])
         self.coeffs = {"phi": c, "dphi": c * self.a, "d2phi": c * self.a ** 2}
-        self._rows = list(zip(self.a, self.coeffs["dphi"],
-                              self.slope.tolist()))
 
     def at(self, q, rows, *names):
         """The named derivatives (``"phi"``, ``"dphi"``, ``"d2phi"``) of
@@ -264,11 +255,6 @@ class _TermRows:
             out.append(dot - slope * q if name == "phi"
                        else dot - slope if name == "dphi" else dot)
         return out
-
-    def dphi1(self, x, s):
-        """Phi' of sum s at a float x, as a float: the scalar call."""
-        a, ca, slope = self._rows[s]
-        return float(clipped_exp(x * a) @ ca - slope)
 
 
 def analyze_potential(star, q_window=None, n_grid=2001):
@@ -341,7 +327,8 @@ def _profile_block(block, q_window, n_grid):
         own, xa, xb = owner[brackets], roots[brackets], xb[brackets]
         fa, fb = (rows.at(x, own, "dphi")[0] for x in (xa, xb))
         solved = _brentq(lambda x, i: rows.at(x, own[i], "dphi")[0],
-                         lambda x, i: rows.dphi1(x, own[i]), xa, xb, fa, fb)
+                         lambda x, i: float(block[own[i]].dphi(x)),
+                         xa, xb, fa, fb)
         roots[brackets] = np.where(
             np.isnan(solved), np.where(np.abs(fb) < np.abs(fa), xb, xa),
             solved)
@@ -494,7 +481,7 @@ def classify_orbit(star, E, q_ref=None):
     return _classify(star, E, analyze_potential(star), q_ref)
 
 
-def _classify(star, E, profile, q_ref=None):
+def _classify(star, E, profile, q_ref):
     """classify_orbit on a profile the caller has."""
     if not math.isfinite(E):
         raise ValueError(f"E must be finite, got {E}")
@@ -788,11 +775,6 @@ class _OrbitNodes:
 _GL_NODES, _GL_WEIGHTS = leggauss(80)
 
 
-def _orbit_quadrature(star, E, q_minus, q_plus, n_segments=8):
-    """Time-weighted quadrature nodes along one closed orbit, as _OrbitNodes."""
-    return _orbit_quadratures(star, E, q_minus, q_plus, (n_segments,))[0]
-
-
 def _orbit_quadratures(star, E, q_minus, q_plus, counts):
     """_OrbitNodes of one closed orbit for each segment count in counts.
 
@@ -826,10 +808,7 @@ def _orbit_quadratures(star, E, q_minus, q_plus, counts):
     q = (q_end + sgn * u * u).ravel()
     jac = (_GL_WEIGHTS * rad * 2.0 * u).ravel()
 
-    # one dot product per row, stacked: a matrix-vector product sums in
-    # another order
-    E_terms = terms._exponentials(q)
-    phi = np.matmul(E_terms[:, None, :], terms.c[:, None])[:, 0, 0] - terms.slope * q
+    phi, = _TermRows([terms]).at(q, np.zeros(q.size, dtype=np.intp), "phi")
     p_up, p_dn = _psi_roots(mu, E - phi)
     vel_up = libm_exp(p_up) - mu
     vel_dn = mu - libm_exp(p_dn)
@@ -860,7 +839,8 @@ def _orbit_nodes(star, orbit):
         return _OrbitNodes(q=np.array([orbit.q_minus]),
                            p=np.array([math.log(star.mu)]))
     _periodic(orbit)
-    return _orbit_quadrature(star, orbit.energy, orbit.q_minus, orbit.q_plus)
+    return _orbit_quadratures(star, orbit.energy, orbit.q_minus, orbit.q_plus,
+                              (8,))[0]
 
 
 def period(star, E, q_ref=None, rtol=1e-6):
@@ -885,7 +865,7 @@ def period(star, E, q_ref=None, rtol=1e-6):
                 f"period at E = {E!r} did not converge to rtol = {rtol:g}: "
                 f"28 segments give {t_cur!r} and 18 give {t_prev!r}, a gap "
                 f"of {abs(t_cur - t_prev):.3g}")
-        t_prev, t_cur = t_cur, _orbit_quadrature(*ends, n_seg).period
+        t_prev, t_cur = t_cur, _orbit_quadratures(*ends, (n_seg,))[0].period
     return t_cur
 
 
@@ -908,7 +888,7 @@ def persistence_criteria(star):
     PIII (mixed).  The paper's rules ask for b > 0 at the largest a (PI,
     PIII), b < 0 at the most negative a (PII, PIII) and the sign of rbar
     where no exponential grows (PI, PII): that is Phi coercive on both
-    sides, and passed is read off the merged terms (limit_sign), so that
+    sides, and passed is read off the merged terms (``_limit_sign``), so that
     couplings which cancel at a shared exponent, or a species with b = 0,
     leave the decision to the next exponent.  i_plus and i_minus are the
     first species with b != 0 at the merged exponent that decides the right
@@ -916,14 +896,16 @@ def persistence_criteria(star):
     more than one such species sits at either.
     """
     terms = star.terms()
+    table = terms.merged()
     a = star.a
     rule = "PI" if np.all(a > 0) else ("PII" if np.all(a < 0) else "PIII")
     at = []
     for direction in (+1, -1):
-        term = terms.dominant(direction)
+        term = _dominant(table, direction)
         at.append([] if term is None else
                   np.flatnonzero((a == term[0]) & (star.b != 0)).tolist())
-    passed = terms.limit_sign(+1) > 0 and terms.limit_sign(-1) > 0
+    passed = (_limit_sign(table, terms.slope, +1) > 0
+              and _limit_sign(table, terms.slope, -1) > 0)
     return PersistenceVerdict(
         passed=passed, rule=rule,
         i_plus=at[0][0] if at[0] else None,

@@ -182,25 +182,6 @@ def trial_rngs(seed, first, stop):
             for row in words)
 
 
-def trial_rng(master_seed, index):
-    """Independent per-trial generator, reproducible irrespective of worker
-    count: ``trial_rngs`` of one index."""
-    return next(trial_rngs(master_seed, index, index + 1))
-
-
-def run_indexed_trials(n_trials, seed, trial_fn):
-    """Run trial_fn(rng, i) for i in range(n_trials); results ordered by index.
-
-    Each trial gets its own RNG stream keyed by (seed, i), built together by
-    ``trial_rngs``, so the outcome list is reproducible from the seed alone.
-    The trials run one after another on the calling thread, since no
-    ensemble's trials release the GIL for long enough to pay for a thread
-    (see ``hamlv.ensemble``); an exception in a trial propagates.
-    """
-    return [trial_fn(rng, i)
-            for i, rng in enumerate(trial_rngs(seed, 0, n_trials))]
-
-
 def write_csv(path, header, *columns):
     """Write a header line, then one line per row at 17 significant digits.
 

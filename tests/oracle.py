@@ -7,11 +7,13 @@ the two; the polar slow system holds the exact solution of
 matrix gives numeric eigenvalues to hold the closed form of
 ``phase_locked_rates`` to.  The LP certificates are written out separately
 with ``scipy.optimize.linprog``, so a test can hold the certificates of
-``hamlv.persistence`` to them bit for bit.
+``hamlv.persistence`` to them bit for bit.  The kinetic roots come in
+closed form from Lambert W at 40 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog
 
@@ -196,3 +198,18 @@ def linprog_adaptive_solve(B, r, rho_signs=None):
         return AdaptiveSolution(feasible=False, sigma=None, rho=None,
                                 violated=violated)
     return AdaptiveSolution(feasible=True, sigma=w, rho=(B.T @ w) / r)
+
+
+def lambert_psi_roots(mu, w):
+    """Both solutions (p_up, p_dn) of exp(p) - mu p = w, as 40-digit mpf.
+
+    With p = -x - w / mu the equation reads x e^x = -e^(-w / mu) / mu, so
+    p = -W_k(-e^(-w / mu) / mu) - w / mu: the branch k = -1 gives the upper
+    root and k = 0 the lower one.  mu and w are taken as the exact values
+    of their floats.
+    """
+    with mpmath.workdps(40):
+        mu, w = mpmath.mpf(mu), mpmath.mpf(w)
+        z = -mpmath.exp(-w / mu) / mu
+        return tuple(-mpmath.re(mpmath.lambertw(z, k)) - w / mu
+                     for k in (-1, 0))

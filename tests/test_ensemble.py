@@ -14,7 +14,7 @@ from hamlv.ensemble import (classify_potential_shape, draw_mixed_star_terms,
                             stability_census, cone_feasibility_frequency)
 from hamlv.persistence import positive_solution_frequency
 from hamlv.star import PotentialTerms, analyze_potential
-from hamlv.util import run_indexed_trials, wilson_interval
+from hamlv.util import wilson_interval
 
 
 class TestRandomPotential:
@@ -185,11 +185,37 @@ class TestReports:
     def test_json_round_trip(self, tmp_path):
         report = stability_census(1, 10, 20, seed=4)
         path = tmp_path / "report.json"
-        report.save(path)
+        util.write_json(path, report)
         data = json.loads(path.read_text())
         assert data["kind"] == "stability_census"
         assert data["config"]["seed"] == 4
         assert len(data["outcomes"]) == 20
+
+
+ENSEMBLES = {
+    "census": lambda trials: stability_census(1, 10, trials, seed=1),
+    "curve": lambda trials: orbit_probability_curve(5, [0.0, 0.5], trials,
+                                                    seed=1),
+    "cone": lambda trials: cone_feasibility_frequency(2, 6, 1.0, 0.3, trials,
+                                                      seed=1),
+    "positive_frequency": lambda trials: positive_solution_frequency(
+        5, trials, seed=1),
+}
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("name", ENSEMBLES)
+    def test_non_integer_trials_rejected(self, name, trials):
+        # the census ran 3 trials and reported 2.5 of them, or 1 reported as
+        # true; the others failed inside wilson_interval, a slice or a range
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ENSEMBLES[name](trials)
+
+    @pytest.mark.parametrize("name", ENSEMBLES)
+    def test_numpy_integer_trials_accepted(self, name):
+        report = ENSEMBLES[name](np.int64(3))
+        assert report == ENSEMBLES[name](3)
 
 
 def census_bytes(parallel):
@@ -242,31 +268,6 @@ class TestWilsonInterval:
             wilson_interval(k, n)
 
 
-class TestRunIndexedTrials:
-    @staticmethod
-    def trial(rng, i):
-        return (i, float(rng.random()), threading.get_ident())
-
-    def test_results_in_index_order(self):
-        results = run_indexed_trials(40, 11, self.trial)
-        assert [r[0] for r in results] == list(range(40))
-        assert {r[2] for r in results} == {threading.get_ident()}
-
-    def test_streams_are_keyed_by_seed_and_index(self):
-        draws = run_indexed_trials(3, 11, self.trial)
-        assert [d[1] for d in draws] == [
-            float(util.trial_rng(11, i).random()) for i in range(3)]
-
-    def test_trial_exception_propagates(self):
-        def trial(rng, i):
-            if i == 5:
-                raise ValueError("trial 5 failed")
-            return i
-
-        with pytest.raises(ValueError, match="trial 5 failed"):
-            run_indexed_trials(10, 0, trial)
-
-
 def seed_sequence_rng(seed, index):
     """The per-trial stream as numpy builds it: a SeedSequence a trial."""
     return np.random.default_rng(np.random.SeedSequence(seed,
@@ -300,11 +301,6 @@ class TestTrialStreams:
         assert rng.bit_generator.state == seed_sequence_rng(
             17, 3).bit_generator.state
 
-    def test_trial_rng_is_a_bulk_of_one(self):
-        for index in (0, 5, 2**32 - 1):
-            assert (util.trial_rng(9, index).bit_generator.state
-                    == seed_sequence_rng(9, index).bit_generator.state)
-
     def test_negative_seed_raises_seed_sequence_error(self):
         with pytest.raises(ValueError) as expected:
             np.random.SeedSequence(-1, spawn_key=(0,))
@@ -312,7 +308,7 @@ class TestTrialStreams:
             util.trial_rngs(-1, 0, 3)
         assert str(got.value) == str(expected.value)
         with pytest.raises(ValueError, match=str(expected.value)):
-            run_indexed_trials(3, -5, self.draw)
+            stability_census(1, 2, 3, seed=-5)
 
     @pytest.mark.parametrize("seed", [1.5, [1, 2], "7"])
     def test_non_integer_seed_raises(self, seed):
@@ -323,7 +319,3 @@ class TestTrialStreams:
     def test_indices_out_of_range_raise(self, first, stop):
         with pytest.raises(ValueError, match="trial indices"):
             util.trial_rngs(0, first, stop)
-
-    @staticmethod
-    def draw(rng, i):
-        return float(rng.random())

@@ -16,7 +16,7 @@ from hamlv.persistence import (RandomMatrixModel, _cone_verdict,
                                strong_persistence)
 from hamlv.star import StarSystem, persistence_criteria
 from hamlv.ensemble import cone_feasibility_frequency
-from hamlv.util import json_bytes, trial_rng
+from hamlv.util import json_bytes, trial_rngs
 from oracle import (choice_draw, choice_sparse_draw, dense_max_min_entry,
                     linprog_adaptive_solve, positive_outcomes)
 
@@ -411,7 +411,7 @@ class TestSparseDrawStream:
         model = RandomMatrixModel(max_row_nonzero=caps[0],
                                   max_col_nonzero=caps[1])
         rngs, refs = twin_generators(range(100 * n, 100 * n + 60))
-        block = model._draw_block(rngs, n)
+        block = model._draw_group(rngs, n).stack(0, len(rngs))
         for A, rng, ref in zip(block, rngs, refs):
             assert A.tobytes() == choice_sparse_draw(model, ref, n).tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -484,7 +484,7 @@ class TestSparseDrawStream:
         # the same report with those draws put in at the block draw
         res = positive_solution_frequency(N, trials, model=model, seed=seed)
         assert res["outcomes"] == positive_outcomes(
-            choice_draw(model, trial_rng(seed, i), N) for i in range(trials))
+            choice_draw(model, rng, N) for rng in trial_rngs(seed, 0, trials))
         monkeypatch.setattr(RandomMatrixModel, "_draw_group", choice_group)
         assert positive_solution_frequency(N, trials, model=model,
                                            seed=seed) == res
@@ -502,8 +502,8 @@ class TestFrequencyBlocks:
                                           seed=707)
         assert res["hits"] > 0
         assert res["outcomes"] == positive_outcomes(
-            choice_draw(model, trial_rng(707, i), 5)
-            for i in range(2 * 64 + 3))
+            choice_draw(model, rng, 5)
+            for rng in trial_rngs(707, 0, 2 * 64 + 3))
 
     @pytest.mark.parametrize("model", [
         RandomMatrixModel(),
@@ -530,8 +530,8 @@ class TestFrequencyBlocks:
         monkeypatch.setattr(RandomMatrixModel, "_draw_group", group_spy)
         monkeypatch.setattr(persistence, "_positive_solutions", solve_spy)
         res = positive_solution_frequency(N, trials, model=model, seed=seed)
-        oracle = [choice_draw(model, trial_rng(seed, i), N)
-                  for i in range(trials)]
+        oracle = [choice_draw(model, rng, N)
+                  for rng in trial_rngs(seed, 0, trials)]
         assert len(groups) > 1 and sum(groups) == trials
         assert len(stacks) > len(groups)
         assert max(len(stack) for stack in stacks) <= 2
@@ -543,7 +543,8 @@ class TestFrequencyBlocks:
         model = RandomMatrixModel()
         hit = positive_solution_frequency(N, trials, seed=seed)[
             "outcomes"].index(True)
-        matrices = [model.draw(trial_rng(seed, i), N) for i in range(trials)]
+        matrices = model._draw_group(list(trial_rngs(seed, 0, trials)),
+                                     N).stack(0, trials)
         matrices[hit][0] = 0.0
         draw_group = RandomMatrixModel._draw_group
 
@@ -690,6 +691,26 @@ class TestPcg64Draws:
         monkeypatch.setattr(persistence, "_Pcg64Streams", Spy)
         assert_draws_match(RandomMatrixModel(), 40,
                            lambda: np.random.default_rng(3))
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("caps", [(np.int64(3), np.int32(3)),
+                                      (np.uint8(2), True)],
+                             ids=["numpy", "numpy-and-bool"])
+    def test_caps_of_any_integer_type_read_words(self, monkeypatch, caps):
+        # caps were kept as given, and _reads_pcg64 reads only int ones:
+        # such a model made one Generator call per value
+        opened = []
+
+        class Spy(persistence._Pcg64Streams):
+            def close(self):
+                opened.append(self)
+                super().close()
+
+        monkeypatch.setattr(persistence, "_Pcg64Streams", Spy)
+        model = RandomMatrixModel(max_row_nonzero=caps[0],
+                                  max_col_nonzero=caps[1])
+        assert (model.max_row_nonzero, model.max_col_nonzero) == caps
+        assert_draws_match(model, 40, lambda: np.random.default_rng(3))
         assert len(opened) == 1
 
 
@@ -853,8 +874,7 @@ class TestLpCount:
         cone_feasibility_frequency(3, 12, 1.0, 0.5, 9, seed=2,
                                    parallel=parallel)
         missed = 0
-        for i in range(9):
-            rng = trial_rng(2, i)
+        for rng in trial_rngs(2, 0, 9):
             B, rbar = rng.standard_normal((3, 12)), rng.normal(1.0, 0.5, 3)
             missed += _positive_basis_witness(B, rbar) is None
         assert 0 < missed < 9

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from hamlv.ensemble import draw_mixed_star_terms
 from hamlv.star import (PotentialTerms, StarSystem, _profile_of_terms,
                         _sign_changes, analyze_potential, classify_orbit)
-from hamlv.util import trial_rng
+from hamlv.util import trial_rngs
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
@@ -115,8 +115,8 @@ class TestSignScan:
         assert found > 100  # the sample exercises the brentq branch
 
     def test_random_star_draws(self):
-        for i in range(60):
-            terms = draw_mixed_star_terms(trial_rng(3, i), 10, 0.3)
+        for rng in trial_rngs(3, 0, 60):
+            terms = draw_mixed_star_terms(rng, 10, 0.3)
             amax = float(np.max(np.abs(terms.a)))
             assert_same_profile(terms, q_window=(-50.0 / amax, 50.0 / amax))
 
@@ -167,8 +167,8 @@ class TestBlock:
     def test_block_of_mixed_term_counts(self):
         rng = np.random.default_rng(22)
         block = [random_terms(rng) for _ in range(300)]
-        block += [draw_mixed_star_terms(trial_rng(4, i), 10, 0.3)
-                  for i in range(100)]
+        block += [draw_mixed_star_terms(rng, 10, 0.3)
+                  for rng in trial_rngs(4, 0, 100)]
         block.append(ROOT_ON_GRID.terms())
         profiles = analyze_potential(block)
         assert len(profiles) == len(block)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -23,8 +23,9 @@ from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
                              _averaged_terms, evolve_averaged, orbit_averages)
 from hamlv.star import (EnergyBelowWellError, StarSystem, _GL_NODES,
                         _GL_WEIGHTS, _MAXITER, _brent_steps, _brent_tail, _div,
-                        _orbit_quadrature, _psi_roots, analyze_potential,
+                        _orbit_quadratures, _psi_roots, analyze_potential,
                         classify_orbit, period)
+from oracle import lambert_psi_roots
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 TWO_SPECIES = StarSystem(a=[1.0, 1.0], b=[0.6, 0.4], rbar=1.0, mu=1.0)
@@ -319,6 +320,37 @@ class TestPsiRoots:
             resid = abs(math.exp(p) - mu * p - w)
             assert resid <= slope * (1e-15 + 8.9e-16 * abs(p)) + 4 * math.ulp(scale)
 
+    # a rounding of eps (|w| + mu |p|) in exp(p) - mu p - w moves the root
+    # by that over the slope |e^p - mu|: the conditioning of the problem.
+    # Far above the bottom brentq's own stopping rule sets the error of the
+    # upper root; the sweep's worst is 7.6 of the 8 allowed (p = 6.03 at
+    # mu = 2.5)
+    @given(mu=st.floats(0.05, 7.0), log_gap=st.floats(-9.0, math.log10(600.0)))
+    @example(mu=0.05, log_gap=-9.0)
+    @example(mu=7.0, log_gap=math.log10(600.0))
+    def test_roots_match_lambert_w(self, mu, log_gap):
+        assert_lambert_roots(mu, [10.0 ** log_gap])
+
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 1.0, 2.5, 7.0])
+    def test_roots_match_lambert_w_on_a_sweep(self, mu):
+        # 600 levels a mu, log-spaced
+        assert_lambert_roots(mu, 10.0 ** np.linspace(-9.0, math.log10(600.0),
+                                                     600))
+
+
+def assert_lambert_roots(mu, gaps):
+    """_psi_roots at the levels gaps above min Psi, scalar and as one
+    array, within the conditioning bound of the Lambert W roots."""
+    w = mu * (1.0 - math.log(mu)) + np.asarray(gaps)
+    up, dn = _psi_roots(mu, w)
+    for k, wk in enumerate(w.tolist()):
+        assert _psi_roots(mu, wk) == (up[k], dn[k])
+        for p, ref in zip((up[k], dn[k]), lambert_psi_roots(mu, wk)):
+            p = float(p)
+            bound = (8 * sys.float_info.epsilon * (abs(wk) + mu * abs(p))
+                     / abs(math.exp(p) - mu))
+            assert float(abs(p - ref)) <= bound, (mu, wk, p)
+
 
 # ------------------------------------------------------------ quadrature
 
@@ -327,8 +359,9 @@ class TestQuadratureBitIdentity:
                              ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
     def test_nodes_and_period(self, name, star, q_ref, E):
         orbit = classify_orbit(star, E, q_ref=q_ref)
-        for n_seg in (6, 8, 28):
-            nodes = _orbit_quadrature(star, E, orbit.q_minus, orbit.q_plus, n_seg)
+        counts = (6, 8, 28)
+        for n_seg, nodes in zip(counts, _orbit_quadratures(
+                star, E, orbit.q_minus, orbit.q_plus, counts)):
             T, ref, dropped = scalar_quadrature(star, E, orbit.q_minus,
                                                 orbit.q_plus, n_seg)
             assert nodes.period == T
@@ -354,11 +387,11 @@ class TestQuadratureBitIdentity:
 
         def spy(*args):
             counts.append(args[4])
-            return _orbit_quadrature(*args)
+            return _orbit_quadratures(*args)
 
-        monkeypatch.setattr("hamlv.star._orbit_quadrature", spy)
+        monkeypatch.setattr("hamlv.star._orbit_quadratures", spy)
         T = period(star, E, q_ref=q_ref, rtol=rtol)
-        assert counts == refined
+        assert counts == [(6, 8)] + [(n,) for n in refined]
         monkeypatch.undo()
         assert T == scalar_period(star, E, q_ref, rtol=rtol)
 
@@ -392,7 +425,7 @@ class TestQuadratureBitIdentity:
         # turning points pushed outside the well: the outer nodes have no root
         orbit = classify_orbit(UNIT, 3.0)
         q_minus, q_plus = orbit.q_minus - 1e-3, orbit.q_plus + 1e-3
-        nodes = _orbit_quadrature(UNIT, 3.0, q_minus, q_plus)
+        nodes, = _orbit_quadratures(UNIT, 3.0, q_minus, q_plus, (8,))
         T, ref, dropped = scalar_quadrature(UNIT, 3.0, q_minus, q_plus)
         assert dropped > 0
         assert nodes.dropped == dropped
@@ -404,12 +437,12 @@ class TestQuadratureBitIdentity:
         # computes no quadrature, so the total is 3 per quadrature made
         calls = []
 
-        def lossy(*args, **kwargs):
+        def lossy(*args):
             calls.append(args)
-            return dataclasses.replace(_orbit_quadrature(*args, **kwargs),
-                                       dropped=3)
+            return [dataclasses.replace(nodes, dropped=3)
+                    for nodes in _orbit_quadratures(*args)]
 
-        monkeypatch.setattr("hamlv.star._orbit_quadrature", lossy)
+        monkeypatch.setattr("hamlv.star._orbit_quadratures", lossy)
         env = SlowEnvironment(a=CoefficientPath.constant([1.0]),
                               b=CoefficientPath.constant([1.0]),
                               rbar=CoefficientPath.constant(1.0),

@@ -112,8 +112,6 @@ SETTABLE = [
     "star.StarSystem.to_interaction_system(gamma=)",
     "star._OrbitNodes.dropped",
     "star._OrbitNodes.dt",
-    "star._classify(q_ref=)",
-    "star._orbit_quadrature(n_segments=)",
     "star.analyze_potential(n_grid=)",
     "star.analyze_potential(q_window=)",
     "star.classify_orbit(q_ref=)",

@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 from hamlv.averaging import orbit_averages
 from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
-                        analyze_potential, classify_orbit, domino_check,
-                        period, persistence_criteria)
+                        _limit_sign, analyze_potential, classify_orbit,
+                        domino_check, period, persistence_criteria)
 
 UNIT = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 
@@ -97,11 +97,12 @@ class TestAnalyzePotential:
 
     def test_cancelled_exponents_leave_the_decisions(self):
         # Phi = e^{2q} - e^{2q} + e^q grows like e^q; e^q - e^q is constant
-        assert PotentialTerms(c=[1.0, -1.0, 1.0],
-                              a=[2.0, 2.0, 1.0]).limit_sign(+1) == 1
+        grows = PotentialTerms(c=[1.0, -1.0, 1.0], a=[2.0, 2.0, 1.0])
+        assert _limit_sign(grows.merged(), grows.slope, +1) == 1
         flat = PotentialTerms(c=[1.0, -1.0], a=[1.0, 1.0])
         assert flat.merged() == []
-        assert flat.limit_sign(+1) == flat.limit_sign(-1) == 0
+        assert (_limit_sign(flat.merged(), flat.slope, +1)
+                == _limit_sign(flat.merged(), flat.slope, -1) == 0)
 
     def test_against_dense_grid_oracle(self):
         # Phi(q) = e^q - 3 e^{q/2} - 0.1 q: two extrema
