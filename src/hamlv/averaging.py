@@ -372,7 +372,8 @@ def _slow_fast_flow(env, n):
     z = (p, ln C + a q), c = (-mu, rbar, eps beta (gamma_hat - a' q)) and
     L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]].  The parts
     of c and L set by constant paths are filled once; the others are refilled
-    in place at each call.
+    in place at each call.  An array t takes lanes, one state a row, one by
+    one, and gives c and L stacked, one a lane.
     """
     eps, eps_beta = env.epsilon, env.epsilon * env.beta
     a, b, rbar = env.a, env.b, env.rbar
@@ -389,6 +390,10 @@ def _slow_fast_flow(env, n):
         c[2:] = eps_beta * env.gamma_hat
 
     def terms(t, y):
+        if type(t) is np.ndarray:  # c and L move with t: lane by lane
+            cs, Ls, zs = zip(*((ci.copy(), Li.copy(), zi)
+                               for ci, Li, zi in map(terms, t, y)))
+            return np.array(cs), np.array(Ls), np.array(zs)
         tau, q = eps * t, y[0]
         if not rbar.is_constant:
             c[1] = rbar.value(tau)

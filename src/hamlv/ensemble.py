@@ -26,14 +26,14 @@ of one at (M, N) = (3, 300), (3, 8) and (3, 6), three runs each.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .persistence import _cone_verdict
 from .star import PotentialTerms, analyze_potential
-from .util import json_bytes, trial_rngs, wilson_interval, write_csv
+from .util import (check_count, json_bytes, trial_rngs, wilson_interval,
+                   write_csv)
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class EnsembleConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a bool is an Integral, but no count
-        if (isinstance(self.trials, bool)
-                or not isinstance(self.trials, numbers.Integral)):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
+        check_count(trials=self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for key, value in self.params.items():
@@ -138,6 +135,7 @@ def stability_census(n_low, n_high, trials, bbar=1.0, sigma_b=10.0,
     the failing fraction with its Wilson interval.  Runs on the calling
     thread: ``parallel`` is accepted and ignored (see the module docstring).
     """
+    check_count(n_low=n_low, n_high=n_high)
     if n_low < 1 or n_high < n_low:
         raise ValueError("need 1 <= n_low <= n_high")
     if sigma_b < 0 or sigma_a < 0:
@@ -206,6 +204,7 @@ def orbit_probability_curve(N, mix_grid, trials, seed=0, parallel=1):
     calling thread: ``parallel`` is accepted and ignored (see the module
     docstring).
     """
+    check_count(N=N)
     if N < 1:
         raise ValueError("N must be >= 1")
     mix_grid = [float(m) for m in mix_grid]
@@ -262,6 +261,7 @@ def cone_feasibility_frequency(M, N, r0, sigma, trials, seed=0, parallel=1):
     of about 5 ms.  Runs on the calling thread: ``parallel`` is accepted and
     ignored (see the module docstring).
     """
+    check_count(M=M, N=N)
     if M < 1 or N < M:
         raise ValueError("need 1 <= M <= N")
     config = EnsembleConfig(trials=trials, seed=seed,

@@ -78,8 +78,25 @@ def _product(op):
     return op.dot if isinstance(op, np.ndarray) else op.__matmul__
 
 
+def _lanes_product(op, x):
+    """The rows op @ x[i] of a stack x of lanes, one a row, with the bits of
+    _product(op) on each lane.
+
+    A dense op (or a stack of one op a lane) goes through the stacked
+    np.matmul(op, x[:, :, None]), one BLAS product a lane as ndarray.dot
+    makes it; one gemm over the lanes, (op @ x.T).T, differs from it in the
+    last bits.  A CSR op takes its rows over every lane at once, which
+    keeps the per-lane sums of @.
+    """
+    if isinstance(op, np.ndarray):
+        return np.matmul(op, x[:, :, None])[:, :, 0]
+    return (op @ x.T).T
+
+
 def _lv_flow(system):
-    """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
+    """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y.
+
+    z = y holds for lanes as well, one state a row."""
     c = np.concatenate((-system.r, system.rbar))
     L = _operator([[-system.Gamma, system.A], [-system.B, -system.D]])
     return lambda t, y: (c, L, y)
@@ -89,15 +106,22 @@ def _transformed_flow(csys):
     """Canonical flow in y = (q, p, ln C) with z = (p, ln C + A q / sigma).
 
     z holds (ln v, ln x), so c = (-sigma mu, rbar, gamma_bar) and
-    L = [[diag sigma, 0], [-D, -B], [0, -Gamma]].
+    L = [[diag sigma, 0], [-D, -B], [0, -Gamma]].  An array t takes lanes,
+    one state a row; any other t takes one state, or states as columns.
     """
     base, sigma = csys.base, csys.factors.sigma
     n, m = base.N, base.M
     L = _operator([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
                    [np.zeros((n, m)), -base.Gamma]])
-    K = _product(_operator([[np.zeros((m, m))], [base.A / sigma]]))
+    K = _operator([[np.zeros((m, m))], [base.A / sigma]])
+    Kq = _product(K)
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
-    return lambda t, y: (c, L, y[m:] + K(y[:m]))
+
+    def terms(t, y):
+        if type(t) is np.ndarray:
+            return c, L, y[:, m:] + _lanes_product(K, y[:, :m])
+        return c, L, y[m:] + Kq(y[:m])
+    return terms
 
 
 def _check_span(t_span):
@@ -117,28 +141,58 @@ def _check_samples(n_samples):
 # the steppers of the adaptive runs, by the name meta["method"] records
 _STEPPERS = {"DOP853": DOP853, "RK45": RK45}
 _ROOT_TOL = 4.0 * np.finfo(float).eps  # brentq xtol and rtol of a stop
-# F bytes of the DOP853 steps whose samples wait for one block: about 3,000
-# steps of a 6-unknown run, 56 of a 330-unknown one.  A run held whole raised
-# the bench web's peak RSS from 107 to 155 MB (ROADMAP, non-levers).
+# bytes of the DOP853 stages held for the sampled steps of one block (13 rows
+# of n floats a step): about 1,600 steps of a 6-unknown run, 30 of a
+# 330-unknown one.  The run's buffer holds 16 rows a step, the last three
+# for the extra stages.  A run held whole raised the bench web's peak RSS
+# from 107 to 155 MB (ROADMAP, non-levers).
 _SAMPLE_BLOCK_BYTES = 2 ** 20
 
 
-def _dop853_samples(t_eval, end, pending):
+def _dop853_interpolants(rhs, t_old, h, y_old, y, K):
+    """F (k x 7 x n) of DOP853's dense output for k steps at once, from each
+    step's start t_old, length h, end states y_old and y, and its stages K
+    (k x 16 x n): the 13 of the step, then three rows that the three extra
+    stages (DOP853.A_EXTRA, C_EXTRA) fill in, with one call of rhs on the k
+    lanes each.
+
+    dy and D K are stacked np.matmul products, one BLAS product a step as
+    scipy's np.dot; every other operation is scipy's own, elementwise, so F
+    has the bits of each step's dense_output().F (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.6).
+    """
+    s0 = K.shape[1] - len(DOP853.C_EXTRA)
+    hk = h[:, None]
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=s0):
+        dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s]) * hk
+        K[:, s] = rhs(t_old + c * h, y_old + dy)
+    F = np.empty((len(K), DOP853.D.shape[0] + 3, K.shape[2]))
+    delta_y = y - y_old
+    F[:, 0] = delta_y
+    F[:, 1] = hk * K[:, 0] - delta_y
+    F[:, 2] = 2 * delta_y - hk * (K[:, s0 - 1] + K[:, 0])
+    F[:, 3:] = h[:, None, None] * np.matmul(DOP853.D, K)
+    return F
+
+
+def _dop853_samples(rhs, t_eval, end, pending, stages):
     """The samples of consecutive DOP853 steps up to t_eval[end - 1], each
-    step a (dense output, sample count) of pending, in one pass of scipy's
-    own Horner loop (Dop853DenseOutput) over every sample at once.
+    step a (t_old, h, y_old, y, sample count) of pending whose 13 stages
+    are the rows of stages[i, :13]: their interpolants in bulk
+    (_dop853_interpolants), then one pass of scipy's own Horner loop
+    (Dop853DenseOutput) over every sample at once.
 
     Each sample meets the operations of sol(t) on the same operands, in the
     same order and elementwise, so it has the same bits.
     Returns the states, one column per sample.
     """
-    sols, counts = zip(*pending)
+    *steps, counts = zip(*pending)
+    t_old, h, y_old, y = map(np.array, steps)
+    F = _dop853_interpolants(rhs, t_old, h, y_old, y, stages[:len(pending)])
     t = t_eval[end - sum(counts):end]
-    step = np.repeat(np.arange(len(sols)), counts)
-    t_old = np.array([sol.t_old for sol in sols])[step]
-    h = np.array([sol.h for sol in sols])[step]
-    x = ((t - t_old) / h)[:, None]
-    F = np.stack([sol.F for sol in sols])[step]
+    step = np.repeat(np.arange(len(pending)), counts)
+    x = ((t - t_old[step]) / h[step])[:, None]
+    F = F[step]
     y = np.zeros((t.size, F.shape[2]))
     for i in range(F.shape[1]):
         y += F[:, -1 - i]
@@ -146,7 +200,7 @@ def _dop853_samples(t_eval, end, pending):
             y *= x
         else:
             y *= 1 - x
-    y += np.stack([sol.y_old for sol in sols])[step]
+    y += y_old[step]
     return y.T
 
 
@@ -160,10 +214,16 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
     the stop is the brentq root of stop on the step's dense output, and
     no sample after it is taken; a start with g < 0 is a stop at t0, before
     any step.  The samples of a step come from one dense output of that
-    step.  A DOP853 run keeps the dense outputs of its sampled steps and
-    evaluates their samples in blocks of at most _SAMPLE_BLOCK_BYTES of F
-    (_dop853_samples), with the bits of one call per step; other steppers
-    (RK45, whose interpolant is a BLAS product) call it per step.
+    step.  A DOP853 run keeps what the dense output of each sampled step
+    reads (t_old, h, y_old, y and the 13 stages) and evaluates the dense
+    outputs and samples of up to _SAMPLE_BLOCK_BYTES of stages at once
+    (_dop853_samples), with the bits of one dense_output() call a step; rhs
+    must then also take lanes: an array t of k times and a k x n array y of
+    states, one a row, for a k x n array of derivatives.  The step of a stop
+    calls its own dense_output(), after the steps pending before it are
+    sampled, and other steppers (RK45, whose interpolant is a BLAS product)
+    call it per step.  meta["nfev"] counts the three extra stages of every
+    sampled step, in a block or not.
     A solver failure raises RuntimeError unless
     ``blowup`` is set and a step was completed: the stop is then (t, None)
     at the last step completed.  A span that is not finite and forward, a
@@ -190,6 +250,10 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
     solver = _STEPPERS[method](rhs, t0, y0, t_end, rtol=rtol, atol=atol)
     grid, taken, samples, first, pending = t_eval.tolist(), 0, [], None, []
     blocks = type(solver) is DOP853
+    if blocks:  # solver.K: the 13 stages of the step, K_extended[:13]
+        per_block = max(1, _SAMPLE_BLOCK_BYTES // solver.K.nbytes)
+        stages = np.empty((per_block,) + solver.K_extended.shape)
+    block_steps = 0  # sampled steps whose extra stages a block evaluates
     g = stop(t0, y0)
     if g < 0:
         first, taken = (t0, y0), bisect_right(grid, t0)
@@ -211,22 +275,26 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
         g = g_new
         end = bisect_right(grid, t, taken)
         if end > taken:
-            if sol is None:
-                sol = solver.dense_output()
-            if not blocks:
-                samples.append(sol(t_eval[taken:end]))
+            if pending and (sol is not None or len(pending) == per_block):
+                samples.append(_dop853_samples(rhs, t_eval, taken, pending,
+                                               stages))
+                pending = []
+            if blocks and sol is None:
+                stages[len(pending), :len(solver.K)] = solver.K
+                pending.append((solver.t_old, solver.h_previous,
+                                solver.y_old, solver.y, end - taken))
+                block_steps += 1
             else:
-                if pending and (len(pending) + 1) * sol.F.nbytes > (
-                        _SAMPLE_BLOCK_BYTES):
-                    samples.append(_dop853_samples(t_eval, taken, pending))
-                    pending = []
-                pending.append((sol, end - taken))
+                if sol is None:
+                    sol = solver.dense_output()
+                samples.append(sol(t_eval[taken:end]))
             taken = end
     if pending:
-        samples.append(_dop853_samples(t_eval, taken, pending))
+        samples.append(_dop853_samples(rhs, t_eval, taken, pending, stages))
     y = np.hstack(samples) if samples else np.empty((np.size(y0), 0))
     meta = {"method": method, "rtol": rtol, "atol": atol,
-            "nfev": int(solver.nfev), "n_samples": taken}
+            "nfev": int(solver.nfev) + len(DOP853.C_EXTRA) * block_steps,
+            "n_samples": taken}
     return t_eval[:taken], y, first, meta
 
 
@@ -235,6 +303,9 @@ def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
 
     L is one object for the whole run (a flow may update its entries in
     place), so its product is picked once, from the terms at the start.
+    terms also takes lanes for the dense outputs of DOP853: an array t of k
+    times and states as the rows of y give z as rows, and c and L either
+    for every lane or stacked, one a lane (a flow whose c and L move with t).
     meta["escape_reason"] is "clamp" (the exponent stop), "diverged" (the
     clip keeps the right-hand side finite, so a collapse of the step after
     the first is a finite-time blow-up) or None.
@@ -243,7 +314,9 @@ def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
     product = _product(terms(0.0, y0)[1])
 
     def rhs(t, y):
-        c, _, z = terms(t, y)
+        c, L, z = terms(t, y)
+        if type(t) is np.ndarray:
+            return c + _lanes_product(L, clipped_exp(z))
         return c + product(clipped_exp(z))
 
     escape = lambda t, y: EXP_LIMIT - float(np.abs(terms(t, y)[2]).max())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .util import trial_rngs, wilson_interval
+from .util import check_count, trial_rngs, wilson_interval
 
 # Every witness lies in the LP's box (a cone that needs more is degenerate)
 # and meets a polished LP witness's relative residual; a rank check allows
@@ -699,8 +699,7 @@ def positive_solution_frequency(N, trials, model=None, seed=0, parallel=1):
     trial.  Trials run on the calling thread: the draw and the solve hold
     the GIL, so ``parallel`` (an upper limit on worker threads) is ignored.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
+    check_count(N=N, trials=trials)
     if N < 1 or trials < 1:
         raise ValueError(f"N and trials must be >= 1, got N = {N}, "
                          f"trials = {trials}")

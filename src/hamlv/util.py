@@ -66,6 +66,14 @@ def set_fields(obj, ndim, **fields):
         object.__setattr__(obj, name, float(arr) if ndim == 0 else arr)
 
 
+def check_count(**counts):
+    """Raise ValueError naming the first of counts (name=value) that is not
+    an integer.  numpy integers pass; a bool is an Integral, but no count."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def wilson_interval(k, n, z=Z95):
     """Wilson score interval for a binomial proportion k/n, 0 <= k <= n."""
     if n <= 0:

@@ -218,6 +218,44 @@ class TestTrialCount:
         assert report == ENSEMBLES[name](3)
 
 
+# each ensemble by its sizes, at three trials: (sizes, run)
+SIZED = {
+    "census": (("n_low", "n_high"), lambda n_low, n_high: stability_census(
+        n_low, n_high, 3, seed=1)),
+    "curve": (("N",), lambda N: orbit_probability_curve(N, [0.0, 0.5], 3,
+                                                         seed=1)),
+    "cone": (("M", "N"), lambda M, N: cone_feasibility_frequency(
+        M, N, 1.0, 0.3, 3, seed=1)),
+    "positive_frequency": (("N",), lambda N: positive_solution_frequency(
+        N, 3, seed=1)),
+}
+SIZES = {"n_low": 2, "n_high": 6, "N": 6, "M": 2}
+
+
+class TestSizeCount:
+    """The sizes of an ensemble pass the integer check of its trial count:
+    stability_census(1.5, 10.5, 4) ran and echoed n_low 1.5, and the other
+    three ended in numpy's TypeError."""
+
+    @pytest.mark.parametrize("name", SIZED)
+    def test_non_integer_sizes_rejected(self, name):
+        names, run = SIZED[name]
+        for size in names:
+            for bad in (SIZES[size] + 0.5, float(SIZES[size]), True):
+                sizes = dict(SIZES, **{size: bad})
+                with pytest.raises(ValueError,
+                                   match=f"^{size} must be an integer"):
+                    run(*(sizes[key] for key in names))
+
+    @pytest.mark.parametrize("name", SIZED)
+    def test_numpy_integer_sizes_accepted(self, name):
+        names, run = SIZED[name]
+        report = run(*(np.int64(SIZES[key]) for key in names))
+        want = run(*(SIZES[key] for key in names))
+        assert report == want
+        assert util.json_bytes(report) == util.json_bytes(want)
+
+
 def census_bytes(parallel):
     report = stability_census(1, 40, 120, seed=6, parallel=parallel)
     return report.to_json_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import signal
@@ -12,7 +13,8 @@ from scipy.integrate import DOP853, solve_ivp
 
 from hamlv import integrate
 from hamlv.averaging import (AveragedState, CoefficientPath, SlowEnvironment,
-                             evolve_averaged, simulate_slow_fast)
+                             _slow_fast_flow, evolve_averaged,
+                             simulate_slow_fast)
 from hamlv.canonical import (CanonicalState, canonicalize, from_canonical,
                              hamiltonian, motion_integral, to_canonical)
 from hamlv.integrate import (Trajectory, _lv_flow, _operator,
@@ -26,6 +28,7 @@ from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
 from hamlv.util import EXP_LIMIT, clipped_exp
 from oracle import transformed_rhs
 from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE, TWO_SPECIES
+from test_averaging import random_environment
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -856,60 +859,135 @@ def exp_sum_terms(seed, n, escape):
     return lambda t, y: (c, L, y)
 
 
-class TestBlockSamples:
-    """A DOP853 run evaluates the samples of many steps in one pass of scipy's
-    Horner loop (integrate._dop853_samples), bit for bit the dense output
-    calls of each step."""
+def block_flow(kind, seed, n, escape):
+    """(terms, y0) of a flow the block sampler meets.  exp-sum has n
+    unknowns; transformed is a damped four-prey, three-hub system (a dense
+    operator), transformed-csr a limited 300-prey, 30-hub web (CSR); and
+    slow-fast a star of 1 + n % 4 prey under drifting coefficients, whose
+    c and L move with t.  With escape, a log constant grows at a rate of 100
+    to 400 and the run stops at the clamp (the escaping @examples below stop
+    with sampled steps pending)."""
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(100.0, 400.0) if escape else 0.0
+    if kind == "exp-sum":
+        return exp_sum_terms(seed, n, escape), np.zeros(n)
+    if kind == "slow-fast":
+        env = random_environment(rng, 1 + n % 4, ["table", "analytic"][n % 2])
+        if escape:
+            env = dataclasses.replace(env, gamma_hat=env.gamma_hat + rate / (
+                env.epsilon * env.beta))
+        y0 = np.concatenate(([0.0, 0.3], rng.uniform(-0.5, 0.5, 1 + n % 4)))
+        return _slow_fast_flow(env, 1 + n % 4), y0
+    system, mu, rng = (damped_factorizable(seed) if kind == "transformed"
+                       else hub_web(limited=True, seed=seed))
+    csys = canonicalize(system, mu=mu)
+    gamma_bar = csys.gamma_bar.copy()
+    gamma_bar[0] += rate
+    csys = dataclasses.replace(csys, gamma_bar=gamma_bar)
+    s0 = to_canonical(csys, rng.uniform(0.5, 1.5, system.N),
+                      mu * rng.uniform(0.8, 1.2, system.M))
+    return (_transformed_flow(csys),
+            np.concatenate((s0.q, s0.p, np.log(s0.C))))
 
-    def test_reads_scipys_dense_output_layout(self):
-        # the sampler reads F (7 x n), h = t - t_old, t_old and y_old of
-        # DOP853's dense output: a scipy that changes them fails here
+
+def lanes_rhs(c, L):
+    """c + L exp(y) of one state (ndarray.dot) or of lanes (stacked)."""
+    def rhs(t, y):
+        if type(t) is np.ndarray:
+            return c + integrate._lanes_product(L, np.exp(y))
+        return c + L.dot(np.exp(y))
+    return rhs
+
+
+class TestBlockSamples:
+    """A DOP853 run evaluates the dense outputs of many steps at once, extra
+    stages included, and their samples in one pass of scipy's Horner loop
+    (integrate._dop853_samples), bit for bit the dense output calls of each
+    step."""
+
+    def test_reads_scipys_stages(self):
+        # the block reads, after step(), the 13 stages in K_extended[:13],
+        # h_previous, t_old, y_old and y, and scipy's A_EXTRA, C_EXTRA and
+        # D; its F is dense_output().F: a scipy that moves any of them
+        # fails here.  K_extended[13:] holds the extra stages of the last
+        # dense output, which the block does not read.
+        assert DOP853.A_EXTRA.shape == (3, 16)
+        assert DOP853.C_EXTRA.shape == (3,)
+        assert DOP853.D.shape == (4, 16)
         n = 5
         c, L, _ = exp_sum_terms(0, n, escape=False)(0.0, None)
-        solver = DOP853(lambda t, y: exp_sum(c, L, y), 0.0, np.zeros(n), 5.0,
-                        rtol=1e-8, atol=1e-10)
+        solver = DOP853(lanes_rhs(c, L), 0.0, np.zeros(n), 5.0, rtol=1e-8,
+                        atol=1e-10)
+        steps, dense = [], []
         while solver.status == "running":
-            y_old = solver.y
+            y_old, f_old = solver.y, solver.f
             solver.step()
+            assert solver.K_extended.shape == (16, n)
+            assert solver.K.shape == (13, n)
+            assert np.shares_memory(solver.K, solver.K_extended[:13])
+            assert solver.K[0].tobytes() == f_old.tobytes()
+            assert solver.K[12].tobytes() == solver.f.tobytes()
+            assert solver.h_previous == solver.t - solver.t_old
+            assert solver.y_old is y_old
+            steps.append((solver.t_old, solver.h_previous, solver.y_old,
+                          solver.y, solver.K_extended.copy()))
             sol = solver.dense_output()
             assert sol.F.shape == (7, n) and sol.F.dtype == np.float64
-            assert sol.t_old == solver.t_old and sol.h == solver.t - sol.t_old
-            assert sol.y_old.tobytes() == y_old.tobytes()
-            t = np.linspace(solver.t_old, solver.t, 4)
-            got = integrate._dop853_samples(t, 4, [(sol, 4)])
-            assert got.tobytes() == sol(t).tobytes()
+            assert sol.t_old == solver.t_old and sol.h == solver.h_previous
+            assert sol.y_old is y_old
+            dense.append(sol.F)
+        assert len(steps) > 10
+        t_old, h, y_old, y, K = map(np.array, zip(*steps))
+        K[:, 13:] = np.nan  # the block fills in the extra stages itself
+        F = integrate._dop853_interpolants(lanes_rhs(c, L), t_old, h, y_old,
+                                           y, K)
+        assert F.tobytes() == np.array(dense).tobytes()
 
-    @settings(max_examples=40)
-    @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 330),
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["exp-sum", "transformed", "transformed-csr",
+                                 "slow-fast"]),
+           seed=st.integers(0, 2 ** 16), n=st.integers(1, 330),
            escape=st.booleans(), t_end=st.floats(0.5, 10.0),
            n_samples=st.integers(2, 2000),
            per_block=st.none() | st.integers(0, 6))
-    @example(seed=0, n=1, escape=False, t_end=10.0, n_samples=2,
-             per_block=None)  # steps with no sample
-    @example(seed=1, n=3, escape=False, t_end=0.5, n_samples=2000,
-             per_block=2)  # several samples a step, across block boundaries
-    @example(seed=2, n=4, escape=True, t_end=10.0, n_samples=1500,
-             per_block=None)  # the stop inside the pending block
-    @example(seed=3, n=330, escape=True, t_end=5.0, n_samples=1001,
-             per_block=3)
-    def test_block_samples_are_the_per_step_calls(self, seed, n, escape, t_end,
-                                                  n_samples, per_block):
-        terms = exp_sum_terms(seed, n, escape)
+    @example(kind="exp-sum", seed=0, n=1, escape=False, t_end=10.0,
+             n_samples=2, per_block=None)  # steps with no sample
+    @example(kind="exp-sum", seed=1, n=3, escape=False, t_end=0.5,
+             n_samples=2000, per_block=2)  # many samples a step and block
+    @example(kind="exp-sum", seed=2, n=4, escape=True, t_end=10.0,
+             n_samples=1500, per_block=None)  # the stop inside the block
+    @example(kind="exp-sum", seed=3, n=330, escape=True, t_end=5.0,
+             n_samples=1001, per_block=3)
+    @example(kind="transformed", seed=4, n=1, escape=True, t_end=10.0,
+             n_samples=1500, per_block=0)  # one step a block up to the stop
+    @example(kind="transformed", seed=5, n=1, escape=False, t_end=10.0,
+             n_samples=700, per_block=None)
+    @example(kind="transformed-csr", seed=6, n=1, escape=True, t_end=5.0,
+             n_samples=1001, per_block=0)
+    @example(kind="transformed-csr", seed=7, n=1, escape=False, t_end=2.0,
+             n_samples=300, per_block=None)
+    @example(kind="slow-fast", seed=8, n=3, escape=True, t_end=10.0,
+             n_samples=2000, per_block=0)
+    @example(kind="slow-fast", seed=9, n=2, escape=False, t_end=10.0,
+             n_samples=1001, per_block=None)
+    def test_block_samples_are_the_per_step_calls(self, kind, seed, n, escape,
+                                                  t_end, n_samples, per_block):
+        terms, y0 = block_flow(kind, seed, n, escape)
         blocks, sample = [], integrate._dop853_samples
 
-        def spy(t_eval, end, pending):
+        def spy(rhs, t_eval, end, pending, stages):
             blocks.append(len(pending))
-            return sample(t_eval, end, pending)
+            return sample(rhs, t_eval, end, pending, stages)
 
         def run():
-            return integrate._solve_log_system(terms, np.zeros(n), t_end,
-                                               1e-8, 1e-10, n_samples, None)
+            return integrate._solve_log_system(terms, y0, t_end, 1e-8, 1e-10,
+                                               n_samples, None)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrate, "_dop853_samples", spy)
             if per_block is not None:  # 0 still holds one step a block
                 mp.setattr(integrate, "_SAMPLE_BLOCK_BYTES",
-                           per_block * 7 * 8 * n)
+                           per_block * 13 * 8 * y0.size)
             t, y, report = run()
             n_blocks = len(blocks)
             assert n_blocks and (per_block is None
@@ -922,15 +1000,15 @@ class TestBlockSamples:
         assert report == report_ref
 
     def test_web_run_blocks_within_budget(self, monkeypatch):
-        # 330 unknowns, 1001 samples over about 750 steps: 56 steps of F a
-        # block, where a whole run would hold 14 MB of F
+        # 330 unknowns, 1001 samples over about 750 steps: 30 steps of
+        # stages a block, where a whole run would hold 26 MB of them
         system, mu, rng = hub_web(limited=False)
         held, sample = [], integrate._dop853_samples
 
-        def spy(t_eval, end, pending):
-            held.append((sum(sol.F.nbytes for sol, _ in pending),
-                         sum(count for _, count in pending)))
-            return sample(t_eval, end, pending)
+        def spy(rhs, t_eval, end, pending, stages):
+            held.append((stages[:len(pending), :13].nbytes,
+                         sum(step[4] for step in pending)))
+            return sample(rhs, t_eval, end, pending, stages)
 
         monkeypatch.setattr(integrate, "_dop853_samples", spy)
         traj = integrate_lv(system, rng.uniform(0.5, 1.5, system.N),
@@ -939,6 +1017,45 @@ class TestBlockSamples:
         assert len(held) > 1
         assert max(nbytes for nbytes, _ in held) <= (
             integrate._SAMPLE_BLOCK_BYTES)
+
+
+class TestLanesProduct:
+    """The product contract the block relies on, on random operators: the
+    stacked np.matmul is, lane for lane, ndarray.dot (the flows' c + L e)
+    and scipy's per-step np.dot (DOP853's dy = K[:s].T a[:s] and D K), and
+    a CSR operator's product over the lanes is @ on each.
+
+    One gemm over the lanes, (L @ E.T).T, is not: with scipy-openblas on
+    x86-64 it is off by up to 3.6e-15 at n = 6, so it must not replace the
+    stacked form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 7, 31, 330])
+    @pytest.mark.parametrize("k", [1, 2, 5, 39])
+    def test_stacked_matmul_is_each_lanes_dot(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        L, E = rng.normal(size=(n, n)), rng.normal(size=(k, n))
+        want = np.array([L.dot(e) for e in E])
+        assert integrate._lanes_product(L, E).tobytes() == want.tobytes()
+        # an operator a lane, as a flow whose L moves with t gives them
+        Ls = rng.normal(size=(k, n + 2, n))
+        want = np.array([Ls[i].dot(E[i]) for i in range(k)])
+        assert integrate._lanes_product(Ls, E).tobytes() == want.tobytes()
+        K = rng.normal(size=(k, 16, n))
+        for s, a in zip(range(13, 16), DOP853.A_EXTRA):
+            want = np.array([np.dot(K[i, :s].T, a[:s]) for i in range(k)])
+            got = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s])
+            assert got.tobytes() == want.tobytes()
+        want = np.array([np.dot(DOP853.D, K[i]) for i in range(k)])
+        assert np.matmul(DOP853.D, K).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 40, 330])
+    @pytest.mark.parametrize("k", [1, 4, 39])
+    def test_csr_block_is_each_rows_product(self, n, k):
+        rng = np.random.default_rng(n + k)
+        L = sparse.random_array((n, n), density=0.1, format="csr", rng=rng)
+        E = rng.normal(size=(k, n))
+        want = np.array([L @ e for e in E])
+        assert integrate._lanes_product(L, E).tobytes() == want.tobytes()
 
 
 def trajectory_digest(traj):
