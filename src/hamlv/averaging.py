@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import star_equilibrium
-from .integrate import Trajectory, _adaptive_run, _solve_log_system
+from .integrate import Trajectory, _adaptive_run, _Flow, _solve_log_system
 from .star import StarSystem, _classify, _orbit_nodes, analyze_potential
 from .util import clipped_exp, libm_exp, set_fields, write_csv
 
@@ -86,6 +86,13 @@ class CoefficientPath:
         return out if out.ndim else float(out)
 
 
+def _check_species(name, values, n):
+    """Raise ValueError naming values unless they hold n, one a species."""
+    if values.shape != (n,):
+        raise ValueError(f"{name} must have one entry per species ({n}, as "
+                         f"in a), got shape {values.shape}")
+
+
 @dataclass(frozen=True)
 class SlowEnvironment:
     """Slowly varying star coefficients plus scaled self-limitation.
@@ -93,7 +100,8 @@ class SlowEnvironment:
     epsilon sets the time-scale ratio, dbar the hub self-limitation
     (d11 = epsilon dbar), beta = kappa / epsilon the ratio of the specialist
     self-limitation scale, and gamma_hat / gamma the scaled offsets and
-    limitation coefficients entering the Cbar drift.
+    limitation coefficients entering the Cbar drift, one entry per species
+    of a(0); an array of another length raises ValueError naming it.
     """
 
     a: CoefficientPath
@@ -117,6 +125,8 @@ class SlowEnvironment:
         set_fields(self, 1,
                    gamma_hat=zeros if self.gamma_hat is None else self.gamma_hat,
                    gamma=zeros if self.gamma is None else self.gamma)
+        for name in ("gamma_hat", "gamma"):
+            _check_species(name, getattr(self, name), zeros.size)
 
     def star_at(self, tau, Cbar):
         return StarSystem(a=self.a.value(tau), b=self.b.value(tau),
@@ -369,16 +379,17 @@ def _slow_fast_flow(env, n):
     """The fast star under the slow environment, y = (q, p, ln C).
 
     The canonical flow with M = 1, sigma = 1 and K = a(tau), tau = eps t:
-    z = (p, ln C + a q), c = (-mu, rbar, eps beta (gamma_hat - a' q)) and
-    L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]].  The parts
-    of c and L set by constant paths are filled once; the others are refilled
-    in place at each call.  An array t takes lanes, one state a row, one by
-    one, and gives c and L stacked, one a lane.
+    z = (p, ln C + a q), c = (-mu, rbar, eps beta (gamma_hat - a' q)),
+    L = [[1, 0], [-eps dbar, -b], [0, -eps beta diag gamma]] and
+    K = [[0], [a]].  The parts of c, L and K set by constant paths are
+    filled once; refresh refills the others in place, and is None when
+    every path is constant.
     """
     eps, eps_beta = env.epsilon, env.epsilon * env.beta
     a, b, rbar = env.a, env.b, env.rbar
     c = np.full(n + 2, -env.mu)
     L = np.zeros((n + 2, n + 1))
+    K = np.zeros((n + 1, 1))
     L[:2, 0] = 1.0, -eps * env.dbar
     L[2:, 1:] = np.diag(-eps_beta * env.gamma)
     if rbar.is_constant:
@@ -386,29 +397,22 @@ def _slow_fast_flow(env, n):
     if b.is_constant:
         L[1, 1:] = np.negative(b.value(0.0))
     if a.is_constant:  # a' = 0
-        a_fixed = a.value(0.0)
+        K[1:, 0] = a.value(0.0)
         c[2:] = eps_beta * env.gamma_hat
 
-    def terms(t, y):
-        if type(t) is np.ndarray:  # c and L move with t: lane by lane
-            cs, Ls, zs = zip(*((ci.copy(), Li.copy(), zi)
-                               for ci, Li, zi in map(terms, t, y)))
-            return np.array(cs), np.array(Ls), np.array(zs)
-        tau, q = eps * t, y[0]
+    def refresh(t, y):
+        tau = eps * t
         if not rbar.is_constant:
             c[1] = rbar.value(tau)
         if not b.is_constant:
             L[1, 1:] = np.negative(b.value(tau))
-        if a.is_constant:
-            a_now = a_fixed
-        else:
-            a_now = a.value(tau)
+        if not a.is_constant:
+            K[1:, 0] = a.value(tau)
             c[2:] = eps_beta * (env.gamma_hat
-                                - np.multiply(q, a.derivative(tau)))
-        lnx = y[2:] + np.multiply(a_now, q)
-        return c, L, np.concatenate((y[1:2], lnx))
+                                - np.multiply(y[0], a.derivative(tau)))
 
-    return terms
+    moving = not (a.is_constant and b.is_constant and rbar.is_constant)
+    return _Flow(c, L, K, refresh if moving else None)
 
 
 def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
@@ -418,8 +422,10 @@ def simulate_slow_fast(env, q0, p0, C0, t_end, rtol=1e-9, atol=1e-12,
     Runs the exp-sum flow kernel of integrate on _slow_fast_flow, so an
     escape is reported, not raised.  Returns a Trajectory with the
     instantaneous H(q, p; tau, C) recorded for comparison against E(tau).
+    A C0 without one entry per species of env raises ValueError.
     """
     C0 = np.atleast_1d(np.asarray(C0, dtype=float))
+    _check_species("C0", C0, env.gamma.size)
     n, eps, mu = C0.size, env.epsilon, env.mu
     y0 = np.concatenate(([q0, p0], np.log(C0)))
     ts, y, run = _solve_log_system(_slow_fast_flow(env, n), y0, t_end, rtol,

@@ -82,46 +82,51 @@ def _lanes_product(op, x):
     """The rows op @ x[i] of a stack x of lanes, one a row, with the bits of
     _product(op) on each lane.
 
-    A dense op (or a stack of one op a lane) goes through the stacked
-    np.matmul(op, x[:, :, None]), one BLAS product a lane as ndarray.dot
-    makes it; one gemm over the lanes, (op @ x.T).T, differs from it in the
-    last bits.  A CSR op takes its rows over every lane at once, which
-    keeps the per-lane sums of @.
+    A dense op goes through the stacked np.matmul(op, x[:, :, None]), one
+    BLAS product a lane as ndarray.dot makes it; one gemm over the lanes,
+    (op @ x.T).T, differs from it in the last bits.  A CSR op takes its rows
+    over every lane at once, which keeps the per-lane sums of @.
     """
     if isinstance(op, np.ndarray):
         return np.matmul(op, x[:, :, None])[:, :, 0]
     return (op @ x.T).T
 
 
-def _lv_flow(system):
-    """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y.
+@dataclass(frozen=True)
+class _Flow:
+    """The flow y' = c + L exp(z) in log coordinates, as data.
 
-    z = y holds for lanes as well, one state a row."""
+    z = y when K is None, and z = y[m:] + K y[:m] for the m columns of K
+    otherwise.  refresh(t, y), when not None, refills in place the entries
+    of c, L and K that move with t, before each evaluation at (t, y).
+    """
+
+    c: np.ndarray
+    L: object
+    K: object
+    refresh: object
+
+
+def _lv_flow(system):
+    """y = (ln x, ln v): c = (-r, rbar), L = [[-Gamma, A], [-B, -D]], z = y."""
     c = np.concatenate((-system.r, system.rbar))
     L = _operator([[-system.Gamma, system.A], [-system.B, -system.D]])
-    return lambda t, y: (c, L, y)
+    return _Flow(c, L, None, None)
 
 
 def _transformed_flow(csys):
     """Canonical flow in y = (q, p, ln C) with z = (p, ln C + A q / sigma).
 
-    z holds (ln v, ln x), so c = (-sigma mu, rbar, gamma_bar) and
-    L = [[diag sigma, 0], [-D, -B], [0, -Gamma]].  An array t takes lanes,
-    one state a row; any other t takes one state, or states as columns.
+    z holds (ln v, ln x), so c = (-sigma mu, rbar, gamma_bar),
+    L = [[diag sigma, 0], [-D, -B], [0, -Gamma]] and K = [[0], [A / sigma]].
     """
     base, sigma = csys.base, csys.factors.sigma
     n, m = base.N, base.M
     L = _operator([[np.diag(sigma), np.zeros((m, n))], [-base.D, -base.B],
                    [np.zeros((n, m)), -base.Gamma]])
     K = _operator([[np.zeros((m, m))], [base.A / sigma]])
-    Kq = _product(K)
     c = np.concatenate((-sigma * csys.mu, base.rbar, csys.gamma_bar))
-
-    def terms(t, y):
-        if type(t) is np.ndarray:
-            return c, L, y[:, m:] + _lanes_product(K, y[:, :m])
-        return c, L, y[m:] + Kq(y[:m])
-    return terms
+    return _Flow(c, L, K, None)
 
 
 def _check_span(t_span):
@@ -192,10 +197,9 @@ def _dop853_samples(rhs, t_eval, end, pending, stages):
     t = t_eval[end - sum(counts):end]
     step = np.repeat(np.arange(len(pending)), counts)
     x = ((t - t_old[step]) / h[step])[:, None]
-    F = F[step]
     y = np.zeros((t.size, F.shape[2]))
     for i in range(F.shape[1]):
-        y += F[:, -1 - i]
+        y += F[step, -1 - i]
         if i % 2 == 0:
             y *= x
         else:
@@ -298,28 +302,37 @@ def _adaptive_run(rhs, t_span, y0, stop, method, rtol, atol, n_samples,
     return t_eval[:taken], y, first, meta
 
 
-def _solve_log_system(terms, y0, t_end, rtol, atol, n_samples, t_eval):
-    """Integrate y' = c + L exp(z) from a flow's terms(t, y) = (c, L, z).
+def _solve_log_system(flow, y0, t_end, rtol, atol, n_samples, t_eval):
+    """Integrate the _Flow y' = c + L exp(z) from y0 over (0, t_end).
 
-    L is one object for the whole run (a flow may update its entries in
-    place), so its product is picked once, from the terms at the start.
-    terms also takes lanes for the dense outputs of DOP853: an array t of k
-    times and states as the rows of y give z as rows, and c and L either
-    for every lane or stacked, one a lane (a flow whose c and L move with t).
+    The one lane rule of the flows: the dense outputs of DOP853 call the
+    right-hand side on lanes, an array t of k times and states as the rows
+    of y.  A flow without refresh evaluates them stacked (_lanes_product),
+    and one with refresh lane by lane, as k calls on one state; both keep
+    the bits of one call a state.
     meta["escape_reason"] is "clamp" (the exponent stop), "diverged" (the
     clip keeps the right-hand side finite, so a collapse of the step after
     the first is a finite-time blow-up) or None.
     Returns the sample times, the states and the Trajectory's escape fields.
     """
-    product = _product(terms(0.0, y0)[1])
+    c, L, K, refresh = flow.c, flow.L, flow.K, flow.refresh
+    product, m = _product(L), 0 if K is None else K.shape[1]
+    Kq = None if K is None else _product(K)
+
+    def z(t, y):
+        if refresh is not None:
+            refresh(t, y)
+        return y if K is None else y[m:] + Kq(y[:m])
 
     def rhs(t, y):
-        c, L, z = terms(t, y)
-        if type(t) is np.ndarray:
-            return c + _lanes_product(L, clipped_exp(z))
-        return c + product(clipped_exp(z))
+        if type(t) is not np.ndarray:
+            return c + product(clipped_exp(z(t, y)))
+        if refresh is not None:
+            return np.array([rhs(s, lane) for s, lane in zip(t.tolist(), y)])
+        zs = y if K is None else y[:, m:] + _lanes_product(K, y[:, :m])
+        return c + _lanes_product(L, clipped_exp(zs))
 
-    escape = lambda t, y: EXP_LIMIT - float(np.abs(terms(t, y)[2]).max())
+    escape = lambda t, y: EXP_LIMIT - float(np.abs(z(t, y)).max())
     t, y, stop, meta = _adaptive_run(rhs, (0.0, t_end), y0, escape, "DOP853",
                                      rtol, atol, n_samples, t_eval,
                                      blowup=True)
@@ -363,14 +376,16 @@ def integrate_transformed(csys, state0, t_end, rtol=1e-8, atol=1e-10,
     csys.base.check_state(q=state0.q, p=state0.p, C=state0.C)
     n, m = csys.base.N, csys.base.M
     y0 = np.concatenate((state0.q, state0.p, np.log(state0.C)))
-    terms = _transformed_flow(csys)
-    t, y, run = _solve_log_system(terms, y0, t_end, rtol, atol, n_samples,
+    flow = _transformed_flow(csys)
+    t, y, run = _solve_log_system(flow, y0, t_end, rtol, atol, n_samples,
                                   t_eval)
     # one row per sample, summed pairwise along contiguous rows in the
     # grouping of canonical.hamiltonian (BLAS dot products drifted 4.6 eps)
     rows = np.ascontiguousarray(y.T)
     q, p = rows[:, :m], rows[:, m:2 * m]
-    x = clipped_exp(np.ascontiguousarray(terms(None, y)[2][m:].T))
+    # ln x from the flow's exponents z = (p, ln x), one column a sample
+    x = clipped_exp(np.ascontiguousarray(
+        (y[m:] + _product(flow.K)(y[:m]))[m:].T))
     sigma = csys.factors.sigma
     energy = (np.sum(csys.factors.rho * x, axis=1)
               - np.sum(csys.base.rbar * q, axis=1)

@@ -106,37 +106,9 @@ def _hash_constants(start, mult, count):
             np.array(out[1:], dtype=np.uint32)[:, None])
 
 
-def _unspawned_pool(seed):
-    """The pool of SeedSequence(seed, spawn_key=(i,)) before the spawn word i
-    is mixed in, which is the same for every i, and the hash constant the
-    spawn word's mixing starts from; in Python integers."""
-    words = [seed >> shift & _MASK32
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # with a spawn key the run entropy is padded to the pool size
-    words += [0] * (_POOL - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, hash_const
-
-
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words, on Python integers or on
-    uint32 arrays (which wrap as the words do)."""
+    """SeedSequence's mix of two uint32 words, on uint32 arrays (which wrap
+    as the words do)."""
     value = (_MIX_L * x - _MIX_R * y) & _MASK32
     return value ^ value >> 16
 
@@ -174,12 +146,18 @@ def trial_rngs(seed, first, stop):
     if not 0 <= first <= stop <= 2 ** 32:
         raise ValueError(f"trial indices must lie in [0, 2**32], got "
                          f"{first} .. {stop}")
-    pool, hash_const = _unspawned_pool(int(seed))
+    # a spawn key pads the seed's words with zeros, which SeedSequence(seed)
+    # hashes for missing words too, so the pools before the spawn word agree:
+    # _POOL ** 2 hashes, and _POOL more for each word past the pool size
+    n_words = max(1, -(-int(seed).bit_length() // 32))
+    hashes = _POOL * _POOL + _POOL * max(0, n_words - _POOL)
+    hash_const = _INIT_A * pow(_MULT_A, hashes, 2 ** 32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool
     index = np.arange(first, stop, dtype=np.uint32)
     # mix the spawn word into each pool word
     xor, mult = _hash_constants(hash_const, _MULT_A, _POOL)
     value = (index ^ xor) * mult
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], value ^ value >> 16)
+    pool = _mix(pool[:, None], value ^ value >> 16)
     # generate_state(4, np.uint64): eight uint32 words cycling the pool,
     # paired little-endian into uint64
     xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)

@@ -112,6 +112,13 @@ class TestAveragedRhs:
                                             Cbar=np.ones(4)))
 
 
+def three_species_env(**kw):
+    """The unit environment of a three-specialist star."""
+    return unit_env(**{"a": CoefficientPath.constant([1.0, 2.0, 0.5]),
+                       "b": CoefficientPath.constant([1.0, 0.5, 0.8]),
+                       "beta": 1.0, **kw})
+
+
 class TestInputs:
     @pytest.mark.parametrize("field, value", [
         ("mu", math.nan), ("epsilon", math.nan), ("dbar", math.inf),
@@ -119,6 +126,24 @@ class TestInputs:
     def test_environment_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
             unit_env(**{field: value})
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    @pytest.mark.parametrize("field", ["gamma_hat", "gamma"])
+    def test_environment_rejects_limitation_of_wrong_length(self, field,
+                                                            length):
+        # one entry per species of a(0): a single entry would broadcast
+        # over the species, and over the slow-fast flow's whole limitation
+        # block, where every specialist would limit every other
+        with pytest.raises(ValueError, match=f"^{field} must have one entry "
+                                             r"per species \(3, as in a\)"):
+            three_species_env(**{field: np.full(length, 0.5)})
+
+    @pytest.mark.parametrize("C0", [[1.0], [1.0, 1.0], np.ones(4)],
+                             ids=["one", "two", "four"])
+    def test_slow_fast_rejects_start_of_wrong_size(self, C0):
+        with pytest.raises(ValueError, match=r"^C0 must have one entry per "
+                                             r"species \(3, as in a\)"):
+            simulate_slow_fast(three_species_env(), 0.0, 0.0, C0, 1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("tau", math.nan), ("E", math.inf), ("Cbar", [math.nan])])
@@ -342,6 +367,17 @@ class TestAveragingAccuracy:
         assert dC[0] == pytest.approx(0.0, abs=1e-8)
 
 
+def flow_terms(flow, t, y):
+    """(c, L, z) of an integrate._Flow at t and one state y, after its
+    refresh: z = y, or y[m:] + K y[:m] for the m columns of K."""
+    if flow.refresh is not None:
+        flow.refresh(t, y)
+    if flow.K is None:
+        return flow.c, flow.L, y
+    m = flow.K.shape[1]
+    return flow.c, flow.L, y[m:] + flow.K @ y[:m]
+
+
 def random_environment(rng, n, kind):
     """Drifting coefficients (a table or analytic callables) with nonzero
     dbar, beta and gamma."""
@@ -389,7 +425,7 @@ class TestSlowFastFlow:
                      * math.exp(p) + np.sum(np.abs(env.b.value(tau)) * x)],
                     eb * (np.abs(env.gamma_hat) + env.gamma * x
                           + np.abs(q * env.a.derivative(tau)))))
-                c, L, z = flow(t, y)
+                c, L, z = flow_terms(flow, t, y)
                 got, want = c + L @ np.exp(z), oracle(t, y)
                 assert np.all(np.abs(got - want) <= 4 * EPS * terms)
 

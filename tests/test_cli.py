@@ -579,6 +579,11 @@ class TestMalformedInput:
                        "--E0", "3")
         assert "'rate' must be a number or an array" in err
 
+    def test_average_limitation_of_wrong_length(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "average",
+                       dict(ENV, beta=1.0, gamma=[0.5, 0.5]), "--E0", "3")
+        assert "gamma must have one entry per species (1, as in a)" in err
+
     def test_average_unknown_path_kind(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "average",
                        dict(ENV, b_path={"kind": "cubic"}), "--E0", "3")

@@ -10,6 +10,9 @@
 - Only ``Orbit`` defines ``to_dict``, because its JSON is not its fields.
 - No module imports or names ``solve_ivp``: every adaptive run steps
   scipy's public DOP853 or RK45 in ``integrate._adaptive_run``'s own loop.
+- Only ``integrate`` branches on an array ``t``: the lanes of DOP853's dense
+  outputs reach ``integrate._solve_log_system`` alone, and every flow is
+  ``integrate._Flow`` data evaluated there.
 """
 
 import ast
@@ -182,3 +185,50 @@ def test_solve_ivp_rule_reads_every_form():
 def test_no_module_names_solve_ivp():
     assert [name for name, source in package_sources().items()
             if names_solve_ivp(source)] == []
+
+
+def branches_on_array_t(source):
+    """Whether source tests a name t against numpy's ndarray, as
+    type(t) is np.ndarray, in either order and with any comparison, or as
+    isinstance(t, ...) naming ndarray, at any depth of the module."""
+    def is_t(node):
+        return isinstance(node, ast.Name) and node.id == "t"
+
+    def names_ndarray(node):
+        return any(isinstance(part, ast.Attribute) and part.attr == "ndarray"
+                   or isinstance(part, ast.Name) and part.id == "ndarray"
+                   for part in ast.walk(node))
+
+    def is_call(node, name, n_args):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name and len(node.args) == n_args
+                and is_t(node.args[0]))
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(is_call(part, "type", 1) for part in operands)
+                    and any(map(names_ndarray, operands))):
+                return True
+        elif is_call(node, "isinstance", 2) and names_ndarray(node.args[1]):
+            return True
+    return False
+
+
+def test_array_t_rule_reads_every_form():
+    for source in ("if type(t) is np.ndarray:\n    pass\n",
+                   "lanes = type(t) is not numpy.ndarray\n",
+                   "from numpy import ndarray\nlanes = ndarray == type(t)\n",
+                   "def f(t):\n    return isinstance(t, np.ndarray)\n",
+                   "lanes = isinstance(t, (float, np.ndarray))\n"):
+        assert branches_on_array_t(source), source
+    for source in ("lanes = type(y) is np.ndarray\n",
+                   "dense = isinstance(op, np.ndarray)\n",
+                   "scalar = type(t) is float\n",
+                   "# type(t) is np.ndarray\n", "t = np.ndarray\n"):
+        assert not branches_on_array_t(source), source
+
+
+def test_only_integrate_branches_on_array_t():
+    assert [name for name, source in package_sources().items()
+            if branches_on_array_t(source)] == ["integrate.py"]

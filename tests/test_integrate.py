@@ -28,7 +28,7 @@ from hamlv.star import (EnergyBelowWellError, PotentialTerms, StarSystem,
 from hamlv.util import EXP_LIMIT, clipped_exp
 from oracle import transformed_rhs
 from test_acceptance import DOUBLE_WELL, REGRESSION_SUITE, TWO_SPECIES
-from test_averaging import random_environment
+from test_averaging import flow_terms, random_environment
 
 UNIT_STAR = StarSystem(a=[1.0], b=[1.0], rbar=1.0, mu=1.0)
 PAIR = InteractionSystem(r=[1.0], rbar=[1.0], A=[[1.0]], B=[[1.0]])
@@ -110,7 +110,7 @@ def block_rhs(system):
 
 
 def exp_sum(c, L, z):
-    """The right-hand side c + L exp(z) of a flow's terms."""
+    """The right-hand side c + L exp(z) of a flow's terms (flow_terms)."""
     return c + L @ np.exp(z)
 
 
@@ -265,8 +265,8 @@ class TestExpSumFlow:
             terms = np.concatenate((
                 system.r + system.A @ v + system.Gamma @ x,
                 system.rbar + system.B @ x + system.D @ v))
-            assert_sum_close(exp_sum(*flow(0.0, y)), block_rhs(system)(0.0, y),
-                             terms)
+            assert_sum_close(exp_sum(*flow_terms(flow, 0.0, y)),
+                             block_rhs(system)(0.0, y), terms)
 
     @pytest.mark.parametrize("case", FLOW_CASES)
     def test_transformed_flow_is_transformed_rhs(self, case):
@@ -286,17 +286,17 @@ class TestExpSumFlow:
             terms = np.concatenate((sigma * (v + csys.mu),
                                     base.rbar + base.B @ x + base.D @ v,
                                     np.abs(csys.gamma_bar) + base.Gamma @ x))
-            assert_sum_close(exp_sum(*flow(0.0, y)),
+            assert_sum_close(exp_sum(*flow_terms(flow, 0.0, y)),
                              np.concatenate((dq, dp, dC / state.C)), terms)
 
     @pytest.mark.parametrize("limited", [False, True])
     def test_large_sparse_web_gets_csr(self, limited):
         system, mu, _ = hub_web(limited)
         n, m = system.N, system.M
-        assert sparse.issparse(_lv_flow(system)(0.0, np.zeros(n + m))[1])
+        assert sparse.issparse(_lv_flow(system).L)
         csys = canonicalize(system, mu=mu)
         flow = _transformed_flow(csys)
-        assert sparse.issparse(flow(0.0, np.zeros(n + 2 * m))[1])
+        assert sparse.issparse(flow.L)
         # the canonical map K = [[0], [A / sigma]] is too small to pay
         K = _operator([[np.zeros((m, m))], [system.A / csys.factors.sigma]])
         assert type(K) is np.ndarray
@@ -305,14 +305,13 @@ class TestExpSumFlow:
         # the tests' own systems and the c10 cases keep the dense operator,
         # and with it the bits they had before CSR
         def lv_operator(system):
-            return _lv_flow(system)(0.0, np.zeros(system.N + system.M))[1]
+            return _lv_flow(system).L
 
         for system, mu in [(PAIR, None)] + [damped_factorizable(seed)[:2]
                                             for seed in range(5)]:
             assert type(lv_operator(system)) is np.ndarray
             flow = _transformed_flow(canonicalize(system, mu=mu))
-            y = np.zeros(system.N + 2 * system.M)
-            assert type(flow(0.0, y)[1]) is np.ndarray
+            assert type(flow.L) is np.ndarray
         for ts, _ in REGRESSION_SUITE:  # c10's systems do not factor
             assert type(lv_operator(ts.to_interaction_system())) is np.ndarray
 
@@ -323,7 +322,7 @@ class TestExpSumFlow:
         integrate_lv(PAIR, [2.0], [1.0], 1.0)
         (rhs, _), = seen
         y = np.array([29.0, -29.0])
-        want = exp_sum(*_lv_flow(PAIR)(0.5, y))
+        want = exp_sum(*flow_terms(_lv_flow(PAIR), 0.5, y))
         assert rhs(0.5, y).tobytes() == want.tobytes()
         dy = rhs(1.5, np.array([800.0, -31.0]))
         assert np.all(np.isfinite(dy))
@@ -352,7 +351,7 @@ class TestExpSumFlow:
                 csys, np.ones(system.N), mu), 0.1, n_samples=2)
         (rhs, escape), = seen
         y[0] = 800.0  # drives z past the clip in both flows
-        c, L, z = flow(0.5, y)
+        c, L, z = flow_terms(flow, 0.5, y)
         assert sparse.issparse(L) == (case == "hub-limited")
         assert np.max(np.abs(z)) > EXP_LIMIT
         want = c + L @ clipped_exp(z)
@@ -845,7 +844,7 @@ class PerStepDOP853(DOP853):
     dense output call per step, as it does RK45."""
 
 
-def exp_sum_terms(seed, n, escape):
+def exp_sum_flow(seed, n, escape):
     """A bounded flow y' = c + L exp(y) of n unknowns: diagonally dominant
     decay with about three couplings a row.  With escape, y[0] grows alone
     at a rate of 100 to 400 and reaches the clamp at t = 1.75 to 7."""
@@ -856,21 +855,21 @@ def exp_sum_terms(seed, n, escape):
     c = rng.uniform(-1.0, 1.0, n)
     if escape:
         L[0], L[:, 0], c[0] = 0.0, 0.0, rng.uniform(100.0, 400.0)
-    return lambda t, y: (c, L, y)
+    return integrate._Flow(c, L, None, None)
 
 
 def block_flow(kind, seed, n, escape):
-    """(terms, y0) of a flow the block sampler meets.  exp-sum has n
+    """(flow, y0) of a flow the block sampler meets.  exp-sum has n
     unknowns; transformed is a damped four-prey, three-hub system (a dense
     operator), transformed-csr a limited 300-prey, 30-hub web (CSR); and
     slow-fast a star of 1 + n % 4 prey under drifting coefficients, whose
-    c and L move with t.  With escape, a log constant grows at a rate of 100
-    to 400 and the run stops at the clamp (the escaping @examples below stop
-    with sampled steps pending)."""
+    c, L and K move with t.  With escape, a log constant grows at a rate of
+    100 to 400 and the run stops at the clamp (the escaping @examples below
+    stop with sampled steps pending)."""
     rng = np.random.default_rng(seed)
     rate = rng.uniform(100.0, 400.0) if escape else 0.0
     if kind == "exp-sum":
-        return exp_sum_terms(seed, n, escape), np.zeros(n)
+        return exp_sum_flow(seed, n, escape), np.zeros(n)
     if kind == "slow-fast":
         env = random_environment(rng, 1 + n % 4, ["table", "analytic"][n % 2])
         if escape:
@@ -890,8 +889,11 @@ def block_flow(kind, seed, n, escape):
             np.concatenate((s0.q, s0.p, np.log(s0.C))))
 
 
-def lanes_rhs(c, L):
-    """c + L exp(y) of one state (ndarray.dot) or of lanes (stacked)."""
+def lanes_rhs(flow):
+    """c + L exp(y) of a flow with z = y, of one state (ndarray.dot) or of
+    lanes (stacked)."""
+    c, L = flow.c, flow.L
+
     def rhs(t, y):
         if type(t) is np.ndarray:
             return c + integrate._lanes_product(L, np.exp(y))
@@ -915,8 +917,8 @@ class TestBlockSamples:
         assert DOP853.C_EXTRA.shape == (3,)
         assert DOP853.D.shape == (4, 16)
         n = 5
-        c, L, _ = exp_sum_terms(0, n, escape=False)(0.0, None)
-        solver = DOP853(lanes_rhs(c, L), 0.0, np.zeros(n), 5.0, rtol=1e-8,
+        flow = exp_sum_flow(0, n, escape=False)
+        solver = DOP853(lanes_rhs(flow), 0.0, np.zeros(n), 5.0, rtol=1e-8,
                         atol=1e-10)
         steps, dense = [], []
         while solver.status == "running":
@@ -939,7 +941,7 @@ class TestBlockSamples:
         assert len(steps) > 10
         t_old, h, y_old, y, K = map(np.array, zip(*steps))
         K[:, 13:] = np.nan  # the block fills in the extra stages itself
-        F = integrate._dop853_interpolants(lanes_rhs(c, L), t_old, h, y_old,
+        F = integrate._dop853_interpolants(lanes_rhs(flow), t_old, h, y_old,
                                            y, K)
         assert F.tobytes() == np.array(dense).tobytes()
 
@@ -972,7 +974,7 @@ class TestBlockSamples:
              n_samples=1001, per_block=None)
     def test_block_samples_are_the_per_step_calls(self, kind, seed, n, escape,
                                                   t_end, n_samples, per_block):
-        terms, y0 = block_flow(kind, seed, n, escape)
+        flow, y0 = block_flow(kind, seed, n, escape)
         blocks, sample = [], integrate._dop853_samples
 
         def spy(rhs, t_eval, end, pending, stages):
@@ -980,7 +982,7 @@ class TestBlockSamples:
             return sample(rhs, t_eval, end, pending, stages)
 
         def run():
-            return integrate._solve_log_system(terms, y0, t_end, 1e-8, 1e-10,
+            return integrate._solve_log_system(flow, y0, t_end, 1e-8, 1e-10,
                                                n_samples, None)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1036,7 +1038,7 @@ class TestLanesProduct:
         L, E = rng.normal(size=(n, n)), rng.normal(size=(k, n))
         want = np.array([L.dot(e) for e in E])
         assert integrate._lanes_product(L, E).tobytes() == want.tobytes()
-        # an operator a lane, as a flow whose L moves with t gives them
+        # a stack of one operator a lane keeps each lane's dot as well
         Ls = rng.normal(size=(k, n + 2, n))
         want = np.array([Ls[i].dot(E[i]) for i in range(k)])
         assert integrate._lanes_product(Ls, E).tobytes() == want.tobytes()
